@@ -311,9 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Reject flag values no command can run with, before any work."""
+    depth = getattr(args, "depth", None)
+    if depth is not None and depth < 0:
+        raise _InputError(f"--depth must be >= 0, got {depth}")
+    time_ = getattr(args, "time", None)
+    if time_ is not None and not np.isfinite(time_):
+        raise _InputError(f"--time must be finite, got {time_}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise _InputError(f"--trials must be >= 1, got {trials}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except FileNotFoundError as err:
         print(f"error: file not found: {err.filename}", file=sys.stderr)

@@ -36,6 +36,24 @@ def _merge_raw(keys: np.ndarray, coeffs: np.ndarray, tol: float):
     return uniq[keep], summed[keep]
 
 
+def _validated_merge(n: int, keys, coeffs, tol: float):
+    """The one validator behind both public constructors: a qubit count in
+    1..MAX_QUBITS, equal-length 1-D arrays and finite coefficients; then
+    sort, merge and prune."""
+    if not (1 <= n <= MAX_QUBITS):
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    keys = np.asarray(keys, dtype=np.uint64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if keys.ndim != 1 or keys.shape != coeffs.shape:
+        raise ValueError(f"keys {keys.shape} and coefficients {coeffs.shape} "
+                         "must be 1-D arrays of equal length")
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        label = PauliString.from_key(int(keys[bad[0]]), n).label
+        raise ValueError(f"non-finite coefficient for {label!r}")
+    return _merge_raw(keys, coeffs, tol)
+
+
 class Hamiltonian:
     """Immutable sparse real-coefficient Pauli sum on n qubits."""
 
@@ -43,8 +61,6 @@ class Hamiltonian:
 
     def __init__(self, n: int, terms=None, *, tol: float = 0.0):
         """Build from a mapping of PauliString (or label str) to coefficient."""
-        if not (1 <= n <= MAX_QUBITS):
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
         keys = []
         coeffs = []
         for p, c in (terms or {}).items():
@@ -52,31 +68,25 @@ class Hamiltonian:
                 p = PauliString.from_label(p)
             if p.n != n:
                 raise ValueError(f"term {p.label!r} has {p.n} qubits, expected {n}")
-            c = float(c)
-            if not np.isfinite(c):
-                raise ValueError(f"non-finite coefficient for {p.label!r}")
             keys.append(p.key())
-            coeffs.append(c)
-        merged_keys, merged_coeffs = _merge_raw(
-            np.asarray(keys, dtype=np.uint64), np.asarray(coeffs, dtype=np.float64), tol
-        )
+            coeffs.append(float(c))
         self.n = n
-        self._keys = merged_keys
-        self._coeffs = merged_coeffs
+        self._keys, self._coeffs = _validated_merge(n, keys, coeffs, tol)
 
     @classmethod
     def from_arrays(cls, n: int, keys: np.ndarray, coeffs: np.ndarray,
                     *, tol: float = 0.0) -> "Hamiltonian":
         """Build from raw key/coefficient arrays (merged and pruned here)."""
+        return cls._from_merged(n, *_validated_merge(n, keys, coeffs, tol))
+
+    @classmethod
+    def _from_merged(cls, n: int, keys: np.ndarray, coeffs: np.ndarray) -> "Hamiltonian":
+        """Wrap sorted unique keys and their nonzero finite coefficients
+        as they are, without checks or copies."""
         h = cls.__new__(cls)
-        if not (1 <= n <= MAX_QUBITS):
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-        merged_keys, merged_coeffs = _merge_raw(
-            np.asarray(keys, dtype=np.uint64), np.asarray(coeffs, dtype=np.float64), tol
-        )
         h.n = n
-        h._keys = merged_keys
-        h._coeffs = merged_coeffs
+        h._keys = keys
+        h._coeffs = coeffs
         return h
 
     # -- access ---------------------------------------------------------

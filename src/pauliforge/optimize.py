@@ -8,6 +8,17 @@ circuit can estimate).  Both drive the angles of an ansatz whose
 coefficient-space action is a product of planar rotations and signed
 permutations, so the analytic gradient follows from the chain rule with
 each rotation differentiated in closed form.
+
+:func:`optimize` compiles the layout against the Hamiltonian once
+(:class:`~pauliforge.ansatz.CompiledAnsatz`) and every restart,
+iteration, line-search step and final conjugation reuses those plans.
+A gradient is one forward pass that keeps each gate's coefficients,
+then one reverse pass of the cost's cotangent through the transposed
+plans, restricted to the forward supports: gate j's derivative lives on
+the support after gate j, so nothing outside those supports can reach a
+gradient entry.  Costs and gradient dot products are taken over the
+compacted nonzeros in key order, which makes every value identical to
+gate-by-gate sort-and-merge propagation.
 """
 
 from __future__ import annotations
@@ -16,21 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import (
-    AnsatzLayout,
-    apply_ansatz,
-    as_parameter_vector,
-    _cz_raw,
-    _rotation_raw,
-)
-from .hamiltonian import (
-    PRUNE_TOL,
-    CoefficientVector,
-    Hamiltonian,
-    _merge_raw,
-    l2_norm,
-    pauli_norm,
-)
+from .ansatz import AnsatzLayout, CompiledAnsatz, as_parameter_vector
+from .hamiltonian import CoefficientVector, Hamiltonian, l2_norm, pauli_norm
 from .paulis import PauliString
 
 COST_KINDS = ("l1", "q")
@@ -119,62 +117,27 @@ def _cost_grad(coeffs: np.ndarray, lam: float, kind: str) -> np.ndarray:
     return 4.0 * coeffs**3 / lam**4
 
 
-def _gate_forward(keys, coeffs, n, gate, theta_value, tol=PRUNE_TOL):
-    if gate.kind == "CZ":
-        raw = _cz_raw(keys, coeffs, n, gate.qubits[0], gate.qubits[1])
-    else:
-        raw = _rotation_raw(keys, coeffs, n, gate.kind, gate.qubits[0], theta_value)
-    return _merge_raw(raw[0], raw[1], tol)
+def _forward_cost(engine: CompiledAnsatz, theta, lam, kind) -> float:
+    x = engine.coefficients(theta)
+    return _cost_value(x[x != 0.0], lam, kind)
 
 
-def _sparse_dot(k1, v1, k2, v2) -> float:
-    _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
-    return float(np.dot(v1[i1], v2[i2]))
+def _value_and_grad_analytic(engine: CompiledAnsatz, theta, lam, kind):
+    states = list(engine.propagate(theta))
+    x = states[-1]
+    value = _cost_value(x[x != 0.0], lam, kind)
+    return value, engine.pullback(theta, states, _cost_grad(x, lam, kind))
 
 
-def _forward_cost(h: Hamiltonian, layout: AnsatzLayout, theta, lam, kind) -> float:
-    keys, coeffs = h.keys, h.coeffs
-    for g in layout.gates:
-        t = float(theta[g.param]) if g.param is not None else None
-        keys, coeffs = _gate_forward(keys, coeffs, h.n, g, t)
-    return _cost_value(coeffs, lam, kind)
-
-
-def _value_and_grad_analytic(h: Hamiltonian, layout: AnsatzLayout, theta, lam, kind):
-    n = h.n
-    gates = layout.gates
-    states = [(h.keys, h.coeffs)]
-    for g in gates:
-        t = float(theta[g.param]) if g.param is not None else None
-        states.append(_gate_forward(*states[-1], n, g, t))
-    wk, wc = states[-1]
-    value = _cost_value(wc, lam, kind)
-
-    grad = np.zeros(layout.parameter_count)
-    gk, gc = wk, _cost_grad(wc, lam, kind)
-    for j in range(len(gates) - 1, -1, -1):
-        g = gates[j]
-        if g.param is not None:
-            t = float(theta[g.param])
-            dk, dc = _rotation_raw(states[j][0], states[j][1], n, g.kind,
-                                   g.qubits[0], t, derivative=True)
-            dk, dc = _merge_raw(dk, dc, 0.0)
-            grad[g.param] = _sparse_dot(gk, gc, dk, dc)
-            gk, gc = _gate_forward(gk, gc, n, g, -t, tol=0.0)
-        else:
-            gk, gc = _gate_forward(gk, gc, n, g, None, tol=0.0)
-    return value, grad
-
-
-def _grad_central(h, layout, theta, lam, kind, step):
-    grad = np.zeros(layout.parameter_count)
-    for k in range(layout.parameter_count):
+def _grad_central(engine: CompiledAnsatz, theta, lam, kind, step):
+    grad = np.zeros(theta.size)
+    for k in range(theta.size):
         tp = theta.copy()
         tp[k] += step
         tm = theta.copy()
         tm[k] -= step
-        grad[k] = (_forward_cost(h, layout, tp, lam, kind)
-                   - _forward_cost(h, layout, tm, lam, kind)) / (2 * step)
+        grad[k] = (_forward_cost(engine, tp, lam, kind)
+                   - _forward_cost(engine, tm, lam, kind)) / (2 * step)
     return grad
 
 
@@ -187,26 +150,27 @@ def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
     lam = l2_norm(h)
     if lam == 0.0:
         raise ValueError("zero Hamiltonian has no defined cost")
+    engine = CompiledAnsatz(h, layout)
     if config.gradient_mode == "analytic":
-        value, grad = _value_and_grad_analytic(h, layout, theta, lam, config.cost_kind)
+        value, grad = _value_and_grad_analytic(engine, theta, lam, config.cost_kind)
     else:
-        grad = _grad_central(h, layout, theta, lam, config.cost_kind, config.fd_step)
-        value = _forward_cost(h, layout, theta, lam, config.cost_kind)
+        grad = _grad_central(engine, theta, lam, config.cost_kind, config.fd_step)
+        value = _forward_cost(engine, theta, lam, config.cost_kind)
     if not np.all(np.isfinite(grad)) or not np.isfinite(value):
         raise ArithmeticError("non-finite cost or gradient")
     return grad
 
 
-def _run_single(h, layout, theta0, config, lam):
+def _run_single(engine: CompiledAnsatz, theta0, config, lam):
     """One gradient run; returns (best-seen theta, cost trace)."""
     kind = config.cost_kind
     sign = 1.0 if kind == "l1" else -1.0  # loss = sign * cost is minimized
 
     def value_and_grad(t):
         if config.gradient_mode == "analytic":
-            return _value_and_grad_analytic(h, layout, t, lam, kind)
-        return (_forward_cost(h, layout, t, lam, kind),
-                _grad_central(h, layout, t, lam, kind, config.fd_step))
+            return _value_and_grad_analytic(engine, t, lam, kind)
+        return (_forward_cost(engine, t, lam, kind),
+                _grad_central(engine, t, lam, kind, config.fd_step))
 
     theta = theta0.copy()
     trace: list[float] = []
@@ -245,7 +209,7 @@ def _run_single(h, layout, theta0, config, lam):
             accepted = False
             for _halving in range(60):
                 cand = theta - step * direction
-                cand_value = _forward_cost(h, layout, cand, lam, kind)
+                cand_value = _forward_cost(engine, cand, lam, kind)
                 if sign * cand_value <= sign * value + 1e-12:
                     theta = cand
                     accepted = True
@@ -253,7 +217,7 @@ def _run_single(h, layout, theta0, config, lam):
                 step *= 0.5
             if not accepted:
                 break
-    trace.append(_forward_cost(h, layout, best_theta, lam, kind))
+    trace.append(_forward_cost(engine, best_theta, lam, kind))
     return best_theta, trace
 
 
@@ -275,13 +239,14 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
         raise ValueError(f"layout is for {layout.n} qubits, Hamiltonian has {h.n}")
     lam = l2_norm(h)
     original_norm = pauli_norm(h)
+    engine = CompiledAnsatz(h, layout)
 
     best = None  # (norm, restart, theta, engineered, trace)
     for r in range(config.restarts):
         rng = np.random.default_rng((config.seed, r))
         theta0 = rng.uniform(0.0, 2.0 * np.pi, layout.parameter_count)
-        theta, trace = _run_single(h, layout, theta0, config, lam)
-        engineered = apply_ansatz(h, layout, theta)
+        theta, trace = _run_single(engine, theta0, config, lam)
+        engineered = engine.hamiltonian(theta)
         norm = pauli_norm(engineered)
         if best is None or norm < best[0]:
             best = (norm, r, theta, engineered, trace)
@@ -293,7 +258,7 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
             engineered=h,
             original_norm=original_norm,
             engineered_norm=original_norm,
-            cost_trace=[_forward_cost(h, layout, theta, lam, config.cost_kind)],
+            cost_trace=[_forward_cost(engine, theta, lam, config.cost_kind)],
             restart_index=-1,
             cost_kind=config.cost_kind,
         )

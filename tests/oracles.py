@@ -1,8 +1,9 @@
-"""Independent dense-matrix oracles used across the test suite.
+"""Independent oracles used across the test suite.
 
-Everything here is built from first principles (kron products and
-explicit cos/sin gate matrices) so it never shares code with the sparse
-engine it checks.
+The dense ones are built from first principles (kron products and
+explicit cos/sin gate matrices).  The sparse reference propagation at the
+end merges terms gate by gate with np.unique.  Neither shares code with
+the compiled engine it checks.
 """
 
 import numpy as np
@@ -114,3 +115,121 @@ def random_layout(n, rng, max_depth=2):
 
 def random_theta(layout, rng):
     return rng.uniform(0.0, 2 * np.pi, layout.parameter_count)
+
+
+# -- reference sparse propagation ---------------------------------------
+#
+# Gate-by-gate propagation with a sort-and-merge after every gate: each
+# gate concatenates its raw output terms and merges duplicates with
+# np.unique, pruning below PRUNE_TOL.  The gradient carries the cotangent
+# back through the full adjoint (no pruning, no restriction) and dots it
+# with each rotation's derivative over the intersected keys.  Every output
+# entry is a sum of at most two products, so the compiled engine has to
+# match these numbers bit for bit.
+
+REF_PRUNE_TOL = 1e-12
+_REF_AXIS_BITS = {"RX": (1, 0), "RY": (1, 1), "RZ": (0, 1)}
+
+
+def merge_reference(keys, coeffs, tol):
+    """Sort by key, sum duplicates, drop magnitudes below tol (0: exact zeros)."""
+    if keys.size == 0:
+        return keys.astype(np.uint64), coeffs.astype(np.float64)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    summed = np.bincount(inverse, weights=coeffs, minlength=uniq.size)
+    keep = np.abs(summed) >= tol if tol > 0.0 else summed != 0.0
+    return uniq[keep], summed[keep]
+
+
+def _ref_bits(keys, n, q):
+    xq = ((keys >> np.uint64(n + q)) & np.uint64(1)).astype(np.int64)
+    zq = ((keys >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
+    return xq, zq
+
+
+def rotation_raw_reference(keys, coeffs, n, kind, qubit, theta, derivative=False):
+    """Unmerged output terms of a rotation, or of its theta-derivative."""
+    ax, az = _REF_AXIS_BITS[kind]
+    xq, zq = _ref_bits(keys, n, qubit)
+    anti = (ax * zq + az * xq) % 2 == 1
+    akeys, acoeffs = keys[anti], coeffs[anti]
+    partner = akeys ^ np.uint64((ax << (n + qubit)) | (az << qubit))
+    txq, tzq = xq[anti], zq[anti]
+    cx, cz = txq ^ ax, tzq ^ az
+    k = (ax * az + txq * tzq - cx * cz + 2 * az * txq) % 4
+    sign = np.where(k == 1, 1.0, -1.0)
+    c, s = np.cos(theta), np.sin(theta)
+    if derivative:
+        return (np.concatenate([akeys, partner]),
+                np.concatenate([-s * acoeffs, c * sign * acoeffs]))
+    return (np.concatenate([keys[~anti], akeys, partner]),
+            np.concatenate([coeffs[~anti], c * acoeffs, s * sign * acoeffs]))
+
+
+def cz_raw_reference(keys, coeffs, n, q1, q2):
+    one = np.uint64(1)
+    x1 = (keys >> np.uint64(n + q1)) & one
+    z1 = (keys >> np.uint64(q1)) & one
+    x2 = (keys >> np.uint64(n + q2)) & one
+    z2 = (keys >> np.uint64(q2)) & one
+    out_keys = keys ^ ((x2 << np.uint64(q1)) ^ (x1 << np.uint64(q2)))
+    neg = (x1 & x2 & (z1 ^ z2)) == one
+    return out_keys, np.where(neg, -coeffs, coeffs)
+
+
+def gate_reference(keys, coeffs, n, gate, theta_value, tol=REF_PRUNE_TOL):
+    if gate.kind == "CZ":
+        raw = cz_raw_reference(keys, coeffs, n, *gate.qubits)
+    else:
+        raw = rotation_raw_reference(keys, coeffs, n, gate.kind, gate.qubits[0], theta_value)
+    return merge_reference(raw[0], raw[1], tol)
+
+
+def propagate_reference(h, layout, theta, inverse=False):
+    """(keys, coeffs) of U H U^dag, or of U^dag H U with ``inverse``."""
+    keys, coeffs = np.array(h.keys), np.array(h.coeffs)
+    gates = reversed(layout.gates) if inverse else layout.gates
+    for g in gates:
+        t = None if g.param is None else float(theta[g.param])
+        if inverse and t is not None:
+            t = -t
+        keys, coeffs = gate_reference(keys, coeffs, h.n, g, t)
+    return keys, coeffs
+
+
+def cost_reference(coeffs, lam, kind):
+    if kind == "l1":
+        return float(np.abs(coeffs).sum() / lam)
+    return float(np.sum(coeffs**4) / lam**4)
+
+
+def sparse_dot_reference(k1, v1, k2, v2):
+    _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
+    return float(np.dot(v1[i1], v2[i2]))
+
+
+def value_and_grad_reference(h, layout, theta, kind):
+    """Cost and analytic angle gradient through the full adjoint pass."""
+    lam = float(np.sqrt(np.dot(h.coeffs, h.coeffs)))
+    n, gates = h.n, layout.gates
+    states = [(np.array(h.keys), np.array(h.coeffs))]
+    for g in gates:
+        t = None if g.param is None else float(theta[g.param])
+        states.append(gate_reference(*states[-1], n, g, t))
+    wk, wc = states[-1]
+    value = cost_reference(wc, lam, kind)
+    grad = np.zeros(layout.parameter_count)
+    gk = wk
+    gc = np.sign(wc) / lam if kind == "l1" else 4.0 * wc**3 / lam**4
+    for j in range(len(gates) - 1, -1, -1):
+        g = gates[j]
+        if g.param is None:
+            gk, gc = gate_reference(gk, gc, n, g, None, tol=0.0)
+            continue
+        t = float(theta[g.param])
+        dk, dc = rotation_raw_reference(*states[j], n, g.kind, g.qubits[0], t,
+                                        derivative=True)
+        dk, dc = merge_reference(dk, dc, 0.0)
+        grad[g.param] = sparse_dot_reference(gk, gc, dk, dc)
+        gk, gc = gate_reference(gk, gc, n, g, -t, tol=0.0)
+    return value, grad

@@ -176,6 +176,34 @@ class TestCompare:
         assert "sizes" in err
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize("argv, flag", [
+        (("engineer", "--depth", "-1"), "--depth"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2", "--depth", "-2"), "--depth"),
+        (("qdrift", "--time", "nan"), "--time"),
+        (("qdrift", "--time", "inf"), "--time"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2", "--time=-inf"), "--time"),
+        (("qdrift", "--trials", "0"), "--trials"),
+        (("qdrift", "--trials", "-3"), "--trials"),
+    ])
+    def test_rejected_before_any_work(self, capsys, tmp_path, argv, flag):
+        # The input file does not exist: the flag error must come first.
+        missing = str(tmp_path / "never-read.txt")
+        if argv[0] != "compare":
+            argv = (argv[0], "--input", missing) + argv[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+        assert "never-read" not in err
+
+    def test_depth_zero_still_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "engineer", "--ham", "ising-neighbor:2", "--depth", "0",
+                               "--restarts", "1", "--iterations", "2")
+        assert code == 0
+        assert json.loads(out)["results"]["engineered_norm"] == 3.0
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("argv", [
         ("engineer", "--ham", "ising-neighbor:3", "--restarts", "2",

@@ -39,6 +39,22 @@ class TestContainer:
         with pytest.raises(ValueError):
             Hamiltonian(1, {"X": float("nan")})
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_from_arrays_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="non-finite coefficient for 'ZI'"):
+            Hamiltonian.from_arrays(2, [1], [bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            bad * Hamiltonian(2, {"XI": 1.0})
+
+    @pytest.mark.parametrize("n", [0, 33])
+    def test_from_arrays_rejects_qubit_count(self, n):
+        with pytest.raises(ValueError, match="qubit count"):
+            Hamiltonian.from_arrays(n, [], [])
+
+    def test_from_arrays_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Hamiltonian.from_arrays(2, [1, 2], [1.0])
+
     def test_scalar_multiply_and_add(self):
         h = Hamiltonian(2, {"XI": 3.0, "ZZ": 2.0})
         g = 2.0 * h + Hamiltonian(2, {"XI": -6.0})
