@@ -156,14 +156,10 @@ def cmd_group(args) -> int:
 
 def cmd_qdrift(args) -> int:
     h, digest = _load_input(args)
-    try:
-        gate_counts = [int(g) for g in args.gates.split(",")]
-    except ValueError:
-        raise _InputError(f"bad --gates value {args.gates!r}; expected comma-separated ints") from None
     gamma = pauli_norm(h)
     t0 = time.perf_counter()
     rows = []
-    for g in gate_counts:
+    for g in args.gates:
         mean, stderr = qdrift_error(h, args.time, g, trials=args.trials, seed=args.seed)
         channel = qdrift_channel_error(h, args.time, g, trials=args.trials, seed=args.seed)
         rows.append({
@@ -312,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Reject flag values no command can run with, before any work."""
+    """Reject flag values no command can run with, before any work; parse --gates."""
     depth = getattr(args, "depth", None)
     if depth is not None and depth < 0:
         raise _InputError(f"--depth must be >= 0, got {depth}")
@@ -320,8 +316,16 @@ def _check_flags(args) -> None:
     if time_ is not None and not np.isfinite(time_):
         raise _InputError(f"--time must be finite, got {time_}")
     trials = getattr(args, "trials", None)
-    if trials is not None and trials < 1:
-        raise _InputError(f"--trials must be >= 1, got {trials}")
+    if trials is not None and trials < 2:
+        raise _InputError(f"--trials must be >= 2, got {trials}")
+    gates = getattr(args, "gates", None)
+    if gates is not None:
+        try:
+            args.gates = [int(g) for g in gates.split(",")]
+            if min(args.gates) < 1:
+                raise ValueError
+        except ValueError:
+            raise _InputError(f"--gates must be comma-separated ints >= 1, got {gates!r}") from None
 
 
 def main(argv=None) -> int:

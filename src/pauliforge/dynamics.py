@@ -8,11 +8,17 @@ exp(-i*tau*sign(h_j)*P_j) with tau = t*gamma/G; the sign of a negative
 coefficient is folded into the rotation direction.  Errors are measured
 as the mean 2-norm state deviation over a fixed panel of Haar-random
 test states, averaged over independently sampled plans.
+
+Seed streams (the reproducibility contract): ``qdrift_sample`` uses
+``default_rng(seed)``; trial k of ``qdrift_error`` uses the k-th child of
+``SeedSequence(seed).spawn(trials)``, and of ``qdrift_channel_error`` that
+of ``SeedSequence((seed, G)).spawn(trials)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .dense import (
     hamiltonian_matrix,
     pauli_matrix,
 )
-from .hamiltonian import Hamiltonian, pauli_norm
+from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
 
 QDRIFT_MAX_QUBITS = 8
 SANDWICH_MAX_QUBITS = 6
@@ -40,13 +46,8 @@ def exact_evolution(h: Hamiltonian, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-def _ordered_terms(h: Hamiltonian):
-    """Fixed product-formula ordering: descending |h|, ties lexicographic."""
-    return sorted(((p, c) for p, c in h), key=lambda pc: (-abs(pc[1]), pc[0].label))
-
-
 def trotter_first_order(h: Hamiltonian, t: float, r: int) -> np.ndarray:
-    """(prod_j exp(-i t h_j P_j / r))^r with the documented term ordering."""
+    """(prod_j exp(-i t h_j P_j / r))^r, terms by descending |h_j| then label."""
     if h.n > DENSE_MAX_QUBITS:
         raise ValueError(f"product formula capped at {DENSE_MAX_QUBITS} qubits, got {h.n}")
     if r < 1:
@@ -54,7 +55,7 @@ def trotter_first_order(h: Hamiltonian, t: float, r: int) -> np.ndarray:
     dim = 1 << h.n
     segment = np.eye(dim, dtype=complex)
     eye = np.eye(dim, dtype=complex)
-    for p, c in _ordered_terms(h):
+    for p, c in _terms_by_magnitude(h):
         alpha = t * c / r
         gate = np.cos(alpha) * eye - 1j * np.sin(alpha) * pauli_matrix(p)
         segment = gate @ segment
@@ -72,19 +73,44 @@ class QDriftPlan:
     seed: int
 
 
+class _QDrift:
+    """The one qDrift path for a Hamiltonian and a gate count G: p_j over
+    terms_by_index(), plans drawn from the caller's Generator, and plan
+    application with dense term matrices built on first use only."""
+
+    def __init__(self, h: Hamiltonian, gate_count: int):
+        if gate_count < 1:
+            raise ValueError(f"gate count must be >= 1, got {gate_count}")
+        if len(h) == 0:
+            raise ValueError("cannot sample the zero Hamiltonian")
+        self.gate_count = gate_count
+        self._terms = h.terms_by_index()
+        weights = np.abs([c for _, c in self._terms])
+        self.gamma = float(weights.sum())
+        self._probs = weights / self.gamma
+        self._signs = [1.0 if c >= 0 else -1.0 for _, c in self._terms]
+
+    @cached_property
+    def _mats(self) -> list[np.ndarray]:
+        return [pauli_matrix(p) for p, _ in self._terms]
+
+    def sample(self, t: float, rng: np.random.Generator, seed: int) -> QDriftPlan:
+        indices = rng.choice(len(self._probs), size=self.gate_count, p=self._probs)
+        return QDriftPlan(gamma=self.gamma, tau=t * self.gamma / self.gate_count,
+                          gate_count=self.gate_count, indices=indices, seed=seed)
+
+    def apply(self, plan: QDriftPlan, states: np.ndarray) -> np.ndarray:
+        c, s = np.cos(plan.tau), np.sin(plan.tau)
+        rot, mats = [1j * sign * s for sign in self._signs], self._mats
+        out = states.astype(complex)
+        for j in plan.indices:
+            out = c * out - rot[j] * (mats[j] @ out)
+        return out
+
+
 def qdrift_sample(h: Hamiltonian, t: float, gate_count: int, seed: int = 0) -> QDriftPlan:
     """Draw a plan: G i.i.d. indices with p_j = |h_j|/gamma, tau = t*gamma/G."""
-    if gate_count < 1:
-        raise ValueError(f"gate count must be >= 1, got {gate_count}")
-    if len(h) == 0:
-        raise ValueError("cannot sample the zero Hamiltonian")
-    coeffs = np.array([c for _, c in h.terms_by_index()])
-    gamma = float(np.abs(coeffs).sum())
-    probs = np.abs(coeffs) / gamma
-    rng = np.random.default_rng(seed)
-    indices = rng.choice(len(probs), size=gate_count, p=probs)
-    return QDriftPlan(gamma=gamma, tau=t * gamma / gate_count,
-                      gate_count=gate_count, indices=indices, seed=seed)
+    return _QDrift(h, gate_count).sample(t, np.random.default_rng(seed), seed)
 
 
 def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.ndarray:
@@ -93,20 +119,24 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
     Each sampled step is exp(-i*tau*sign(h_j)*P_j) = cos(tau) I
     - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.
     """
-    terms = h.terms_by_index()
-    mats = [pauli_matrix(p) for p, _ in terms]
-    signs = [1.0 if c >= 0 else -1.0 for _, c in terms]
-    c, s = np.cos(plan.tau), np.sin(plan.tau)
-    out = states.astype(complex)
-    for j in plan.indices:
-        out = c * out - 1j * signs[j] * s * (mats[j] @ out)
-    return out
+    return _QDrift(h, plan.gate_count).apply(plan, states)
 
 
-def _qdrift_panel(h: Hamiltonian, seed: int) -> np.ndarray:
+def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
+                seed: int, root: np.random.SeedSequence):
+    """Exact outputs on the seeded Haar panel, and a lazy stream of the
+    panel outputs of ``trials`` plans, one per child of ``root``."""
+    if h.n > QDRIFT_MAX_QUBITS:
+        raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
+    if trials < 2:
+        raise ValueError(f"need >= 2 trials, got {trials}")
+    q = _QDrift(h, gate_count)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9E3779B9)))
-    dim = 1 << h.n
-    return np.column_stack([haar_state(dim, rng) for _ in range(_PANEL_SIZE)])
+    panel = np.column_stack([haar_state(1 << h.n, rng) for _ in range(_PANEL_SIZE)])
+    exact = exact_evolution(h, t) @ panel
+    outputs = (q.apply(q.sample(t, np.random.default_rng(seq), seed), panel)
+               for seq in root.spawn(trials))
+    return exact, outputs
 
 
 def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
@@ -117,26 +147,8 @@ def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
     20 seeded Haar-random states and over ``trials`` independent plans;
     returns (mean, standard error over plans).
     """
-    if h.n > QDRIFT_MAX_QUBITS:
-        raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
-    if trials < 2:
-        raise ValueError(f"need >= 2 trials for a standard error, got {trials}")
-    panel = _qdrift_panel(h, seed)
-    exact = exact_evolution(h, t) @ panel
-    root = np.random.SeedSequence(seed)
-    trial_seqs = root.spawn(trials)
-
-    coeffs = np.array([c for _, c in h.terms_by_index()])
-    gamma = float(np.abs(coeffs).sum())
-    probs = np.abs(coeffs) / gamma
-    errors = np.empty(trials)
-    for k, seq in enumerate(trial_seqs):
-        rng = np.random.default_rng(seq)
-        indices = rng.choice(len(probs), size=gate_count, p=probs)
-        plan = QDriftPlan(gamma=gamma, tau=t * gamma / gate_count,
-                          gate_count=gate_count, indices=indices, seed=seed)
-        approx = qdrift_apply(h, plan, panel)
-        errors[k] = float(np.mean(np.linalg.norm(approx - exact, axis=0)))
+    exact, outputs = _error_runs(h, t, gate_count, trials, seed, np.random.SeedSequence(seed))
+    errors = np.array([np.mean(np.linalg.norm(out - exact, axis=0)) for out in outputs])
     return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(trials))
 
 
@@ -151,30 +163,12 @@ def qdrift_channel_error(h: Hamiltonian, t: float, gate_count: int,
     over plans cancels the first-order fluctuations and leaves the
     ~ (gamma*t)^2/G channel bias that sets the gate-count model.
     """
-    if h.n > QDRIFT_MAX_QUBITS:
-        raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
-    if trials < 2:
-        raise ValueError(f"need >= 2 trials, got {trials}")
-    panel = _qdrift_panel(h, seed)
-    exact = exact_evolution(h, t) @ panel
-    coeffs = np.array([c for _, c in h.terms_by_index()])
-    gamma = float(np.abs(coeffs).sum())
-    probs = np.abs(coeffs) / gamma
-    dim = 1 << h.n
-    rho_acc = np.zeros((panel.shape[1], dim, dim), dtype=complex)
-    for seq in np.random.SeedSequence((seed, gate_count)).spawn(trials):
-        rng = np.random.default_rng(seq)
-        indices = rng.choice(len(probs), size=gate_count, p=probs)
-        plan = QDriftPlan(gamma=gamma, tau=t * gamma / gate_count,
-                          gate_count=gate_count, indices=indices, seed=seed)
-        out = qdrift_apply(h, plan, panel)
-        rho_acc += np.einsum("ik,jk->kij", out, out.conj())
-    dists = np.empty(panel.shape[1])
-    for k in range(panel.shape[1]):
-        rho = rho_acc[k] / trials
-        sigma = np.outer(exact[:, k], exact[:, k].conj())
-        dists[k] = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
-    return float(dists.mean())
+    exact, outputs = _error_runs(h, t, gate_count, trials, seed,
+                                 np.random.SeedSequence((seed, gate_count)))
+    rho = sum(np.einsum("ik,jk->kij", out, out.conj()) for out in outputs) / trials
+    dists = [0.5 * np.abs(np.linalg.eigvalsh(r - np.outer(e, e.conj()))).sum()
+             for r, e in zip(rho, exact.T)]
+    return float(np.mean(dists))
 
 
 def sandwich_check(h: Hamiltonian, layout: AnsatzLayout, theta, t: float) -> float:

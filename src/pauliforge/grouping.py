@@ -24,7 +24,7 @@ from .dense import (
     pauli_expectation,
     pauli_matrix,
 )
-from .hamiltonian import Hamiltonian, pauli_norm
+from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
 from .paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
 
 COMMUTATION_KINDS = ("general", "qubit_wise")
@@ -61,12 +61,8 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
         raise ValueError("cannot group the zero Hamiltonian")
     compatible = commutes if commutation == "general" else qubit_wise_commutes
 
-    ordered = sorted(
-        ((p, c) for p, c in h),
-        key=lambda pc: (-abs(pc[1]), pc[0].label),
-    )
     groups: list[list[tuple[float, PauliString]]] = []
-    for p, c in ordered:
+    for p, c in _terms_by_magnitude(h):
         for members in groups:
             if all(compatible(p, q) for _, q in members):
                 members.append((c, p))

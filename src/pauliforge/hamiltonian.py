@@ -120,16 +120,15 @@ class Hamiltonian:
         return 0.0
 
     def indices(self) -> np.ndarray:
-        """Base-4 indices of the stored terms (same order as ``keys``)."""
+        """Base-4 uint64 indices of the stored terms (same order as ``keys``)."""
         n = self.n
         x = self._keys >> np.uint64(n)
         z = self._keys & np.uint64((1 << n) - 1)
-        idx = np.zeros(self._keys.size, dtype=np.int64)
+        idx = np.zeros(self._keys.size, dtype=np.uint64)
         for q in range(n):
-            xq = ((x >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
-            zq = ((z >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
-            digit = 2 * zq + (xq ^ zq)
-            idx += digit << (2 * (n - 1 - q))
+            xq = (x >> np.uint64(q)) & np.uint64(1)
+            zq = (z >> np.uint64(q)) & np.uint64(1)
+            idx = (idx << np.uint64(2)) | (2 * zq + (xq ^ zq))
         return idx
 
     def terms_by_index(self) -> list[tuple[PauliString, float]]:
@@ -204,6 +203,12 @@ class CoefficientVector:
         for i, v in self.entries.items():
             out[i] = v
         return out
+
+
+def _terms_by_magnitude(h: Hamiltonian) -> list[tuple[PauliString, float]]:
+    """Terms in descending |coefficient|, ties broken on the text label;
+    the fixed order of sorted insertion and the product formulas."""
+    return sorted(h, key=lambda pc: (-abs(pc[1]), pc[0].label))
 
 
 def pauli_norm(h: Hamiltonian) -> float:

@@ -1,14 +1,17 @@
 """Independent oracles used across the test suite.
 
 The dense ones are built from first principles (kron products and
-explicit cos/sin gate matrices).  The sparse reference propagation at the
-end merges terms gate by gate with np.unique.  Neither shares code with
-the compiled engine it checks.
+explicit cos/sin gate matrices).  The sparse reference propagation
+merges terms gate by gate with np.unique.  Neither shares code with the
+compiled engine it checks.  The qDrift reference at the end is the
+sampling code as first written, one copy per function.
 """
 
 import numpy as np
 
 from pauliforge import Hamiltonian, PauliString
+from pauliforge.dense import haar_state, pauli_matrix
+from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -233,3 +236,116 @@ def value_and_grad_reference(h, layout, theta, kind):
         grad[g.param] = sparse_dot_reference(gk, gc, dk, dc)
         gk, gc = gate_reference(gk, gc, n, g, -t, tol=0.0)
     return value, grad
+
+
+# -- qDrift reference ----------------------------------------------------
+# The sampling, application and error runs as first written: each
+# function builds its own distribution and RNG stream, and qdrift_apply
+# rebuilds the dense term matrices for every plan.  The library's single
+# qDrift path must reproduce them exactly.
+
+_PANEL_SIZE = 20
+
+def qdrift_sample_reference(h: Hamiltonian, t: float, gate_count: int, seed: int = 0) -> QDriftPlan:
+    """Draw a plan: G i.i.d. indices with p_j = |h_j|/gamma, tau = t*gamma/G."""
+    if gate_count < 1:
+        raise ValueError(f"gate count must be >= 1, got {gate_count}")
+    if len(h) == 0:
+        raise ValueError("cannot sample the zero Hamiltonian")
+    coeffs = np.array([c for _, c in h.terms_by_index()])
+    gamma = float(np.abs(coeffs).sum())
+    probs = np.abs(coeffs) / gamma
+    rng = np.random.default_rng(seed)
+    indices = rng.choice(len(probs), size=gate_count, p=probs)
+    return QDriftPlan(gamma=gamma, tau=t * gamma / gate_count,
+                      gate_count=gate_count, indices=indices, seed=seed)
+
+
+def qdrift_apply_reference(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.ndarray:
+    """Apply the plan's product of Pauli rotations to state columns.
+
+    Each sampled step is exp(-i*tau*sign(h_j)*P_j) = cos(tau) I
+    - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.
+    """
+    terms = h.terms_by_index()
+    mats = [pauli_matrix(p) for p, _ in terms]
+    signs = [1.0 if c >= 0 else -1.0 for _, c in terms]
+    c, s = np.cos(plan.tau), np.sin(plan.tau)
+    out = states.astype(complex)
+    for j in plan.indices:
+        out = c * out - 1j * signs[j] * s * (mats[j] @ out)
+    return out
+
+
+def qdrift_panel_reference(h: Hamiltonian, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9E3779B9)))
+    dim = 1 << h.n
+    return np.column_stack([haar_state(dim, rng) for _ in range(_PANEL_SIZE)])
+
+
+def qdrift_error_reference(h: Hamiltonian, t: float, gate_count: int,
+                 trials: int = 100, seed: int = 0):
+    """Mean state error of sampled plans against the exact propagator.
+
+    Averages || V_plan |psi> - exp(-iHt) |psi> ||_2 over a fixed panel of
+    20 seeded Haar-random states and over ``trials`` independent plans;
+    returns (mean, standard error over plans).
+    """
+    if h.n > QDRIFT_MAX_QUBITS:
+        raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
+    if trials < 2:
+        raise ValueError(f"need >= 2 trials for a standard error, got {trials}")
+    panel = qdrift_panel_reference(h, seed)
+    exact = exact_evolution(h, t) @ panel
+    root = np.random.SeedSequence(seed)
+    trial_seqs = root.spawn(trials)
+
+    coeffs = np.array([c for _, c in h.terms_by_index()])
+    gamma = float(np.abs(coeffs).sum())
+    probs = np.abs(coeffs) / gamma
+    errors = np.empty(trials)
+    for k, seq in enumerate(trial_seqs):
+        rng = np.random.default_rng(seq)
+        indices = rng.choice(len(probs), size=gate_count, p=probs)
+        plan = QDriftPlan(gamma=gamma, tau=t * gamma / gate_count,
+                          gate_count=gate_count, indices=indices, seed=seed)
+        approx = qdrift_apply_reference(h, plan, panel)
+        errors[k] = float(np.mean(np.linalg.norm(approx - exact, axis=0)))
+    return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(trials))
+
+
+def qdrift_channel_error_reference(h: Hamiltonian, t: float, gate_count: int,
+                         trials: int = 200, seed: int = 0) -> float:
+    """Error of the mean state: trace distance of the trial-averaged
+    output to the exact output, averaged over the test panel.
+
+    Complements :func:`qdrift_error`.  Individual sampled plans deviate
+    from the exact propagator diffusively (state error ~ G^-1/2, the
+    plan-to-plan fluctuation), while averaging the output density matrix
+    over plans cancels the first-order fluctuations and leaves the
+    ~ (gamma*t)^2/G channel bias that sets the gate-count model.
+    """
+    if h.n > QDRIFT_MAX_QUBITS:
+        raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
+    if trials < 2:
+        raise ValueError(f"need >= 2 trials, got {trials}")
+    panel = qdrift_panel_reference(h, seed)
+    exact = exact_evolution(h, t) @ panel
+    coeffs = np.array([c for _, c in h.terms_by_index()])
+    gamma = float(np.abs(coeffs).sum())
+    probs = np.abs(coeffs) / gamma
+    dim = 1 << h.n
+    rho_acc = np.zeros((panel.shape[1], dim, dim), dtype=complex)
+    for seq in np.random.SeedSequence((seed, gate_count)).spawn(trials):
+        rng = np.random.default_rng(seq)
+        indices = rng.choice(len(probs), size=gate_count, p=probs)
+        plan = QDriftPlan(gamma=gamma, tau=t * gamma / gate_count,
+                          gate_count=gate_count, indices=indices, seed=seed)
+        out = qdrift_apply_reference(h, plan, panel)
+        rho_acc += np.einsum("ik,jk->kij", out, out.conj())
+    dists = np.empty(panel.shape[1])
+    for k in range(panel.shape[1]):
+        rho = rho_acc[k] / trials
+        sigma = np.outer(exact[:, k], exact[:, k].conj())
+        dists[k] = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
+    return float(dists.mean())

@@ -185,6 +185,10 @@ class TestFlagValidation:
         (("compare", "--family", "ising-neighbor", "--sizes", "2", "--time=-inf"), "--time"),
         (("qdrift", "--trials", "0"), "--trials"),
         (("qdrift", "--trials", "-3"), "--trials"),
+        (("qdrift", "--trials", "1"), "--trials"),
+        (("qdrift", "--gates", "0"), "--gates"),
+        (("qdrift", "--gates", "10,0"), "--gates"),
+        (("qdrift", "--gates", "x"), "--gates"),
     ])
     def test_rejected_before_any_work(self, capsys, tmp_path, argv, flag):
         # The input file does not exist: the flag error must come first.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pauliforge import Hamiltonian, hardware_efficient_layout, pauli_norm
+from pauliforge import Hamiltonian, hardware_efficient_layout, ising_neighbor, pauli_norm
 from pauliforge.dynamics import (
     engineered_qdrift_cost,
     exact_evolution,
@@ -16,7 +16,16 @@ from pauliforge.dynamics import (
     trotter_first_order,
 )
 
-from oracles import dense_hamiltonian, random_hamiltonian, random_layout, random_theta
+from oracles import (
+    dense_hamiltonian,
+    qdrift_apply_reference,
+    qdrift_channel_error_reference,
+    qdrift_error_reference,
+    qdrift_sample_reference,
+    random_hamiltonian,
+    random_layout,
+    random_theta,
+)
 
 GOLDEN_2Q = {"XI": 3.0, "YY": -1.0, "ZZ": 2.0}
 
@@ -148,6 +157,40 @@ class TestQDriftError:
         m1, s1 = qdrift_error(h, 0.5, 20, trials=150, seed=6)
         m2, s2 = qdrift_error(h, 0.5, 320, trials=150, seed=6)
         assert m1 - m2 > 5 * np.sqrt(s1**2 + s2**2)
+
+    @pytest.mark.parametrize("run", [qdrift_error, qdrift_channel_error])
+    def test_zero_gate_count_rejected(self, run):
+        with pytest.raises(ValueError, match="gate count"):
+            run(Hamiltonian(2, GOLDEN_2Q), 0.5, 0, trials=5, seed=0)
+
+
+class TestQDriftAgainstReference:
+    """The single qDrift path reproduces the per-function code it replaced
+    bit for bit: same plans, same applied panels, same error values."""
+
+    CASES = [(0.5, 1, 2, 0), (0.5, 10, 5, 7), (1.3, 40, 3, 11), (0.0, 7, 2, 3), (-0.8, 25, 4, 1)]
+
+    @pytest.fixture(params=["golden", "ising-neighbor:3"])
+    def h(self, request):
+        return Hamiltonian(2, GOLDEN_2Q) if request.param == "golden" else ising_neighbor(3)
+
+    @pytest.mark.parametrize("t, gates, trials, seed", CASES)
+    def test_plans_and_panels(self, h, t, gates, trials, seed):
+        plan = qdrift_sample(h, t, gates, seed=seed)
+        ref = qdrift_sample_reference(h, t, gates, seed=seed)
+        assert np.array_equal(plan.indices, ref.indices)
+        assert (plan.gamma, plan.tau, plan.gate_count, plan.seed) == (
+            ref.gamma, ref.tau, ref.gate_count, ref.seed)
+        states = np.random.default_rng(seed).normal(size=(1 << h.n, trials)) + 0j
+        assert np.array_equal(qdrift_apply(h, plan, states),
+                              qdrift_apply_reference(h, ref, states))
+
+    @pytest.mark.parametrize("t, gates, trials, seed", CASES)
+    def test_error_values(self, h, t, gates, trials, seed):
+        assert (qdrift_error(h, t, gates, trials=trials, seed=seed)
+                == qdrift_error_reference(h, t, gates, trials=trials, seed=seed))
+        assert (qdrift_channel_error(h, t, gates, trials=trials, seed=seed)
+                == qdrift_channel_error_reference(h, t, gates, trials=trials, seed=seed))
 
 
 class TestSandwich:

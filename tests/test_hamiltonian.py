@@ -66,6 +66,14 @@ class TestContainer:
         labels = [p.label for p, _ in h.terms_by_index()]
         assert labels == ["IX", "XI", "ZZ"]
 
+    def test_indices_at_32_qubits(self):
+        # The top base-4 digit reaches past int64 at n = 32.
+        labels = ["I" * 31 + "X", "Z" + "I" * 31, "Y" * 32]
+        h = Hamiltonian(32, {label: 1.0 for label in labels})
+        by_key = [PauliString.from_key(int(k), 32).index for k in h.keys]
+        assert [int(i) for i in h.indices()] == by_key
+        assert [p.label for p, _ in h.terms_by_index()] == [labels[0], labels[2], labels[1]]
+
     def test_equality(self):
         a = Hamiltonian(2, {"XI": 1.0, "ZZ": -2.0})
         b = Hamiltonian(2, {"ZZ": -2.0, "XI": 1.0})
