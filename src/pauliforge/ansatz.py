@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import PRUNE_TOL, Hamiltonian
-from .paulis import PauliString
+from .paulis import PauliString, commutes, pauli_product
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 
@@ -151,30 +151,24 @@ def as_parameter_vector(theta, count: int) -> np.ndarray:
 # -- compiled propagation ------------------------------------------------
 
 
-def _phase_sign(xq: int, zq: int, ax: int, az: int) -> float:
-    """Real sign of -i*(A*B) for the axis Pauli A with bits (ax, az) and a
-    string B anticommuting with it, with bits (xq, zq) on the rotated qubit."""
-    cx = xq ^ ax
-    cz = zq ^ az
-    k = (ax * az + xq * zq - cx * cz + 2 * az * xq) % 4
-    return 1.0 if k == 1 else -1.0
-
-
-def _rotation_tables(ax: int, az: int):
+def _rotation_tables(kind: str):
     """Indexed by a string o's digit 2*x + z on the rotated qubit: whether
     o anticommutes with the axis A, and the sign with which its partner
-    A*o feeds into it (0 where it commutes)."""
+    B = A*o feeds into it (0 where it commutes): -i*(A*B) is that sign
+    times o, with the phase taken from :func:`~pauliforge.paulis.pauli_product`."""
+    axis = PauliString(1, *_AXIS_BITS[kind])
     anti = np.zeros(4, dtype=bool)
     sign = np.zeros(4)
     for d in range(4):
-        x, z = d >> 1, d & 1
-        if (ax * z + az * x) % 2:
+        o = PauliString(1, d >> 1, d & 1)
+        if not commutes(axis, o):
             anti[d] = True
-            sign[d] = _phase_sign(x ^ ax, z ^ az, ax, az)
+            partner = pauli_product(axis, o).string
+            sign[d] = 1.0 if pauli_product(axis, partner).phase == 1j else -1.0
     return anti, sign
 
 
-_ROTATION_TABLES = {kind: _rotation_tables(*bits) for kind, bits in _AXIS_BITS.items()}
+_ROTATION_TABLES = {kind: _rotation_tables(kind) for kind in ROTATION_KINDS}
 
 
 def _axis_key(kind: str, n: int, q: int) -> np.uint64:
@@ -323,27 +317,24 @@ class CompiledAnsatz:
     only where a Hamiltonian is formed.  Values match gate-by-gate
     merging bit for bit, since adding an exact zero changes no sum.
 
-    With ``inverse`` the gates run in reverse order at negated angles,
-    giving U(theta)^dag H U(theta).
+    The gates run in layout order, giving U(theta) H U(theta)^dag; the
+    inverse conjugation is the reversed layout at negated angles
+    (:func:`apply_ansatz_inverse`).  This is the one place that checks a
+    layout against a Hamiltonian.
     """
 
-    def __init__(self, h: Hamiltonian, layout: AnsatzLayout, *, inverse: bool = False):
+    def __init__(self, h: Hamiltonian, layout: AnsatzLayout):
         if layout.n != h.n:
             raise ValueError(f"layout is for {layout.n} qubits, Hamiltonian has {h.n}")
         self.h = h
         self.layout = layout
-        self.inverse = inverse
         steps = []
         keys = h.keys
-        for gate in (reversed(layout.gates) if inverse else layout.gates):
+        for gate in layout.gates:
             steps.append(_Step(gate, keys, h.n))
             keys = steps[-1].keys
         self.steps = tuple(steps)
         self.keys = keys
-
-    def _angle(self, theta, param) -> float:
-        t = float(theta[param])
-        return -t if self.inverse else t
 
     def propagate(self, theta):
         """Yield the input coefficients, then the coefficients on each
@@ -355,7 +346,7 @@ class CompiledAnsatz:
             if step.param is None:
                 x = step.gather(x)  # keeps magnitudes: pruned stays pruned
             else:
-                t = self._angle(theta, step.param)
+                t = float(theta[step.param])
                 x = step.gather(x, np.cos(t), np.sin(t))
                 pruned = False
             if not pruned:
@@ -377,8 +368,7 @@ class CompiledAnsatz:
 
     def pullback(self, theta, states, cotangent: np.ndarray) -> np.ndarray:
         """Angle gradient of a cost whose gradient in the output
-        coefficients is ``cotangent``; ``states`` lists ``propagate(theta)``
-        of a forward (not ``inverse``) compilation.
+        coefficients is ``cotangent``; ``states`` lists ``propagate(theta)``.
 
         The cotangent runs back through the transposed plans on the
         forward supports only.  Gate j's derivative lives on the support
@@ -402,42 +392,29 @@ class CompiledAnsatz:
         return grad
 
 
-def _single_gate(h: Hamiltonian, gate: Gate, theta: float | None) -> Hamiltonian:
-    layout = layout_from_gates(h.n, [gate])
-    angles = np.zeros(0) if theta is None else as_parameter_vector([theta], 1)
-    return CompiledAnsatz(h, layout).hamiltonian(angles)
-
-
 def conjugate_rotation(h: Hamiltonian, axis: str, qubit: int, theta: float) -> Hamiltonian:
     """U H U^dag for U = exp(-i*theta*P_axis(qubit)/2)."""
     if axis not in ("X", "Y", "Z"):
         raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-    if not (0 <= qubit < h.n):
-        raise ValueError(f"qubit {qubit} out of range for n={h.n}")
-    return _single_gate(h, Gate("R" + axis, (qubit,), 0), float(theta))
+    return apply_ansatz(h, layout_from_gates(h.n, [Gate("R" + axis, (qubit,), 0)]), [theta])
 
 
 def conjugate_cz(h: Hamiltonian, q1: int, q2: int) -> Hamiltonian:
     """CZ H CZ on qubits (q1, q2); a signed permutation of Pauli strings."""
-    if q1 == q2 or not (0 <= q1 < h.n) or not (0 <= q2 < h.n):
-        raise ValueError(f"invalid CZ qubits ({q1}, {q2}) for n={h.n}")
-    return _single_gate(h, Gate("CZ", (q1, q2)), None)
+    return apply_ansatz(h, layout_from_gates(h.n, [Gate("CZ", (q1, q2))]), [])
 
 
 def apply_ansatz(h: Hamiltonian, layout: AnsatzLayout, theta) -> Hamiltonian:
     """U(theta) H U(theta)^dag with gates applied in circuit order."""
-    if layout.n != h.n:
-        raise ValueError(f"layout is for {layout.n} qubits, Hamiltonian has {h.n}")
     theta = as_parameter_vector(theta, layout.parameter_count)
     return CompiledAnsatz(h, layout).hamiltonian(theta)
 
 
 def apply_ansatz_inverse(h: Hamiltonian, layout: AnsatzLayout, theta) -> Hamiltonian:
     """U(theta)^dag H U(theta): reversed gate order, negated angles."""
-    if layout.n != h.n:
-        raise ValueError(f"layout is for {layout.n} qubits, Hamiltonian has {h.n}")
     theta = as_parameter_vector(theta, layout.parameter_count)
-    return CompiledAnsatz(h, layout, inverse=True).hamiltonian(theta)
+    reverse = AnsatzLayout(layout.n, layout.depth, layout.gates[::-1], layout.parameter_count)
+    return CompiledAnsatz(h, reverse).hamiltonian(-theta)
 
 
 def build_encoded_v(layout: AnsatzLayout, theta, n: int) -> np.ndarray:
@@ -449,8 +426,6 @@ def build_encoded_v(layout: AnsatzLayout, theta, n: int) -> np.ndarray:
     """
     if n > 3:
         raise ValueError(f"encoded unitary is dense in 4^n; capped at n=3, got {n}")
-    if layout.n != n:
-        raise ValueError(f"layout is for {layout.n} qubits, expected {n}")
     dim = 4**n
     v = np.zeros((dim, dim), dtype=np.float64)
     for i in range(dim):

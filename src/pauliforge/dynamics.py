@@ -62,15 +62,36 @@ def trotter_first_order(h: Hamiltonian, t: float, r: int) -> np.ndarray:
     return np.linalg.matrix_power(segment, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QDriftPlan:
-    """One sampled gate sequence; indices refer to terms_by_index() order."""
+    """One sampled gate sequence; indices refer to terms_by_index() order.
+
+    ``indices`` is held as a read-only intp copy, so plans compare and
+    hash by value over all fields.
+    """
 
     gamma: float
     tau: float
     gate_count: int
     indices: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        indices = np.array(self.indices, dtype=np.intp)
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+
+    def _fields(self) -> tuple:
+        return (self.gamma, self.tau, self.gate_count, self.seed,
+                self.indices.shape, self.indices.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QDriftPlan):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 class _QDrift:
@@ -117,9 +138,16 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
     """Apply the plan's product of Pauli rotations to state columns.
 
     Each sampled step is exp(-i*tau*sign(h_j)*P_j) = cos(tau) I
-    - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.
+    - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.  A plan drawn
+    for another Hamiltonian (a different gamma, or an index past h's
+    terms) is rejected.
     """
-    return _QDrift(h, plan.gate_count).apply(plan, states)
+    q = _QDrift(h, plan.gate_count)
+    if plan.gamma != q.gamma:
+        raise ValueError(f"plan was drawn for gamma={plan.gamma}, Hamiltonian has {q.gamma}")
+    if np.any((plan.indices < 0) | (plan.indices >= len(h))):
+        raise ValueError(f"plan indexes a term outside the Hamiltonian's {len(h)} terms")
+    return q.apply(plan, states)
 
 
 def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,

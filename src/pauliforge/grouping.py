@@ -45,8 +45,15 @@ class Collection:
 class GroupingResult:
     strategy: str
     collections: tuple[Collection, ...]
-    grouped_norm: float
-    collection_count: int
+
+    @property
+    def grouped_norm(self) -> float:
+        """Sum over collections of the root-sum-square of member coefficients."""
+        return float(sum(col.l2() for col in self.collections))
+
+    @property
+    def collection_count(self) -> int:
+        return len(self.collections)
 
 
 def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingResult:
@@ -73,18 +80,12 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
     collections = tuple(
         Collection(index=i, members=tuple(members)) for i, members in enumerate(groups)
     )
-    result = GroupingResult(
-        strategy=f"sorted_insertion/{commutation}",
-        collections=collections,
-        grouped_norm=float(sum(col.l2() for col in collections)),
-        collection_count=len(collections),
-    )
-    return result
+    return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
 
 
 def grouped_pauli_norm(g: GroupingResult) -> float:
     """Sum over collections of the root-sum-square of member coefficients."""
-    return float(sum(col.l2() for col in g.collections))
+    return g.grouped_norm
 
 
 def measurement_cost(h: Hamiltonian, epsilon: float, mode: str = "weighted_shots") -> float:

@@ -23,23 +23,20 @@ PRUNE_TOL = 1e-12
 MAX_QUBITS = 32
 
 
-def _merge_raw(keys: np.ndarray, coeffs: np.ndarray, tol: float):
-    """Sort by key, sum duplicates, drop magnitudes <= tol (0 drops exact zeros)."""
+def _merge_raw(keys: np.ndarray, coeffs: np.ndarray):
+    """Sort by key, sum duplicates, drop exact zeros."""
     if keys.size == 0:
         return keys.astype(np.uint64), coeffs.astype(np.float64)
     uniq, inverse = np.unique(keys, return_inverse=True)
     summed = np.bincount(inverse, weights=coeffs, minlength=uniq.size)
-    if tol > 0.0:
-        keep = np.abs(summed) >= tol
-    else:
-        keep = summed != 0.0
+    keep = summed != 0.0
     return uniq[keep], summed[keep]
 
 
-def _validated_merge(n: int, keys, coeffs, tol: float):
+def _validated_merge(n: int, keys, coeffs):
     """The one validator behind both public constructors: a qubit count in
     1..MAX_QUBITS, equal-length 1-D arrays and finite coefficients; then
-    sort, merge and prune."""
+    sort, merge and drop exact zeros."""
     if not (1 <= n <= MAX_QUBITS):
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     keys = np.asarray(keys, dtype=np.uint64)
@@ -51,7 +48,7 @@ def _validated_merge(n: int, keys, coeffs, tol: float):
     if bad.size:
         label = PauliString.from_key(int(keys[bad[0]]), n).label
         raise ValueError(f"non-finite coefficient for {label!r}")
-    return _merge_raw(keys, coeffs, tol)
+    return _merge_raw(keys, coeffs)
 
 
 class Hamiltonian:
@@ -59,7 +56,7 @@ class Hamiltonian:
 
     __slots__ = ("n", "_keys", "_coeffs")
 
-    def __init__(self, n: int, terms=None, *, tol: float = 0.0):
+    def __init__(self, n: int, terms=None):
         """Build from a mapping of PauliString (or label str) to coefficient."""
         keys = []
         coeffs = []
@@ -71,13 +68,12 @@ class Hamiltonian:
             keys.append(p.key())
             coeffs.append(float(c))
         self.n = n
-        self._keys, self._coeffs = _validated_merge(n, keys, coeffs, tol)
+        self._keys, self._coeffs = _validated_merge(n, keys, coeffs)
 
     @classmethod
-    def from_arrays(cls, n: int, keys: np.ndarray, coeffs: np.ndarray,
-                    *, tol: float = 0.0) -> "Hamiltonian":
-        """Build from raw key/coefficient arrays (merged and pruned here)."""
-        return cls._from_merged(n, *_validated_merge(n, keys, coeffs, tol))
+    def from_arrays(cls, n: int, keys: np.ndarray, coeffs: np.ndarray) -> "Hamiltonian":
+        """Build from raw key/coefficient arrays (merged here)."""
+        return cls._from_merged(n, *_validated_merge(n, keys, coeffs))
 
     @classmethod
     def _from_merged(cls, n: int, keys: np.ndarray, coeffs: np.ndarray) -> "Hamiltonian":

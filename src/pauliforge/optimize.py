@@ -12,13 +12,21 @@ each rotation differentiated in closed form.
 :func:`optimize` compiles the layout against the Hamiltonian once
 (:class:`~pauliforge.ansatz.CompiledAnsatz`) and every restart,
 iteration, line-search step and final conjugation reuses those plans.
-A gradient is one forward pass that keeps each gate's coefficients,
-then one reverse pass of the cost's cotangent through the transposed
-plans, restricted to the forward supports: gate j's derivative lives on
-the support after gate j, so nothing outside those supports can reach a
-gradient entry.  Costs and gradient dot products are taken over the
-compacted nonzeros in key order, which makes every value identical to
-gate-by-gate sort-and-merge propagation.
+:func:`cost_gradient` and the restart loop take their cost and gradient
+from one function, which dispatches on ``gradient_mode`` and rejects
+non-finite values.  A run stops after ``max_iterations``, after 20
+consecutive iterations that move the cost by less than 1e-10, or when
+the plain method meets a zero gradient or a failed line search.  The
+best restart is kept; when its norm exceeds the original, the identity
+circuit (restart -1) is returned instead.
+
+An analytic gradient is one forward pass that keeps each gate's
+coefficients, then one reverse pass of the cost's cotangent through the
+transposed plans, restricted to the forward supports: gate j's
+derivative lives on the support after gate j, so nothing outside those
+supports can reach a gradient entry.  Costs and gradient dot products
+are taken over the compacted nonzeros in key order, which makes every
+value identical to gate-by-gate sort-and-merge propagation.
 """
 
 from __future__ import annotations
@@ -38,6 +46,11 @@ METHODS = ("adam", "plain")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+# A run stops once its cost has moved by less than _STALL_TOL on
+# _STALL_PATIENCE consecutive iterations.
+_STALL_TOL = 1e-10
+_STALL_PATIENCE = 20
 
 
 def cost_q(v: CoefficientVector) -> float:
@@ -66,8 +79,6 @@ class OptimizerConfig:
     learning_rate: float = 0.1
     gradient_mode: str = "analytic"
     fd_step: float = 1e-5
-    tol: float = 1e-10
-    patience: int = 20
     seed: int = 0
     method: str = "adam"
 
@@ -141,37 +152,34 @@ def _grad_central(engine: CompiledAnsatz, theta, lam, kind, step):
     return grad
 
 
+def _value_and_grad(engine: CompiledAnsatz, theta, lam, config: OptimizerConfig):
+    """The configured cost and its angle gradient, in the configured
+    gradient mode; both must be finite."""
+    kind = config.cost_kind
+    if config.gradient_mode == "analytic":
+        value, grad = _value_and_grad_analytic(engine, theta, lam, kind)
+    else:
+        value = _forward_cost(engine, theta, lam, kind)
+        grad = _grad_central(engine, theta, lam, kind, config.fd_step)
+    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        raise ArithmeticError("non-finite cost or gradient")
+    return value, grad
+
+
 def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
                   config: OptimizerConfig) -> np.ndarray:
     """Gradient of the configured cost with respect to the angles."""
-    if layout.n != h.n:
-        raise ValueError(f"layout is for {layout.n} qubits, Hamiltonian has {h.n}")
     theta = as_parameter_vector(theta, layout.parameter_count)
     lam = l2_norm(h)
     if lam == 0.0:
         raise ValueError("zero Hamiltonian has no defined cost")
-    engine = CompiledAnsatz(h, layout)
-    if config.gradient_mode == "analytic":
-        value, grad = _value_and_grad_analytic(engine, theta, lam, config.cost_kind)
-    else:
-        grad = _grad_central(engine, theta, lam, config.cost_kind, config.fd_step)
-        value = _forward_cost(engine, theta, lam, config.cost_kind)
-    if not np.all(np.isfinite(grad)) or not np.isfinite(value):
-        raise ArithmeticError("non-finite cost or gradient")
-    return grad
+    return _value_and_grad(CompiledAnsatz(h, layout), theta, lam, config)[1]
 
 
 def _run_single(engine: CompiledAnsatz, theta0, config, lam):
     """One gradient run; returns (best-seen theta, cost trace)."""
     kind = config.cost_kind
     sign = 1.0 if kind == "l1" else -1.0  # loss = sign * cost is minimized
-
-    def value_and_grad(t):
-        if config.gradient_mode == "analytic":
-            return _value_and_grad_analytic(engine, t, lam, kind)
-        return (_forward_cost(engine, t, lam, kind),
-                _grad_central(engine, t, lam, kind, config.fd_step))
-
     theta = theta0.copy()
     trace: list[float] = []
     still = 0
@@ -181,16 +189,14 @@ def _run_single(engine: CompiledAnsatz, theta0, config, lam):
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     for it in range(1, config.max_iterations + 1):
-        value, grad = value_and_grad(theta)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise ArithmeticError("non-finite cost or gradient during optimization")
+        value, grad = _value_and_grad(engine, theta, lam, config)
         trace.append(value)
         if sign * value < best_loss:
             best_loss = sign * value
             best_theta = theta.copy()
         if prev is not None:
-            still = still + 1 if abs(value - prev) < config.tol else 0
-            if still >= config.patience:
+            still = still + 1 if abs(value - prev) < _STALL_TOL else 0
+            if still >= _STALL_PATIENCE:
                 break
         prev = value
 
@@ -235,8 +241,6 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
     config = config or OptimizerConfig()
     if len(h) == 0:
         raise ValueError("cannot optimize the zero Hamiltonian")
-    if layout.n != h.n:
-        raise ValueError(f"layout is for {layout.n} qubits, Hamiltonian has {h.n}")
     lam = l2_norm(h)
     original_norm = pauli_norm(h)
     engine = CompiledAnsatz(h, layout)
@@ -253,15 +257,8 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
 
     if best[0] > original_norm:
         theta = np.zeros(layout.parameter_count)
-        return EngineeredResult(
-            theta_star=theta,
-            engineered=h,
-            original_norm=original_norm,
-            engineered_norm=original_norm,
-            cost_trace=[_forward_cost(engine, theta, lam, config.cost_kind)],
-            restart_index=-1,
-            cost_kind=config.cost_kind,
-        )
+        best = (original_norm, -1, theta, h,
+                [_forward_cost(engine, theta, lam, config.cost_kind)])
     norm, r, theta, engineered, trace = best
     return EngineeredResult(
         theta_star=theta,

@@ -46,11 +46,10 @@ def _check_state(psi: np.ndarray, max_qubits: int) -> tuple[np.ndarray, int]:
 
 
 def q_analytic(psi: np.ndarray) -> QEstimate:
-    """Exact P(+1) via the post-CNOT reduced state (no sampling)."""
+    """Exact P(+1) with Q = tr[rho |psi><psi|] = sum_i |psi_i|^4 for the
+    dephased post-CNOT state rho (no sampling)."""
     psi, _n = _check_state(psi, ANALYTIC_MAX_QUBITS)
-    rho = np.diag(np.abs(psi) ** 2).astype(complex)
-    projector = np.outer(psi, psi.conj())
-    q = float(np.real(np.trace(rho @ projector)))
+    q = float(np.sum(np.abs(psi) ** 4))
     return QEstimate(p_plus=0.5 + q / 2.0, q_value=q, shots=0, stderr=0.0)
 
 

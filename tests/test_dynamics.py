@@ -6,6 +6,7 @@ import scipy.linalg
 
 from pauliforge import Hamiltonian, hardware_efficient_layout, ising_neighbor, pauli_norm
 from pauliforge.dynamics import (
+    QDriftPlan,
     engineered_qdrift_cost,
     exact_evolution,
     qdrift_apply,
@@ -118,6 +119,28 @@ class TestQDriftSample:
     def test_zero_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
             qdrift_sample(Hamiltonian(1, {}), 1.0, 10)
+
+    def test_plans_compare_and_hash_by_value(self):
+        h = ising_neighbor(3)
+        a, b = qdrift_sample(h, 1.0, 5, 0), qdrift_sample(h, 1.0, 5, 0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != qdrift_sample(h, 1.0, 5, 1)
+        assert not a.indices.flags.writeable
+
+    def test_plan_for_another_gamma_rejected(self):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        plan = qdrift_sample(2.0 * h, 1.0, 5, seed=0)
+        with pytest.raises(ValueError, match="gamma"):
+            qdrift_apply(h, plan, np.eye(4, dtype=complex))
+
+    def test_plan_index_outside_terms_rejected(self):
+        plan = qdrift_sample(ising_neighbor(4), 1.0, 50, seed=0)
+        h = Hamiltonian(4, {"XIII": plan.gamma})
+        negative = QDriftPlan(plan.gamma, plan.tau, 1, np.array([-1]), 0)
+        for bad in (plan, negative):
+            with pytest.raises(ValueError, match="outside"):
+                qdrift_apply(h, bad, np.eye(16, dtype=complex))
 
 
 class TestQDriftError:

@@ -7,6 +7,7 @@ cancel and plans keep zeros in place.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from pauliforge.optimize import (
     _forward_cost,
     _value_and_grad_analytic,
     cost_gradient,
+    optimize,
 )
 
 from oracles import propagate_reference, value_and_grad_reference
@@ -107,3 +109,17 @@ def test_plans_are_reused_across_angles():
                   np.zeros(layout.parameter_count),
                   rng.integers(0, 4, layout.parameter_count) * (np.pi / 2)):
         assert_same(engine.hamiltonian(theta), propagate_reference(h, layout, theta))
+
+
+@pytest.mark.parametrize("call", [
+    apply_ansatz,
+    apply_ansatz_inverse,
+    lambda h, layout, theta: cost_gradient(h, layout, theta, OptimizerConfig()),
+    lambda h, layout, theta: optimize(h, layout, OptimizerConfig(restarts=1, max_iterations=1)),
+], ids=["apply_ansatz", "apply_ansatz_inverse", "cost_gradient", "optimize"])
+def test_layout_for_other_qubit_count_rejected(call):
+    """The engine's one compatibility check reaches every public entry point."""
+    h = Hamiltonian(2, {"ZZ": 1.0, "XI": 0.5})
+    layout = hardware_efficient_layout(3, 1)
+    with pytest.raises(ValueError, match="layout is for 3 qubits, Hamiltonian has 2"):
+        call(h, layout, np.zeros(layout.parameter_count))

@@ -110,7 +110,7 @@ class TestGroupedNorm:
             Collection(index=i, members=((c, p),))
             for i, (p, c) in enumerate(h.terms_by_index())
         )
-        g = GroupingResult("singletons", cols, 0.0, len(cols))
+        g = GroupingResult("singletons", cols)
         assert np.isclose(grouped_pauli_norm(g), pauli_norm(h), atol=1e-12)
 
     def test_sandwich_bounds(self):
