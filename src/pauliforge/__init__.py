@@ -4,148 +4,10 @@ Variationally conjugates a Pauli-sum Hamiltonian to shrink its Pauli
 norm directly in coefficient space, and quantifies the downstream
 savings for measurement-based expectation estimation (grouping, shot
 allocation) and randomized-product Hamiltonian simulation.
+
+Each public name is imported from the module that defines it, e.g.
+``from pauliforge.optimize import optimize``; the package root carries
+only ``__version__``.
 """
-
-from .ansatz import (
-    AnsatzLayout,
-    Gate,
-    apply_ansatz,
-    apply_ansatz_inverse,
-    build_encoded_v,
-    conjugate_cz,
-    conjugate_rotation,
-    hardware_efficient_layout,
-    layout_from_dict,
-    layout_from_gates,
-    layout_to_dict,
-)
-from .dynamics import (
-    QDriftCostModel,
-    QDriftPlan,
-    engineered_qdrift_cost,
-    exact_evolution,
-    qdrift_apply,
-    qdrift_channel_error,
-    qdrift_error,
-    qdrift_sample,
-    sandwich_check,
-    trotter_first_order,
-)
-from .grouping import (
-    Collection,
-    GroupingResult,
-    allocate_shots,
-    covariance_zero_check,
-    grouped_pauli_norm,
-    measurement_cost,
-    shot_error_prediction,
-    shot_simulator,
-    sorted_insertion,
-)
-from .hamiltonian import (
-    CoefficientVector,
-    Hamiltonian,
-    devectorize,
-    embed,
-    l2_norm,
-    pauli_norm,
-    state_l1_norm,
-    tensor,
-    vectorize,
-)
-from .model_io import (
-    PauliSumParseError,
-    ising_all_to_all,
-    ising_neighbor,
-    load_pauli_sum,
-    parse_pauli_sum,
-    save_pauli_sum,
-    serialize_pauli_sum,
-)
-from .optimize import (
-    EngineeredResult,
-    OptimizerConfig,
-    PartitionPart,
-    PartitionSpec,
-    cost_gradient,
-    cost_q,
-    optimize,
-    optimize_partitioned,
-    partition,
-    partition_by_restriction,
-)
-from .paulis import PauliString, SignedPauli, commutes, pauli_product, qubit_wise_commutes
-from .qestimate import QEstimate, q_analytic, q_circuit_marginal, q_full_circuit
-from .results import serialize_result, stable_json
-
-__all__ = [
-    "AnsatzLayout",
-    "Collection",
-    "CoefficientVector",
-    "EngineeredResult",
-    "Gate",
-    "GroupingResult",
-    "Hamiltonian",
-    "OptimizerConfig",
-    "PartitionPart",
-    "PartitionSpec",
-    "PauliString",
-    "PauliSumParseError",
-    "QDriftCostModel",
-    "QDriftPlan",
-    "QEstimate",
-    "SignedPauli",
-    "allocate_shots",
-    "apply_ansatz",
-    "apply_ansatz_inverse",
-    "build_encoded_v",
-    "commutes",
-    "conjugate_cz",
-    "conjugate_rotation",
-    "cost_gradient",
-    "cost_q",
-    "covariance_zero_check",
-    "devectorize",
-    "embed",
-    "engineered_qdrift_cost",
-    "exact_evolution",
-    "grouped_pauli_norm",
-    "hardware_efficient_layout",
-    "ising_all_to_all",
-    "ising_neighbor",
-    "l2_norm",
-    "layout_from_dict",
-    "layout_from_gates",
-    "layout_to_dict",
-    "load_pauli_sum",
-    "measurement_cost",
-    "optimize",
-    "optimize_partitioned",
-    "parse_pauli_sum",
-    "partition",
-    "partition_by_restriction",
-    "pauli_norm",
-    "pauli_product",
-    "q_analytic",
-    "q_circuit_marginal",
-    "q_full_circuit",
-    "qdrift_apply",
-    "qdrift_channel_error",
-    "qdrift_error",
-    "qdrift_sample",
-    "qubit_wise_commutes",
-    "sandwich_check",
-    "save_pauli_sum",
-    "serialize_pauli_sum",
-    "serialize_result",
-    "shot_error_prediction",
-    "shot_simulator",
-    "sorted_insertion",
-    "stable_json",
-    "state_l1_norm",
-    "tensor",
-    "trotter_first_order",
-    "vectorize",
-]
 
 __version__ = "0.1.0"

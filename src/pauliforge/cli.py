@@ -25,7 +25,7 @@ from .model_io import (
     parse_pauli_sum,
     save_pauli_sum,
 )
-from .optimize import OptimizerConfig, optimize
+from .optimize import COST_KINDS, GRADIENT_MODES, METHODS, OptimizerConfig, optimize
 from .qestimate import q_analytic, q_full_circuit
 from .results import (
     engineered_result_to_dict,
@@ -89,6 +89,8 @@ def _load_state(path) -> tuple[np.ndarray, str]:
                 raise ValueError
         except ValueError:
             raise _InputError(f"{path}: line {lineno}: expected 're' or 're im'") from None
+        if not np.isfinite(values[-1]):
+            raise _InputError(f"{path}: line {lineno}: non-finite amplitude {line!r}")
     if not values:
         raise _InputError(f"{path}: empty state file")
     return np.asarray(values, dtype=complex), input_digest(data)
@@ -112,24 +114,11 @@ def _envelope(command: str, digest: str, seed: int, results, seconds: float) -> 
     })
 
 
-def _config_from_args(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        cost_kind=args.cost,
-        max_iterations=args.iterations,
-        restarts=args.restarts,
-        learning_rate=args.learning_rate,
-        gradient_mode=args.gradient,
-        seed=args.seed,
-        method=args.method,
-    )
-
-
 def cmd_engineer(args) -> int:
     h, digest = _load_input(args)
     layout = hardware_efficient_layout(h.n, args.depth)
-    config = _config_from_args(args)
     t0 = time.perf_counter()
-    res = optimize(h, layout, config)
+    res = optimize(h, layout, args.config)
     seconds = time.perf_counter() - t0
     if args.engineered_out:
         save_pauli_sum(res.engineered, args.engineered_out)
@@ -213,13 +202,12 @@ def cmd_compare(args) -> int:
     if args.family not in _BUILDERS:
         raise _InputError(f"unknown family {args.family!r}")
     sizes = _parse_sizes(args.sizes)
-    config = _config_from_args(args)
     lines = ["family,size,terms,norm_p,norm_p_engineered,norm_gp,norm_gp_engineered,"
              "qdrift_g,qdrift_g_engineered"]
     for size in sizes:
         h = _BUILDERS[args.family](size)
         layout = hardware_efficient_layout(h.n, args.depth)
-        res = optimize(h, layout, config)
+        res = optimize(h, layout, args.config)
         gp = sorted_insertion(h).grouped_norm
         gp_eng = sorted_insertion(res.engineered).grouped_norm
         model = engineered_qdrift_cost(h, layout, res.theta_star, args.time, args.epsilon)
@@ -250,14 +238,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
+    defaults = OptimizerConfig()
     p.add_argument("--depth", type=int, default=2, help="ansatz layers (default 2)")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--cost", choices=["l1", "q"], default="l1")
-    p.add_argument("--method", choices=["adam", "plain"], default="adam")
-    p.add_argument("--gradient", choices=["analytic", "central_difference"],
-                   default="analytic")
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--iterations", type=int, default=defaults.max_iterations)
+    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
+    p.add_argument("--cost", choices=COST_KINDS, default=defaults.cost_kind)
+    p.add_argument("--method", choices=METHODS, default=defaults.method)
+    p.add_argument("--gradient", choices=GRADIENT_MODES, default=defaults.gradient_mode)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Reject flag values no command can run with, before any work; parse --gates."""
+    """Reject flag values no command can run with, before any work; parse
+    --gates, and build the optimizer config, whose validator holds the
+    rules for the optimizer flags."""
     depth = getattr(args, "depth", None)
     if depth is not None and depth < 0:
         raise _InputError(f"--depth must be >= 0, got {depth}")
@@ -326,6 +316,25 @@ def _check_flags(args) -> None:
                 raise ValueError
         except ValueError:
             raise _InputError(f"--gates must be comma-separated ints >= 1, got {gates!r}") from None
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0):
+        raise _InputError(f"--epsilon must be finite and positive, got {epsilon}")
+    shots = getattr(args, "shots", None)
+    if shots is not None and shots < 0:
+        raise _InputError(f"--shots must be >= 0, got {shots}")
+    if hasattr(args, "restarts"):
+        try:
+            args.config = OptimizerConfig(
+                cost_kind=args.cost,
+                max_iterations=args.iterations,
+                restarts=args.restarts,
+                learning_rate=args.learning_rate,
+                gradient_mode=args.gradient,
+                seed=args.seed,
+                method=args.method,
+            )
+        except ValueError as err:
+            raise _InputError(str(err)) from None
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
+    DENSE_MAX_QUBITS,
     haar_state,
     hamiltonian_expectation,
     pauli_expectation,
@@ -81,11 +82,6 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
         Collection(index=i, members=tuple(members)) for i, members in enumerate(groups)
     )
     return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
-
-
-def grouped_pauli_norm(g: GroupingResult) -> float:
-    """Sum over collections of the root-sum-square of member coefficients."""
-    return g.grouped_norm
 
 
 def measurement_cost(h: Hamiltonian, epsilon: float, mode: str = "weighted_shots") -> float:
@@ -161,8 +157,9 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
     """
     if len(h) == 0:
         raise ValueError("cannot estimate the zero Hamiltonian")
-    if h.n > 10:
-        raise ValueError(f"shot simulation is dense in the state; capped at 10 qubits, got {h.n}")
+    if h.n > DENSE_MAX_QUBITS:
+        raise ValueError("shot simulation is dense in the state; "
+                         f"capped at {DENSE_MAX_QUBITS} qubits, got {h.n}")
     dim = 1 << h.n
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):

@@ -227,12 +227,12 @@ def vectorize(h: Hamiltonian) -> CoefficientVector:
     return CoefficientVector(n=h.n, lam=lam, entries=entries)
 
 
-def devectorize(v: CoefficientVector, *, tol: float = PRUNE_TOL) -> Hamiltonian:
-    """Inverse of :func:`vectorize`; drops coefficients below ``tol``."""
+def devectorize(v: CoefficientVector) -> Hamiltonian:
+    """Inverse of :func:`vectorize`; drops coefficients below ``PRUNE_TOL``."""
     terms = {}
     for i, e in v.entries.items():
         c = v.lam * e
-        if abs(c) >= tol:
+        if abs(c) >= PRUNE_TOL:
             terms[PauliString.from_index(i, v.n)] = c
     return Hamiltonian(v.n, terms)
 

@@ -9,7 +9,9 @@ round-trip float64 coefficients exactly.
 
 from __future__ import annotations
 
-from .hamiltonian import Hamiltonian
+import math
+
+from .hamiltonian import MAX_QUBITS, Hamiltonian
 from .paulis import PauliString
 
 _LABEL_CHARS = set("IXYZ")
@@ -51,8 +53,10 @@ class PauliSumParseError(ValueError):
 
 
 def parse_pauli_sum(text: str) -> Hamiltonian:
-    """Parse the text format; duplicate labels merge, zero results drop."""
-    entries: list[tuple[int, float, str]] = []
+    """Parse the text format; duplicate labels add up in file order, zero
+    results drop."""
+    keys: list[int] = []
+    coeffs: list[float] = []
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -66,23 +70,25 @@ def parse_pauli_sum(text: str) -> Hamiltonian:
             coeff = float(coeff_text)
         except ValueError:
             raise PauliSumParseError(lineno, f"bad coefficient {coeff_text!r}") from None
+        if not math.isfinite(coeff):
+            raise PauliSumParseError(lineno, f"non-finite coefficient {coeff_text!r}")
         if not all(ch in _LABEL_CHARS for ch in label):
             raise PauliSumParseError(lineno, f"bad Pauli label {label!r}")
         if n is None:
+            if len(label) > MAX_QUBITS:
+                raise PauliSumParseError(
+                    lineno, f"label {label!r} has length {len(label)}, above {MAX_QUBITS}"
+                )
             n = len(label)
         elif len(label) != n:
             raise PauliSumParseError(
                 lineno, f"label {label!r} has length {len(label)}, expected {n}"
             )
-        entries.append((lineno, coeff, label))
+        keys.append(PauliString.from_label(label).key())
+        coeffs.append(coeff)
     if n is None:
         raise PauliSumParseError(1, "no terms found")
-
-    terms: dict[PauliString, float] = {}
-    for _lineno, coeff, label in entries:
-        p = PauliString.from_label(label)
-        terms[p] = terms.get(p, 0.0) + coeff
-    return Hamiltonian(n, terms)
+    return Hamiltonian.from_arrays(n, keys, coeffs)
 
 
 def serialize_pauli_sum(h: Hamiltonian) -> str:

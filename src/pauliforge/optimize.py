@@ -83,16 +83,19 @@ class OptimizerConfig:
     method: str = "adam"
 
     def __post_init__(self):
-        if self.cost_kind not in COST_KINDS:
-            raise ValueError(f"cost_kind must be one of {COST_KINDS}, got {self.cost_kind!r}")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.max_iterations < 1 or self.restarts < 1:
-            raise ValueError("iteration and restart counts must be positive")
-        if self.fd_step <= 0 or self.learning_rate <= 0:
-            raise ValueError("learning rate and finite-difference step must be positive")
+        for name, allowed in (("cost_kind", COST_KINDS), ("gradient_mode", GRADIENT_MODES),
+                              ("method", METHODS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        for name in ("max_iterations", "restarts"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("learning_rate", "fd_step"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -177,7 +180,8 @@ def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
 
 
 def _run_single(engine: CompiledAnsatz, theta0, config, lam):
-    """One gradient run; returns (best-seen theta, cost trace)."""
+    """One gradient run; returns (best-seen theta, cost trace ending with
+    that theta's cost)."""
     kind = config.cost_kind
     sign = 1.0 if kind == "l1" else -1.0  # loss = sign * cost is minimized
     theta = theta0.copy()
@@ -185,7 +189,7 @@ def _run_single(engine: CompiledAnsatz, theta0, config, lam):
     still = 0
     prev = None
     best_loss = np.inf
-    best_theta = theta
+    best_theta, best_value = theta, None
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     for it in range(1, config.max_iterations + 1):
@@ -193,7 +197,7 @@ def _run_single(engine: CompiledAnsatz, theta0, config, lam):
         trace.append(value)
         if sign * value < best_loss:
             best_loss = sign * value
-            best_theta = theta.copy()
+            best_theta, best_value = theta.copy(), value
         if prev is not None:
             still = still + 1 if abs(value - prev) < _STALL_TOL else 0
             if still >= _STALL_PATIENCE:
@@ -223,7 +227,7 @@ def _run_single(engine: CompiledAnsatz, theta0, config, lam):
                 step *= 0.5
             if not accepted:
                 break
-    trace.append(_forward_cost(engine, best_theta, lam, kind))
+    trace.append(best_value)
     return best_theta, trace
 
 

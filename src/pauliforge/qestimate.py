@@ -40,6 +40,8 @@ def _check_state(psi: np.ndarray, max_qubits: int) -> tuple[np.ndarray, int]:
         raise ValueError(f"state dimension {dim} is not a power of two >= 2")
     if n > max_qubits:
         raise ValueError(f"state register capped at {max_qubits} qubits, got {n}")
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("state has non-finite amplitudes")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state must be normalized to 1e-10")
     return psi, n

@@ -9,7 +9,8 @@ sampling code as first written, one copy per function.
 
 import numpy as np
 
-from pauliforge import Hamiltonian, PauliString
+from pauliforge.hamiltonian import Hamiltonian
+from pauliforge.paulis import PauliString
 from pauliforge.dense import haar_state, pauli_matrix
 from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
 
@@ -106,7 +107,7 @@ def random_hamiltonian(n, n_terms, rng, allow_identity=True):
 
 def random_layout(n, rng, max_depth=2):
     """Random hardware-efficient layout variant."""
-    from pauliforge import hardware_efficient_layout
+    from pauliforge.ansatz import hardware_efficient_layout
 
     depth = int(rng.integers(1, max_depth + 1))
     rotations = [("RX", "RZ"), ("RY", "RZ"), ("RX", "RY"), ("RX",), ("RY",)][

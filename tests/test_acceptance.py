@@ -12,19 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from pauliforge import (
-    CoefficientVector,
+from pauliforge.ansatz import (
     Gate,
-    Hamiltonian,
-    PauliString,
     apply_ansatz,
     build_encoded_v,
     hardware_efficient_layout,
-    l2_norm,
     layout_from_gates,
-    pauli_norm,
-    state_l1_norm,
-    vectorize,
 )
 from pauliforge.cli import main as cli_main
 from pauliforge.dynamics import qdrift_channel_error, qdrift_error, sandwich_check
@@ -35,8 +28,17 @@ from pauliforge.grouping import (
     shot_simulator,
     sorted_insertion,
 )
+from pauliforge.hamiltonian import (
+    CoefficientVector,
+    Hamiltonian,
+    l2_norm,
+    pauli_norm,
+    state_l1_norm,
+    vectorize,
+)
 from pauliforge.model_io import ising_neighbor, parse_pauli_sum, serialize_pauli_sum
 from pauliforge.optimize import OptimizerConfig, cost_gradient, cost_q, optimize
+from pauliforge.paulis import PauliString
 from pauliforge.qestimate import q_analytic, q_circuit_marginal, q_full_circuit
 from pauliforge.results import stable_json
 
@@ -141,7 +143,7 @@ def test_c05_linear_map_properties():
         for p in set(p for p, _ in lhs) | set(p for p, _ in rhs):
             assert abs(lhs.coefficient(p) - rhs.coefficient(p)) <= 1e-10
 
-    from pauliforge import tensor
+    from pauliforge.hamiltonian import tensor
 
     for _ in range(10):  # tensor factors
         ha, hb = random_hamiltonian(1, 3, rng), random_hamiltonian(1, 3, rng)

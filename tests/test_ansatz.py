@@ -3,23 +3,21 @@
 import numpy as np
 import pytest
 
-from pauliforge import (
+from pauliforge.ansatz import (
     AnsatzLayout,
     Gate,
-    Hamiltonian,
-    PauliString,
     apply_ansatz,
     apply_ansatz_inverse,
     build_encoded_v,
     conjugate_cz,
     conjugate_rotation,
     hardware_efficient_layout,
-    l2_norm,
     layout_from_dict,
     layout_from_gates,
     layout_to_dict,
-    vectorize,
 )
+from pauliforge.hamiltonian import Hamiltonian, l2_norm, vectorize
+from pauliforge.paulis import PauliString
 
 from oracles import (
     conjugate_dense,
@@ -255,7 +253,7 @@ class TestEncodedMapProperties:
                 assert abs(lhs.coefficient(p) - rhs.coefficient(p)) < 1e-10
 
     def test_tensor_factors(self):
-        from pauliforge import tensor
+        from pauliforge.hamiltonian import tensor
 
         rng = np.random.default_rng(11)
         for _ in range(10):

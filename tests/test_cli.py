@@ -52,7 +52,7 @@ class TestEngineer:
         doc = json.loads(out_path.read_text())
         assert doc["results"]["original_norm"] == 6.0
         from pauliforge.model_io import load_pauli_sum
-        from pauliforge import pauli_norm
+        from pauliforge.hamiltonian import pauli_norm
 
         h_eng = load_pauli_sum(eng)
         assert np.isclose(pauli_norm(h_eng), doc["results"]["engineered_norm"], atol=1e-9)
@@ -119,7 +119,7 @@ class TestEstimateQ:
         code, out, _ = run_cli(capsys, "estimate-q", "--input", str(src), "--shots", "0")
         assert code == 0
         doc = json.loads(out)
-        from pauliforge import Hamiltonian, vectorize
+        from pauliforge.hamiltonian import Hamiltonian, vectorize
         from pauliforge.optimize import cost_q
 
         expected = cost_q(vectorize(Hamiltonian(2, {"XI": 3.0, "YY": -1.0, "ZZ": 2.0})))
@@ -149,6 +149,14 @@ class TestEstimateQ:
         assert code == 0
         assert np.isclose(json.loads(out)["results"]["q_value"],
                           0.6**4 + 0.8**4, atol=1e-12)
+
+    def test_non_finite_amplitude_names_its_line(self, capsys, tmp_path):
+        state = tmp_path / "state.txt"
+        state.write_text("1.0\nnan 0.0\n")
+        code, out, err = run_cli(capsys, "estimate-q", "--state", str(state))
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err
 
 
 class TestCompare:
@@ -189,6 +197,16 @@ class TestFlagValidation:
         (("qdrift", "--gates", "0"), "--gates"),
         (("qdrift", "--gates", "10,0"), "--gates"),
         (("qdrift", "--gates", "x"), "--gates"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "6", "--epsilon", "0"), "--epsilon"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2", "--epsilon", "nan"),
+         "--epsilon"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2", "--learning-rate", "inf"),
+         "learning_rate"),
+        (("engineer", "--restarts", "0"), "restarts"),
+        (("engineer", "--iterations", "0"), "max_iterations"),
+        (("engineer", "--learning-rate", "0"), "learning_rate"),
+        (("engineer", "--learning-rate", "nan"), "learning_rate"),
+        (("estimate-q", "--shots", "-1"), "--shots"),
     ])
     def test_rejected_before_any_work(self, capsys, tmp_path, argv, flag):
         # The input file does not exist: the flag error must come first.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pauliforge import Hamiltonian, hardware_efficient_layout, ising_neighbor, pauli_norm
+from pauliforge.ansatz import hardware_efficient_layout
+from pauliforge.dense import pauli_matrix
 from pauliforge.dynamics import (
     QDriftPlan,
     engineered_qdrift_cost,
@@ -16,6 +17,9 @@ from pauliforge.dynamics import (
     sandwich_check,
     trotter_first_order,
 )
+from pauliforge.grouping import shot_simulator
+from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
+from pauliforge.model_io import ising_neighbor
 
 from oracles import (
     dense_hamiltonian,
@@ -262,7 +266,7 @@ class TestEngineeredQDriftCost:
         layout = random_layout(2, rng)
         theta = random_theta(layout, rng)
         model = engineered_qdrift_cost(h, layout, theta, 1.0, 0.01)
-        from pauliforge import apply_ansatz
+        from pauliforge.ansatz import apply_ansatz
 
         gamma = pauli_norm(h)
         gamma_eng = pauli_norm(apply_ansatz(h, layout, theta))
@@ -274,3 +278,21 @@ class TestEngineeredQDriftCost:
         layout = hardware_efficient_layout(2, 1)
         with pytest.raises(ValueError):
             engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), 1.0, 0.0)
+
+
+# The caps listed under "Numerical scope" in the README: dense operators
+# <= 10 qubits, repeated-trial qDrift runs <= 8, sandwich checks <= 6.
+@pytest.mark.parametrize("cap, call", [
+    (10, lambda h: pauli_matrix(next(iter(h))[0])),
+    (10, lambda h: exact_evolution(h, 1.0)),
+    (10, lambda h: trotter_first_order(h, 1.0, 1)),
+    (10, lambda h: shot_simulator(h, np.zeros(2))),
+    (10, lambda h: vectorize(h).to_dense()),
+    (8, lambda h: qdrift_error(h, 1.0, 1, trials=2)),
+    (8, lambda h: qdrift_channel_error(h, 1.0, 1, trials=2)),
+    (6, lambda h: sandwich_check(h, hardware_efficient_layout(h.n, 0), [], 1.0)),
+], ids=["pauli_matrix", "exact_evolution", "trotter_first_order", "shot_simulator",
+        "to_dense", "qdrift_error", "qdrift_channel_error", "sandwich_check"])
+def test_dense_cap_refused_one_qubit_above(cap, call):
+    with pytest.raises(ValueError, match=f"capped at {cap} qubits, got {cap + 1}"):
+        call(ising_neighbor(cap + 1))

@@ -11,15 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliforge import (
-    Hamiltonian,
-    PauliString,
+from pauliforge.ansatz import (
+    CompiledAnsatz,
     apply_ansatz,
     apply_ansatz_inverse,
     hardware_efficient_layout,
-    l2_norm,
 )
-from pauliforge.ansatz import CompiledAnsatz
+from pauliforge.hamiltonian import Hamiltonian, l2_norm
 from pauliforge.optimize import (
     OptimizerConfig,
     _forward_cost,
@@ -27,6 +25,7 @@ from pauliforge.optimize import (
     cost_gradient,
     optimize,
 )
+from pauliforge.paulis import PauliString
 
 from oracles import propagate_reference, value_and_grad_reference
 

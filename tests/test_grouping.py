@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from pauliforge import Hamiltonian, PauliString, commutes, pauli_norm, l2_norm
 from pauliforge.grouping import (
     GroupingResult,
     allocate_shots,
     covariance_zero_check,
-    grouped_pauli_norm,
     measurement_cost,
     shot_error_prediction,
     shot_simulator,
     sorted_insertion,
 )
 from pauliforge.dense import hamiltonian_expectation, haar_state
+from pauliforge.hamiltonian import Hamiltonian, l2_norm, pauli_norm
+from pauliforge.paulis import PauliString, commutes
 
 from oracles import random_hamiltonian
 
@@ -64,7 +64,7 @@ class TestSortedInsertion:
 
     def test_members_mutually_compatible(self):
         rng = np.random.default_rng(3)
-        from pauliforge import qubit_wise_commutes
+        from pauliforge.paulis import qubit_wise_commutes
 
         h = random_hamiltonian(3, 20, rng)
         for commutation, check in (("general", commutes), ("qubit_wise", qubit_wise_commutes)):
@@ -99,7 +99,7 @@ class TestSortedInsertion:
 class TestGroupedNorm:
     def test_golden_value(self):
         g = sorted_insertion(Hamiltonian(2, GOLDEN_2Q))
-        assert np.isclose(grouped_pauli_norm(g), 5.2360679, atol=1e-6)
+        assert np.isclose(g.grouped_norm, 5.2360679, atol=1e-6)
 
     def test_degenerate_grouping_equals_pauli_norm(self):
         rng = np.random.default_rng(5)
@@ -111,7 +111,7 @@ class TestGroupedNorm:
             for i, (p, c) in enumerate(h.terms_by_index())
         )
         g = GroupingResult("singletons", cols)
-        assert np.isclose(grouped_pauli_norm(g), pauli_norm(h), atol=1e-12)
+        assert np.isclose(g.grouped_norm, pauli_norm(h), atol=1e-12)
 
     def test_sandwich_bounds(self):
         rng = np.random.default_rng(6)
@@ -119,7 +119,7 @@ class TestGroupedNorm:
             h = random_hamiltonian(3, 12, rng)
             for commutation in ("general", "qubit_wise"):
                 g = sorted_insertion(h, commutation)
-                gp = grouped_pauli_norm(g)
+                gp = g.grouped_norm
                 assert l2_norm(h) - 1e-12 <= gp <= pauli_norm(h) + 1e-12
 
 

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from pauliforge import (
+from pauliforge.hamiltonian import (
     CoefficientVector,
     Hamiltonian,
-    PauliString,
     devectorize,
     embed,
     pauli_norm,
@@ -14,6 +13,7 @@ from pauliforge import (
     tensor,
     vectorize,
 )
+from pauliforge.paulis import PauliString
 
 from oracles import dense_hamiltonian, random_hamiltonian
 

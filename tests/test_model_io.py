@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pauliforge import Hamiltonian, PauliString, pauli_norm, vectorize
+from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
 from pauliforge.model_io import (
     PauliSumParseError,
     ising_all_to_all,
@@ -13,6 +13,7 @@ from pauliforge.model_io import (
     parse_pauli_sum,
     serialize_pauli_sum,
 )
+from pauliforge.paulis import PauliString
 from pauliforge.results import (
     input_digest,
     serialize_result,
@@ -87,6 +88,21 @@ class TestParse:
             parse_pauli_sum("1.0 XI\nfoo ZZ\n")
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("text", ["1.0 XI\ninf ZZ\n", "1.0 XI\nnan ZZ\n"])
+    def test_non_finite_coefficient_with_line_number(self, text):
+        with pytest.raises(PauliSumParseError) as err:
+            parse_pauli_sum(text)
+        assert err.value.line_number == 2
+
+    def test_label_above_max_qubits_with_line_number(self):
+        with pytest.raises(PauliSumParseError) as err:
+            parse_pauli_sum("# 33 qubits\n1.0 " + "X" * 33 + "\n")
+        assert err.value.line_number == 2
+
+    def test_duplicates_add_in_file_order(self):
+        h = parse_pauli_sum("0.1 X\n0.2 X\n0.3 X\n")
+        assert h.coefficient("X") == (0.1 + 0.2) + 0.3
+
     def test_bad_label_character(self):
         with pytest.raises(PauliSumParseError) as err:
             parse_pauli_sum("1.0 XQ\n")
@@ -141,7 +157,7 @@ class TestStableJson:
 
 class TestSerializeResult:
     def test_engineered_result_single_term(self):
-        from pauliforge import hardware_efficient_layout
+        from pauliforge.ansatz import hardware_efficient_layout
         from pauliforge.optimize import OptimizerConfig, optimize
 
         h = Hamiltonian(2, {"XZ": 2.0})
@@ -160,7 +176,7 @@ class TestSerializeResult:
         assert doc["collection_count"] == 2
 
     def test_theta_round_trip_bits(self):
-        from pauliforge import hardware_efficient_layout
+        from pauliforge.ansatz import hardware_efficient_layout
         from pauliforge.optimize import OptimizerConfig, optimize
 
         rng = np.random.default_rng(13)

@@ -1,20 +1,17 @@
 """Cost functions, gradients, optimization loop, and the partition trick."""
 
+import types
+
 import numpy as np
 import pytest
 
-from pauliforge import (
+from pauliforge.ansatz import (
     Gate,
-    Hamiltonian,
-    PauliString,
     apply_ansatz,
-    embed,
     hardware_efficient_layout,
-    l2_norm,
     layout_from_gates,
-    pauli_norm,
-    vectorize,
 )
+from pauliforge.hamiltonian import Hamiltonian, embed, l2_norm, pauli_norm, vectorize
 from pauliforge.optimize import (
     OptimizerConfig,
     PartitionPart,
@@ -26,6 +23,7 @@ from pauliforge.optimize import (
     partition,
     partition_by_restriction,
 )
+from pauliforge.paulis import PauliString
 
 from oracles import (
     ansatz_unitary_oracle,
@@ -154,6 +152,36 @@ class TestOptimize:
     def test_zero_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
             optimize(Hamiltonian(1, {}), hardware_efficient_layout(1, 1))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("cost_kind", "l2"),
+        ("gradient_mode", "forward"),
+        ("method", "sgd"),
+        ("max_iterations", 0),
+        ("restarts", 0),
+        ("learning_rate", 0.0),
+        ("learning_rate", np.nan),
+        ("learning_rate", np.inf),
+        ("fd_step", -1e-5),
+        ("fd_step", np.nan),
+    ])
+    def test_bad_value_rejected_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+
+def test_optimize_module_is_its_own_import_path():
+    import pauliforge
+    import pauliforge.optimize as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.optimize is optimize and m.OptimizerConfig is OptimizerConfig
+    # The package root re-exports nothing: its public attributes are the
+    # submodules imported so far.
+    assert all(isinstance(v, types.ModuleType)
+               for k, v in vars(pauliforge).items() if not k.startswith("_"))
 
 
 SIX_QUBIT_FACTORED = {

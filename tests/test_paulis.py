@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pauliforge import PauliString, commutes, pauli_product, qubit_wise_commutes
+from pauliforge.paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
 
 from oracles import label_matrix
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pauliforge import Hamiltonian, vectorize
+from pauliforge.hamiltonian import Hamiltonian, vectorize
 from pauliforge.optimize import cost_q
 from pauliforge.qestimate import (
     q_analytic,
@@ -65,6 +65,10 @@ class TestQAnalytic:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             q_analytic(np.array([1.0, 1.0]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            q_analytic(np.array([np.nan, 0.0]))
 
     def test_capacity(self):
         with pytest.raises(ValueError):
