@@ -299,6 +299,8 @@ def _check_flags(args) -> None:
     """Reject flag values no command can run with, before any work; parse
     --gates, and build the optimizer config, whose validator holds the
     rules for the optimizer flags."""
+    if args.seed < 0:
+        raise _InputError(f"--seed must be >= 0, got {args.seed}")
     depth = getattr(args, "depth", None)
     if depth is not None and depth < 0:
         raise _InputError(f"--depth must be >= 0, got {depth}")

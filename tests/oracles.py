@@ -3,14 +3,16 @@
 The dense ones are built from first principles (kron products and
 explicit cos/sin gate matrices).  The sparse reference propagation
 merges terms gate by gate with np.unique.  Neither shares code with the
-compiled engine it checks.  The qDrift reference at the end is the
-sampling code as first written, one copy per function.
+compiled engine it checks.  The qDrift reference is the sampling code
+as first written, one copy per function; the sorted-insertion reference
+at the end calls the public commutation predicate once per pair.
 """
 
 import numpy as np
 
-from pauliforge.hamiltonian import Hamiltonian
-from pauliforge.paulis import PauliString
+from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
+from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
+from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
 from pauliforge.dense import haar_state, pauli_matrix
 from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
 
@@ -350,3 +352,29 @@ def qdrift_channel_error_reference(h: Hamiltonian, t: float, gate_count: int,
         sigma = np.outer(exact[:, k], exact[:, k].conj())
         dists[k] = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
     return float(dists.mean())
+
+
+# -- sorted-insertion reference ------------------------------------------
+# The greedy loop as first written: a candidate joins the first collection
+# whose every member passes the public predicate with it.
+
+def sorted_insertion_reference(h: Hamiltonian, commutation: str = "general") -> GroupingResult:
+    if commutation not in COMMUTATION_KINDS:
+        raise ValueError(f"commutation must be one of {COMMUTATION_KINDS}")
+    if len(h) == 0:
+        raise ValueError("cannot group the zero Hamiltonian")
+    compatible = commutes if commutation == "general" else qubit_wise_commutes
+
+    groups: list[list[tuple[float, PauliString]]] = []
+    for p, c in _terms_by_magnitude(h):
+        for members in groups:
+            if all(compatible(p, q) for _, q in members):
+                members.append((c, p))
+                break
+        else:
+            groups.append([(c, p)])
+
+    collections = tuple(
+        Collection(index=i, members=tuple(members)) for i, members in enumerate(groups)
+    )
+    return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)

@@ -207,6 +207,10 @@ class TestFlagValidation:
         (("engineer", "--learning-rate", "0"), "learning_rate"),
         (("engineer", "--learning-rate", "nan"), "learning_rate"),
         (("estimate-q", "--shots", "-1"), "--shots"),
+        (("engineer", "--seed", "-1"), "--seed"),
+        (("group", "--seed", "-1"), "--seed"),
+        (("qdrift", "--seed", "-1"), "--seed"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2", "--seed", "-1"), "--seed"),
     ])
     def test_rejected_before_any_work(self, capsys, tmp_path, argv, flag):
         # The input file does not exist: the flag error must come first.

@@ -279,6 +279,13 @@ class TestEngineeredQDriftCost:
         with pytest.raises(ValueError):
             engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), 1.0, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        layout = hardware_efficient_layout(2, 1)
+        with pytest.raises(ValueError, match="finite"):
+            engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), 1.0, epsilon)
+
 
 # The caps listed under "Numerical scope" in the README: dense operators
 # <= 10 qubits, repeated-trial qDrift runs <= 8, sandwich checks <= 6.

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauliforge.grouping import (
+    COMMUTATION_KINDS,
     GroupingResult,
     allocate_shots,
     covariance_zero_check,
@@ -14,11 +17,34 @@ from pauliforge.grouping import (
 )
 from pauliforge.dense import hamiltonian_expectation, haar_state
 from pauliforge.hamiltonian import Hamiltonian, l2_norm, pauli_norm
-from pauliforge.paulis import PauliString, commutes
+from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
 
-from oracles import random_hamiltonian
+from oracles import random_hamiltonian, sorted_insertion_reference
 
 GOLDEN_2Q = {"XI": 3.0, "YY": -1.0, "ZZ": 2.0}
+PREDICATES = {"general": commutes, "qubit_wise": qubit_wise_commutes}
+
+
+@st.composite
+def pauli_sums(draw):
+    """A sum on 1-32 qubits whose |coefficients| often tie.
+
+    Strings either act on a few qubits shared by the whole sum, so that
+    many pairs are compatible, or on any of the n qubits.
+    """
+    n = draw(st.one_of(st.integers(1, 32), st.just(32)))
+    full = (1 << n) - 1
+    window = 0
+    for q in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        window |= 1 << q
+    masks = st.one_of(st.integers(0, full).map(lambda m: m & window), st.integers(0, full))
+    size = draw(st.integers(1, min(40, 4**n)))
+    strings = draw(st.lists(st.tuples(masks, masks), min_size=size, max_size=size, unique=True))
+    magnitudes = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 4.0))
+    values = draw(st.lists(st.builds(lambda m, sign: sign * m, magnitudes,
+                                     st.sampled_from([1.0, -1.0])),
+                           min_size=len(strings), max_size=len(strings)))
+    return Hamiltonian(n, {PauliString(n, x, z): v for (x, z), v in zip(strings, values)})
 
 
 class TestSortedInsertion:
@@ -64,8 +90,6 @@ class TestSortedInsertion:
 
     def test_members_mutually_compatible(self):
         rng = np.random.default_rng(3)
-        from pauliforge.paulis import qubit_wise_commutes
-
         h = random_hamiltonian(3, 20, rng)
         for commutation, check in (("general", commutes), ("qubit_wise", qubit_wise_commutes)):
             g = sorted_insertion(h, commutation)
@@ -94,6 +118,16 @@ class TestSortedInsertion:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             sorted_insertion(Hamiltonian(1, {}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(), commutation=st.sampled_from(COMMUTATION_KINDS))
+    def test_matches_reference_and_members_pairwise_compatible(self, h, commutation):
+        g = sorted_insertion(h, commutation)
+        assert g == sorted_insertion_reference(h, commutation)
+        compatible = PREDICATES[commutation]
+        for col in g.collections:
+            strings = [p for _, p in col.members]
+            assert all(compatible(a, b) for a in strings for b in strings)
 
 
 class TestGroupedNorm:
@@ -142,6 +176,12 @@ class TestMeasurementCost:
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             measurement_cost(Hamiltonian(1, {"X": 1.0}), 0.0)
+
+    @pytest.mark.parametrize("mode", ["uniform_shots", "weighted_shots", "grouped"])
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon, mode):
+        with pytest.raises(ValueError, match="finite"):
+            measurement_cost(Hamiltonian(2, GOLDEN_2Q), epsilon, mode)
 
 
 class TestAllocateShots:

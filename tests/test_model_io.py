@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
 from pauliforge.model_io import (
@@ -133,6 +135,21 @@ class TestRoundTrip:
     def test_full_precision(self):
         h = Hamiltonian(1, {"X": 1.0 / 3.0, "Z": np.pi})
         assert parse_pauli_sum(serialize_pauli_sum(h)) == h
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.integers(1, 32), st.just(32)))
+    def test_random_sums_round_trip(self, data, n):
+        masks = st.integers(0, (1 << n) - 1)
+        strings = data.draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=30,
+                                     unique=True))
+        # any finite nonzero double, tiny and subnormal ones included
+        coeffs = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+        values = data.draw(st.lists(coeffs, min_size=len(strings), max_size=len(strings)))
+        h = Hamiltonian(n, {PauliString(n, x, z): v for (x, z), v in zip(strings, values)})
+        back = parse_pauli_sum(serialize_pauli_sum(h))
+        assert back.n == n
+        assert np.array_equal(back.keys, h.keys)
+        assert np.array_equal(back.coeffs, h.coeffs)
 
 
 class TestStableJson:
