@@ -53,24 +53,28 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-def apply_pauli(p: PauliString, psi: np.ndarray) -> np.ndarray:
-    """P @ psi without building the matrix.
+def _pauli_rows(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Source row and phase of every basis row under P, so that
+    (P psi)[i] = phase[i] * psi[src[i]].
 
-    Uses P = i^{|x&z|} X^x Z^z: the X part permutes indices, the Z part
-    flips signs on set bits.
+    Uses P = i^{|x&z|} X^x Z^z: the X part sends row i to source row
+    i ^ x, the Z part flips the sign where the source row has an odd
+    number of bits in z.
     """
     n = p.n
-    dim = 1 << n
+    src = np.arange(1 << n, dtype=np.intp) ^ _reverse_bits(p.x, n)
+    # bitwise_count returns uint8, where 1 - 2*parity would wrap to 255
+    parity = np.bitwise_count(src & _reverse_bits(p.z, n)).astype(np.intp) & 1
+    return src, 1j ** ((p.x & p.z).bit_count() % 4) * (1 - 2 * parity)
+
+
+def apply_pauli(p: PauliString, psi: np.ndarray) -> np.ndarray:
+    """P @ psi without building the matrix: one row gather and phase."""
+    dim = 1 << p.n
     if psi.shape != (dim,):
         raise ValueError(f"state has dimension {psi.shape}, expected ({dim},)")
-    xm = _reverse_bits(p.x, n)
-    zm = _reverse_bits(p.z, n)
-    phase = 1j ** ((p.x & p.z).bit_count() % 4)
-    idx = np.arange(dim, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zm)) & np.uint64(1)).astype(np.float64)
-    out = np.empty(dim, dtype=complex)
-    out[idx ^ np.uint64(xm)] = phase * signs * psi
-    return out
+    src, phase = _pauli_rows(p)
+    return phase * psi[src]
 
 
 def pauli_expectation(p: PauliString, psi: np.ndarray) -> float:

@@ -9,6 +9,15 @@ coefficient is folded into the rotation direction.  Errors are measured
 as the mean 2-norm state deviation over a fixed panel of Haar-random
 test states, averaged over independently sampled plans.
 
+Plans are applied matrix-free: a Pauli string sends basis row i to one
+source row with a phase in {+-1, +-i}, so a step is a row gather, a
+phase and the rotation, and no term matrix is built.  An error run draws
+each trial's plan from its own seed stream as below, then applies the
+plans of a chunk of trials together, one gather per step; chunks hold
+at most ``_CHUNK_AMPLITUDES`` output amplitudes whatever ``trials`` is.
+The outputs and their reductions, in trial order, are those of one
+dense product per trial bit for bit.
+
 Seed streams (the reproducibility contract): ``qdrift_sample`` uses
 ``default_rng(seed)``; trial k of ``qdrift_error`` uses the k-th child of
 ``SeedSequence(seed).spawn(trials)``, and of ``qdrift_channel_error`` that
@@ -25,6 +34,7 @@ import numpy as np
 from .ansatz import AnsatzLayout, apply_ansatz
 from .dense import (
     DENSE_MAX_QUBITS,
+    _pauli_rows,
     ansatz_unitary,
     haar_state,
     hamiltonian_matrix,
@@ -35,6 +45,9 @@ from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
 QDRIFT_MAX_QUBITS = 8
 SANDWICH_MAX_QUBITS = 6
 _PANEL_SIZE = 20
+# Output amplitudes per chunk of trials in an error run: 256 KiB per
+# array, whatever the trial count and the qubit count.
+_CHUNK_AMPLITUDES = 1 << 14
 
 
 def exact_evolution(h: Hamiltonian, t: float) -> np.ndarray:
@@ -96,8 +109,10 @@ class QDriftPlan:
 
 class _QDrift:
     """The one qDrift path for a Hamiltonian and a gate count G: p_j over
-    terms_by_index(), plans drawn from the caller's Generator, and plan
-    application with dense term matrices built on first use only."""
+    terms_by_index(), plans drawn from the caller's Generator, and plans
+    applied matrix-free to a stack of trials.  Each term is a source-row
+    table and a phase table (built on first use only), so one step of
+    every trial is one row gather, a phase and the rotation."""
 
     def __init__(self, h: Hamiltonian, gate_count: int):
         if gate_count < 1:
@@ -112,20 +127,38 @@ class _QDrift:
         self._signs = [1.0 if c >= 0 else -1.0 for _, c in self._terms]
 
     @cached_property
-    def _mats(self) -> list[np.ndarray]:
-        return [pauli_matrix(p) for p, _ in self._terms]
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        src, phase = zip(*(_pauli_rows(p) for p, _ in self._terms))
+        return np.array(src), np.array(phase)
+
+    def tau(self, t: float) -> float:
+        return t * self.gamma / self.gate_count
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.choice(len(self._probs), size=self.gate_count, p=self._probs)
 
     def sample(self, t: float, rng: np.random.Generator, seed: int) -> QDriftPlan:
-        indices = rng.choice(len(self._probs), size=self.gate_count, p=self._probs)
-        return QDriftPlan(gamma=self.gamma, tau=t * self.gamma / self.gate_count,
-                          gate_count=self.gate_count, indices=indices, seed=seed)
+        return QDriftPlan(gamma=self.gamma, tau=self.tau(t), gate_count=self.gate_count,
+                          indices=self.draw(rng), seed=seed)
 
-    def apply(self, plan: QDriftPlan, states: np.ndarray) -> np.ndarray:
-        c, s = np.cos(plan.tau), np.sin(plan.tau)
-        rot, mats = [1j * sign * s for sign in self._signs], self._mats
-        out = states.astype(complex)
-        for j in plan.indices:
-            out = c * out - rot[j] * (mats[j] @ out)
+    def apply(self, tau: float, indices: np.ndarray, panel: np.ndarray) -> np.ndarray:
+        """Apply each row of ``indices`` (trials x G) to the (2^n, k) panel;
+        returns the (trials, 2^n, k) outputs.  Step by step this is the
+        dense update c*out - rot_j*(P_j @ out), in the same operation
+        order, so the outputs are the dense path's bit for bit."""
+        c, s = np.cos(tau), np.sin(tau)
+        rot = np.array([1j * sign * s for sign in self._signs])
+        src, phase = self._rows
+        trials, (dim, k) = len(indices), panel.shape
+        out = np.repeat(panel.astype(complex)[None], trials, axis=0)
+        flat = out.reshape(trials * dim, k)
+        first_row = np.arange(0, trials * dim, dim)[:, None]
+        for js in indices.T:
+            moved = flat[first_row + src[js]]
+            np.multiply(phase[js][:, :, None], moved, out=moved)
+            np.multiply(rot[js][:, None, None], moved, out=moved)
+            np.multiply(c, out, out=out)
+            np.subtract(out, moved, out=out)
         return out
 
 
@@ -135,7 +168,8 @@ def qdrift_sample(h: Hamiltonian, t: float, gate_count: int, seed: int = 0) -> Q
 
 
 def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.ndarray:
-    """Apply the plan's product of Pauli rotations to state columns.
+    """Apply the plan's product of Pauli rotations to a state or to the
+    columns of a (2^n, k) panel.
 
     Each sampled step is exp(-i*tau*sign(h_j)*P_j) = cos(tau) I
     - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.  A plan drawn
@@ -147,13 +181,21 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
         raise ValueError(f"plan was drawn for gamma={plan.gamma}, Hamiltonian has {q.gamma}")
     if np.any((plan.indices < 0) | (plan.indices >= len(h))):
         raise ValueError(f"plan indexes a term outside the Hamiltonian's {len(h)} terms")
-    return q.apply(plan, states)
+    states = np.asarray(states)
+    dim = 1 << h.n
+    if states.ndim not in (1, 2) or states.shape[0] != dim:
+        raise ValueError(f"states must have shape ({dim},) or ({dim}, k), got {states.shape}")
+    out = q.apply(plan.tau, plan.indices[None], states.reshape(dim, -1))
+    return out.reshape(states.shape)
 
 
 def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
                 seed: int, root: np.random.SeedSequence):
     """Exact outputs on the seeded Haar panel, and a lazy stream of the
-    panel outputs of ``trials`` plans, one per child of ``root``."""
+    panel outputs of ``trials`` plans, one per child of ``root``, in
+    trial order.  Plans are drawn and applied in chunks of at most
+    _CHUNK_AMPLITUDES output amplitudes, so memory does not grow with
+    ``trials``."""
     if h.n > QDRIFT_MAX_QUBITS:
         raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
     if trials < 2:
@@ -162,8 +204,11 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9E3779B9)))
     panel = np.column_stack([haar_state(1 << h.n, rng) for _ in range(_PANEL_SIZE)])
     exact = exact_evolution(h, t) @ panel
-    outputs = (q.apply(q.sample(t, np.random.default_rng(seq), seed), panel)
-               for seq in root.spawn(trials))
+    seqs = root.spawn(trials)
+    chunk = max(1, _CHUNK_AMPLITUDES // panel.size)
+    batches = (np.stack([q.draw(np.random.default_rng(seq)) for seq in seqs[i:i + chunk]])
+               for i in range(0, trials, chunk))
+    outputs = (out for indices in batches for out in q.apply(q.tau(t), indices, panel))
     return exact, outputs
 
 

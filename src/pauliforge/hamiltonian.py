@@ -203,8 +203,11 @@ class CoefficientVector:
 
 def _terms_by_magnitude(h: Hamiltonian) -> list[tuple[PauliString, float]]:
     """Terms in descending |coefficient|, ties broken on the text label;
-    the fixed order of sorted insertion and the product formulas."""
-    return sorted(h, key=lambda pc: (-abs(pc[1]), pc[0].label))
+    the fixed order of sorted insertion and the product formulas.  Labels
+    of one length sort as their base-4 indices do, so no label is built."""
+    keys, coeffs = h.keys, h.coeffs
+    order = np.lexsort((h.indices(), -np.abs(coeffs)))
+    return [(PauliString.from_key(int(keys[i]), h.n), float(coeffs[i])) for i in order]
 
 
 def pauli_norm(h: Hamiltonian) -> float:

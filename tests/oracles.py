@@ -9,6 +9,7 @@ at the end calls the public commutation predicate once per pair.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
@@ -105,6 +106,28 @@ def random_hamiltonian(n, n_terms, rng, allow_identity=True):
         if abs(terms[PauliString.from_index(int(i), n)]) < 1e-3:
             terms[PauliString.from_index(int(i), n)] = 1.0
     return Hamiltonian(n, terms)
+
+
+@st.composite
+def pauli_sums(draw):
+    """A sum on 1-32 qubits whose |coefficients| often tie.
+
+    Strings either act on a few qubits shared by the whole sum, so that
+    many pairs are compatible, or on any of the n qubits.
+    """
+    n = draw(st.one_of(st.integers(1, 32), st.just(32)))
+    full = (1 << n) - 1
+    window = 0
+    for q in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        window |= 1 << q
+    masks = st.one_of(st.integers(0, full).map(lambda m: m & window), st.integers(0, full))
+    size = draw(st.integers(1, min(40, 4**n)))
+    strings = draw(st.lists(st.tuples(masks, masks), min_size=size, max_size=size, unique=True))
+    magnitudes = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 4.0))
+    values = draw(st.lists(st.builds(lambda m, sign: sign * m, magnitudes,
+                                     st.sampled_from([1.0, -1.0])),
+                           min_size=len(strings), max_size=len(strings)))
+    return Hamiltonian(n, {PauliString(n, x, z): v for (x, z), v in zip(strings, values)})
 
 
 def random_layout(n, rng, max_depth=2):

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pauliforge import dynamics
 from pauliforge.ansatz import hardware_efficient_layout
 from pauliforge.dense import pauli_matrix
 from pauliforge.dynamics import (
+    _CHUNK_AMPLITUDES,
+    _PANEL_SIZE,
     QDriftPlan,
     engineered_qdrift_cost,
     exact_evolution,
@@ -120,6 +125,21 @@ class TestQDriftSample:
         out = qdrift_apply(h, plan, eye)
         assert np.linalg.norm(out.conj().T @ out - eye, 2) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(3,), (8,), (5, 2), (4, 2, 1), ()])
+    def test_bad_state_shape_rejected(self, shape):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        plan = qdrift_sample(h, 0.7, 5, seed=4)
+        with pytest.raises(ValueError, match=r"shape \(4,\) or \(4, k\)"):
+            qdrift_apply(h, plan, np.ones(shape, dtype=complex))
+
+    def test_state_equals_its_panel_column(self):
+        h = ising_neighbor(3)
+        plan = qdrift_sample(h, 0.9, 30, seed=2)
+        panel = np.random.default_rng(2).normal(size=(8, 4)) + 0j
+        out = qdrift_apply(h, plan, panel)
+        for k in range(4):
+            assert np.array_equal(qdrift_apply(h, plan, panel[:, k]), out[:, k])
+
     def test_zero_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
             qdrift_sample(Hamiltonian(1, {}), 1.0, 10)
@@ -218,6 +238,48 @@ class TestQDriftAgainstReference:
                 == qdrift_error_reference(h, t, gates, trials=trials, seed=seed))
         assert (qdrift_channel_error(h, t, gates, trials=trials, seed=seed)
                 == qdrift_channel_error_reference(h, t, gates, trials=trials, seed=seed))
+
+
+@st.composite
+def qdrift_hamiltonians(draw):
+    """1-4 qubits; Y-heavy strings (phase i^|x&z|) and negative
+    coefficients (rotation direction) are common."""
+    n = draw(st.integers(1, 4))
+    labels = st.one_of(st.just("Y" * n), st.text(st.sampled_from("IXYYZ"), min_size=n, max_size=n))
+    coeffs = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
+    return Hamiltonian(n, draw(st.dictionaries(labels, coeffs, min_size=1, max_size=6)))
+
+
+class TestBatchedAgainstReference:
+    """Trial batching and chunking leave every output bit-identical to the
+    per-trial dense reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=qdrift_hamiltonians(),
+           t=st.one_of(st.just(0.0), st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
+           gates=st.integers(1, 12), trials=st.integers(2, 7),
+           chunk_trials=st.integers(1, 8), seed=st.integers(0, 2**16),
+           vector=st.booleans())
+    def test_matches_reference(self, h, t, gates, trials, chunk_trials, seed, vector):
+        plan = qdrift_sample(h, t, gates, seed=seed)
+        shape = (1 << h.n,) if vector else (1 << h.n, 3)
+        states = np.random.default_rng(seed).normal(size=shape) + 0j
+        assert np.array_equal(qdrift_apply(h, plan, states),
+                              qdrift_apply_reference(h, plan, states))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK_AMPLITUDES", chunk_trials * (_PANEL_SIZE << h.n))
+            assert (qdrift_error(h, t, gates, trials=trials, seed=seed)
+                    == qdrift_error_reference(h, t, gates, trials=trials, seed=seed))
+            assert (qdrift_channel_error(h, t, gates, trials=trials, seed=seed)
+                    == qdrift_channel_error_reference(h, t, gates, trials=trials, seed=seed))
+
+    def test_more_trials_than_one_chunk(self):
+        h = ising_neighbor(4)
+        trials = _CHUNK_AMPLITUDES // (_PANEL_SIZE << h.n) + 1
+        assert (qdrift_error(h, 0.6, 3, trials=trials, seed=9)
+                == qdrift_error_reference(h, 0.6, 3, trials=trials, seed=9))
+        assert (qdrift_channel_error(h, -0.6, 3, trials=trials, seed=9)
+                == qdrift_channel_error_reference(h, -0.6, 3, trials=trials, seed=9))
 
 
 class TestSandwich:

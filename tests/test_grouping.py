@@ -19,32 +19,10 @@ from pauliforge.dense import hamiltonian_expectation, haar_state
 from pauliforge.hamiltonian import Hamiltonian, l2_norm, pauli_norm
 from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
 
-from oracles import random_hamiltonian, sorted_insertion_reference
+from oracles import pauli_sums, random_hamiltonian, sorted_insertion_reference
 
 GOLDEN_2Q = {"XI": 3.0, "YY": -1.0, "ZZ": 2.0}
 PREDICATES = {"general": commutes, "qubit_wise": qubit_wise_commutes}
-
-
-@st.composite
-def pauli_sums(draw):
-    """A sum on 1-32 qubits whose |coefficients| often tie.
-
-    Strings either act on a few qubits shared by the whole sum, so that
-    many pairs are compatible, or on any of the n qubits.
-    """
-    n = draw(st.one_of(st.integers(1, 32), st.just(32)))
-    full = (1 << n) - 1
-    window = 0
-    for q in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
-        window |= 1 << q
-    masks = st.one_of(st.integers(0, full).map(lambda m: m & window), st.integers(0, full))
-    size = draw(st.integers(1, min(40, 4**n)))
-    strings = draw(st.lists(st.tuples(masks, masks), min_size=size, max_size=size, unique=True))
-    magnitudes = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 4.0))
-    values = draw(st.lists(st.builds(lambda m, sign: sign * m, magnitudes,
-                                     st.sampled_from([1.0, -1.0])),
-                           min_size=len(strings), max_size=len(strings)))
-    return Hamiltonian(n, {PauliString(n, x, z): v for (x, z), v in zip(strings, values)})
 
 
 class TestSortedInsertion:

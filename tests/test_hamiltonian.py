@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pauliforge.hamiltonian import (
     CoefficientVector,
     Hamiltonian,
+    _terms_by_magnitude,
     devectorize,
     embed,
     pauli_norm,
@@ -15,7 +17,7 @@ from pauliforge.hamiltonian import (
 )
 from pauliforge.paulis import PauliString
 
-from oracles import dense_hamiltonian, random_hamiltonian
+from oracles import dense_hamiltonian, pauli_sums, random_hamiltonian
 
 
 class TestContainer:
@@ -78,6 +80,14 @@ class TestContainer:
         a = Hamiltonian(2, {"XI": 1.0, "ZZ": -2.0})
         b = Hamiltonian(2, {"ZZ": -2.0, "XI": 1.0})
         assert a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums())
+def test_magnitude_order_is_label_order_on_ties(h):
+    # pauli_sums ties |coefficients| in most draws and reaches n = 32,
+    # where the base-4 index fills all 64 bits
+    assert _terms_by_magnitude(h) == sorted(h, key=lambda pc: (-abs(pc[1]), pc[0].label))
 
 
 class TestNorms:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pauliforge.dense import _pauli_rows, apply_pauli, pauli_matrix
 from pauliforge.paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
 
 from oracles import label_matrix
@@ -156,3 +159,32 @@ class TestQubitWiseCommutation:
                 for q in range(3)
             )
             assert qubit_wise_commutes(a, b) == per_qubit
+
+
+def _rows_as_matrix(p):
+    src, phase = _pauli_rows(p)
+    dim = 1 << p.n
+    m = np.zeros((dim, dim), dtype=complex)
+    m[np.arange(dim), src] = phase
+    return m
+
+
+class TestPauliRows:
+    """The row gather behind apply_pauli and qDrift is the dense matrix:
+    one source row per basis row, with a phase in {+-1, +-i}."""
+
+    @pytest.mark.parametrize("label", ["I", "X", "Y", "Z"])
+    def test_single_qubit_kinds(self, label):
+        p = PauliString.from_label(label)
+        assert np.array_equal(_rows_as_matrix(p), pauli_matrix(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_random_strings(self, data, n):
+        masks = st.integers(0, (1 << n) - 1)
+        p = PauliString(n, data.draw(masks), data.draw(masks))
+        dense = pauli_matrix(p)
+        assert np.array_equal(_rows_as_matrix(p), dense)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        assert np.array_equal(apply_pauli(p, psi), dense @ psi)
