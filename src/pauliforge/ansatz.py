@@ -26,6 +26,13 @@ dot product is formed.  Every output entry is a sum of at most two
 products, so the engine matches gate-by-gate sort-and-merge bit for bit.
 The gradient's reverse pass runs through the transposed plans on the
 forward supports only (:meth:`CompiledAnsatz.pullback`).
+
+The same plans carry a stack of angle vectors, shape ``(b, P)``, as
+``(b, m)`` states, one row per vector: every gather takes along the last
+axis, the cos/sin weights broadcast per row, pruning is elementwise and
+each row's gradient entry is a dot over that row's compacted nonzeros.
+Each row therefore equals its single-vector run bit for bit, so the
+optimizer runs its restarts in lockstep through one pass per gate.
 """
 
 from __future__ import annotations
@@ -203,6 +210,7 @@ class _RotationGather:
     the source, and ``sign`` is 0 where A*o is absent; an absent read
     points at a valid entry with weight 0.  Each entry is a sum of at
     most two products, so the result does not depend on summation order.
+    ``x`` may be a (b, m) stack with c and s as (b, 1) columns.
     Built from the input onto the output keys this is the gate; built
     from the output onto the input keys and run at -t it is the transpose
     of the gate restricted to those keys.
@@ -224,11 +232,13 @@ class _RotationGather:
         self.sign = np.where(partner_in, sign_table[digits], 0.0)
 
     def __call__(self, x, c, s):
-        return (self.keep + c * self.own) * x[self.src1] + (s * self.sign) * x[self.src2]
+        return ((self.keep + c * self.own) * x.take(self.src1, axis=-1)
+                + (s * self.sign) * x.take(self.src2, axis=-1))
 
     def derivative(self, x, c, s):
         """d/dt of the map at angle t (commuting entries drop to 0)."""
-        return (-s * self.own) * x[self.src1] + (c * self.sign) * x[self.src2]
+        return ((-s * self.own) * x.take(self.src1, axis=-1)
+                + (c * self.sign) * x.take(self.src2, axis=-1))
 
 
 def _cz_bits(keys: np.ndarray, n: int, q1: int, q2: int):
@@ -257,7 +267,7 @@ class _CZGather:
         self.sign = np.where(neg, -1.0, 1.0)
 
     def __call__(self, x):
-        return self.sign * x[self.src]
+        return self.sign * x.take(self.src, axis=-1)
 
 
 def _output_keys(gate: Gate, keys: np.ndarray, n: int) -> np.ndarray:
@@ -304,6 +314,39 @@ class _Step:
         return self._back
 
 
+def _angle_columns(theta):
+    """cos and sin of every angle, indexed by slot: a scalar per slot for
+    one vector, a (b, 1) column per slot for a (b, P) stack, so they
+    broadcast against the states row by row."""
+    c, s = np.cos(theta), np.sin(theta)
+    if theta.ndim == 2:
+        return c.T[:, :, None], s.T[:, :, None]
+    return c, s
+
+
+def _row_slices(mask: np.ndarray) -> list[slice]:
+    """Per row of a ``(..., m)`` mask, the slice of ``x[mask]`` that holds
+    the row's entries, so a row's compacted entries are taken from one
+    mask over the whole stack."""
+    out, start = [], 0
+    for row in mask.reshape(-1, mask.shape[-1]):
+        end = start + int(np.count_nonzero(row))
+        out.append(slice(start, end))
+        start = end
+    return out
+
+
+def _hit_dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each row's dot product of ``g`` and ``d`` over the entries where both
+    are nonzero, in key order: the dot of the row's compacted nonzeros,
+    equal to the one taken on that row alone."""
+    hit = (g != 0.0) & (d != 0.0)
+    gv, dv = g[hit], d[hit]
+    if hit.size == hit.shape[-1]:  # one row: its hits are all of them
+        return np.dot(gv, dv)
+    return np.array([np.dot(gv[k], dv[k]) for k in _row_slices(hit)])
+
+
 class CompiledAnsatz:
     """A layout's gates compiled against one Hamiltonian's key set.
 
@@ -316,6 +359,13 @@ class CompiledAnsatz:
     angle, Clifford angles and theta = 0 included; nonzeros are compacted
     only where a Hamiltonian is formed.  Values match gate-by-gate
     merging bit for bit, since adding an exact zero changes no sum.
+
+    Angles come as one vector of shape ``(P,)`` or as a stack of shape
+    ``(b, P)``.  A stack's states are ``(b, m)`` arrays, one row per angle
+    vector: the gathers take along the last axis, the weights broadcast
+    per row and pruning is elementwise, so each row equals the run of its
+    angle vector alone bit for bit.  :attr:`entries` bounds the rows a
+    caller batches.
 
     The gates run in layout order, giving U(theta) H U(theta)^dag; the
     inverse conjugation is the reversed layout at negated angles
@@ -336,18 +386,27 @@ class CompiledAnsatz:
         self.steps = tuple(steps)
         self.keys = keys
 
+    @property
+    def entries(self) -> int:
+        """Entries of one angle vector's stored states: the input and
+        every gate's output support."""
+        return self.h.keys.size + sum(step.keys.size for step in self.steps)
+
     def propagate(self, theta):
         """Yield the input coefficients, then the coefficients on each
-        gate's output support, for validated angles."""
+        gate's output support, for validated angles of shape (P,) or a
+        (b, P) stack."""
         x = self.h.coeffs
+        if theta.ndim == 2:
+            x = np.broadcast_to(x, (theta.shape[0], x.size))
+        cos, sin = _angle_columns(theta)
         yield x
         pruned = False
         for step in self.steps:
             if step.param is None:
                 x = step.gather(x)  # keeps magnitudes: pruned stays pruned
             else:
-                t = float(theta[step.param])
-                x = step.gather(x, np.cos(t), np.sin(t))
+                x = step.gather(x, cos[step.param], sin[step.param])
                 pruned = False
             if not pruned:
                 x[np.abs(x) < PRUNE_TOL] = 0.0
@@ -355,40 +414,50 @@ class CompiledAnsatz:
             yield x
 
     def coefficients(self, theta) -> np.ndarray:
-        """Output coefficients on ``self.keys`` (pruned entries are 0)."""
+        """Output coefficients on ``self.keys`` (pruned entries are 0),
+        one row per angle vector of a stack."""
         for x in self.propagate(theta):
             pass
         return x
 
     def hamiltonian(self, theta) -> Hamiltonian:
-        """The conjugated Hamiltonian for validated angles."""
-        x = self.coefficients(theta)
+        """The conjugated Hamiltonian for validated angles of shape (P,)."""
+        return self._output(self.coefficients(theta))
+
+    def hamiltonians(self, theta) -> list[Hamiltonian]:
+        """The conjugated Hamiltonian for validated angles of shape (P,),
+        or for each row of a (b, P) stack from one batched pass."""
+        return [self._output(x) for x in np.atleast_2d(self.coefficients(theta))]
+
+    def _output(self, x: np.ndarray) -> Hamiltonian:
         nonzero = x != 0.0
         return Hamiltonian._from_merged(self.h.n, self.keys[nonzero], x[nonzero])
 
     def pullback(self, theta, states, cotangent: np.ndarray) -> np.ndarray:
         """Angle gradient of a cost whose gradient in the output
         coefficients is ``cotangent``; ``states`` lists ``propagate(theta)``.
+        On a stack, row r of the result is the gradient of row r.
 
         The cotangent runs back through the transposed plans on the
         forward supports only.  Gate j's derivative lives on the support
         after gate j, so cotangent entries outside the forward supports
         would never reach a gradient entry.
         """
-        grad = np.zeros(self.layout.parameter_count)
+        grad = np.zeros(theta.shape)
+        cos, sin = _angle_columns(theta)
+        cos_back, sin_back = _angle_columns(-theta)
         g = cotangent
         for j in range(len(self.steps) - 1, -1, -1):
             step = self.steps[j]
-            if step.param is None:
+            p = step.param
+            if p is None:
                 if j:
                     g = step.back()(g)
                 continue
-            t = float(theta[step.param])
-            d = step.gather.derivative(states[j], np.cos(t), np.sin(t))
-            hit = (g != 0.0) & (d != 0.0)
-            grad[step.param] = float(np.dot(g[hit], d[hit]))
+            d = step.gather.derivative(states[j], cos[p], sin[p])
+            grad[..., p] = _hit_dots(g, d)
             if j:
-                g = step.back()(g, np.cos(-t), np.sin(-t))
+                g = step.back()(g, cos_back[p], sin_back[p])
         return grad
 
 

@@ -9,6 +9,7 @@ or malformed files, bad flags), 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -339,8 +340,14 @@ def _check_flags(args) -> None:
             raise _InputError(str(err)) from None
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_flags(args)
         return args.func(args)

@@ -20,6 +20,17 @@ the plain method meets a zero gradient or a failed line search.  The
 best restart is kept; when its norm exceeds the original, the identity
 circuit (restart -1) is returned instead.
 
+The restarts run in lockstep as the rows of one ``(b, P)`` angle stack
+(:func:`_run_restarts`): each iteration is one batched forward and
+reverse pass for all active rows, the Adam update is elementwise on the
+stack, and the plain method's halving rounds and the central
+differences' 2P shifted vectors run as batched forward passes.  A run
+that stops leaves the active rows, and every row's values are taken as
+on that row alone, so each restart's angles and trace equal its run
+alone bit for bit.  A batch's stored states hold at most
+``_BATCH_ENTRIES`` entries: shallow circuits batch many restarts, while a
+deep one whose supports fill the bound runs one restart at a time.
+
 An analytic gradient is one forward pass that keeps each gate's
 coefficients, then one reverse pass of the cost's cotangent through the
 transposed plans, restricted to the forward supports: gate j's
@@ -31,11 +42,12 @@ value identical to gate-by-gate sort-and-merge propagation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import AnsatzLayout, CompiledAnsatz, as_parameter_vector
+from .ansatz import AnsatzLayout, CompiledAnsatz, _row_slices, as_parameter_vector
 from .hamiltonian import CoefficientVector, Hamiltonian, l2_norm, pauli_norm
 from .paulis import PauliString
 
@@ -51,6 +63,11 @@ _ADAM_EPS = 1e-8
 # _STALL_PATIENCE consecutive iterations.
 _STALL_TOL = 1e-10
 _STALL_PATIENCE = 20
+
+# Restarts run as rows of one angle stack through the compiled engine.
+# A batch's stored states (rows x CompiledAnsatz.entries) hold at most
+# this many entries, which bounds the memory batching adds.
+_BATCH_ENTRIES = 1 << 17
 
 
 def cost_q(v: CoefficientVector) -> float:
@@ -88,10 +105,12 @@ class OptimizerConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        for name in ("max_iterations", "restarts"):
+        for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         for name in ("learning_rate", "fd_step"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -119,10 +138,26 @@ class EngineeredResult:
 # -- cost/gradient engine on raw arrays ---------------------------------
 
 
-def _cost_value(coeffs: np.ndarray, lam: float, kind: str) -> float:
-    if kind == "l1":
-        return float(np.abs(coeffs).sum() / lam)
-    return float(np.sum(coeffs**4) / lam**4)
+def _batches(engine: CompiledAnsatz, stack: np.ndarray):
+    """Yield (row slice, angles) per batch of a (k, P) stack whose stored
+    states hold at most ``_BATCH_ENTRIES`` entries (at least one row).  A
+    batch of one row comes as its (P,) vector, which skips broadcasting
+    a one-row stack."""
+    size = max(1, _BATCH_ENTRIES // max(engine.entries, 1))
+    for start in range(0, len(stack), size):
+        rows = slice(start, start + size)
+        angles = stack[rows]
+        yield rows, angles[0] if len(angles) == 1 else angles
+
+
+def _cost_values(x: np.ndarray, lam: float, kind: str) -> np.ndarray:
+    """Each row's cost over its compacted nonzeros in key order, which is
+    the sum taken on that row alone; shape ``x.shape[:-1]``."""
+    nonzero = x != 0.0
+    v = x[nonzero]
+    terms, scale = (np.abs(v), lam) if kind == "l1" else (v**4, lam**4)
+    return np.array([np.sum(terms[k]) / scale
+                     for k in _row_slices(nonzero)]).reshape(x.shape[:-1])
 
 
 def _cost_grad(coeffs: np.ndarray, lam: float, kind: str) -> np.ndarray:
@@ -131,42 +166,51 @@ def _cost_grad(coeffs: np.ndarray, lam: float, kind: str) -> np.ndarray:
     return 4.0 * coeffs**3 / lam**4
 
 
-def _forward_cost(engine: CompiledAnsatz, theta, lam, kind) -> float:
-    x = engine.coefficients(theta)
-    return _cost_value(x[x != 0.0], lam, kind)
+def _forward_cost(engine: CompiledAnsatz, theta, lam, kind):
+    """The cost at angles of shape (P,), or at each row of a (k, P) stack
+    (a (k,) array), the stack run in memory-bounded batches."""
+    stack = np.atleast_2d(theta)
+    values = np.empty(len(stack))
+    for rows, angles in _batches(engine, stack):
+        values[rows] = _cost_values(engine.coefficients(angles), lam, kind)
+    return values if theta.ndim == 2 else values[0]
 
 
 def _value_and_grad_analytic(engine: CompiledAnsatz, theta, lam, kind):
     states = list(engine.propagate(theta))
     x = states[-1]
-    value = _cost_value(x[x != 0.0], lam, kind)
-    return value, engine.pullback(theta, states, _cost_grad(x, lam, kind))
+    return _cost_values(x, lam, kind), engine.pullback(theta, states, _cost_grad(x, lam, kind))
 
 
 def _grad_central(engine: CompiledAnsatz, theta, lam, kind, step):
-    grad = np.zeros(theta.size)
-    for k in range(theta.size):
-        tp = theta.copy()
-        tp[k] += step
-        tm = theta.copy()
-        tm[k] -= step
-        grad[k] = (_forward_cost(engine, tp, lam, kind)
-                   - _forward_cost(engine, tm, lam, kind)) / (2 * step)
-    return grad
+    """Central differences at each row of a (k, P) stack, all 2P shifted
+    angle vectors of every row taken in batched forward passes."""
+    k, count = theta.shape
+    shifted = np.repeat(theta[:, None, :], 2 * count, axis=1)
+    slot = np.arange(count)
+    shifted[:, slot, slot] += step
+    shifted[:, count + slot, slot] -= step
+    costs = _forward_cost(engine, shifted.reshape(k * 2 * count, count), lam, kind)
+    costs = costs.reshape(k, 2 * count)
+    return (costs[:, :count] - costs[:, count:]) / (2 * step)
 
 
 def _value_and_grad(engine: CompiledAnsatz, theta, lam, config: OptimizerConfig):
     """The configured cost and its angle gradient, in the configured
-    gradient mode; both must be finite."""
+    gradient mode, at angles of shape (P,) or at each row of a (k, P)
+    stack; all must be finite."""
     kind = config.cost_kind
+    stack = np.atleast_2d(theta)
     if config.gradient_mode == "analytic":
-        value, grad = _value_and_grad_analytic(engine, theta, lam, kind)
+        values, grads = np.empty(len(stack)), np.empty(stack.shape)
+        for rows, angles in _batches(engine, stack):
+            values[rows], grads[rows] = _value_and_grad_analytic(engine, angles, lam, kind)
     else:
-        value = _forward_cost(engine, theta, lam, kind)
-        grad = _grad_central(engine, theta, lam, kind, config.fd_step)
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        values = _forward_cost(engine, stack, lam, kind)
+        grads = _grad_central(engine, stack, lam, kind, config.fd_step)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grads))):
         raise ArithmeticError("non-finite cost or gradient")
-    return value, grad
+    return (values, grads) if theta.ndim == 2 else (values[0], grads[0])
 
 
 def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
@@ -179,56 +223,72 @@ def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
     return _value_and_grad(CompiledAnsatz(h, layout), theta, lam, config)[1]
 
 
-def _run_single(engine: CompiledAnsatz, theta0, config, lam):
-    """One gradient run; returns (best-seen theta, cost trace ending with
-    that theta's cost)."""
+def _run_restarts(engine: CompiledAnsatz, theta0: np.ndarray, config, lam):
+    """Gradient runs from each row of ``theta0`` (b, P), in lockstep;
+    returns each row's best-seen angles (b, P) and its cost trace ending
+    with those angles' cost.
+
+    Every step is elementwise per row or a batched engine pass whose rows
+    equal single-row passes, and a run that stops (stall, or for the
+    plain method a zero gradient or a failed line search) leaves the
+    active rows, so each row's run equals running it alone bit for bit.
+    """
     kind = config.cost_kind
     sign = 1.0 if kind == "l1" else -1.0  # loss = sign * cost is minimized
     theta = theta0.copy()
-    trace: list[float] = []
-    still = 0
-    prev = None
-    best_loss = np.inf
-    best_theta, best_value = theta, None
+    best_theta = theta.copy()
+    count = len(theta)
+    traces: list[list[float]] = [[] for _ in range(count)]
+    best_value: list[float | None] = [None] * count
+    best_loss = [np.inf] * count
+    prev = [0.0] * count
+    still = [0] * count
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
+    active = np.arange(count)
     for it in range(1, config.max_iterations + 1):
-        value, grad = _value_and_grad(engine, theta, lam, config)
-        trace.append(value)
-        if sign * value < best_loss:
-            best_loss = sign * value
-            best_theta, best_value = theta.copy(), value
-        if prev is not None:
-            still = still + 1 if abs(value - prev) < _STALL_TOL else 0
-            if still >= _STALL_PATIENCE:
-                break
-        prev = value
+        if not active.size:
+            break
+        values, grads = _value_and_grad(engine, theta[active], lam, config)
+        going = np.ones(active.size, dtype=bool)
+        for i, (row, value) in enumerate(zip(active.tolist(), values.tolist())):
+            traces[row].append(value)
+            if sign * value < best_loss[row]:
+                best_loss[row] = sign * value
+                best_theta[row], best_value[row] = theta[row], value
+            if it > 1:
+                still[row] = still[row] + 1 if abs(value - prev[row]) < _STALL_TOL else 0
+                going[i] = still[row] < _STALL_PATIENCE
+            prev[row] = value
+        active, values = active[going], values[going]
+        direction = sign * grads[going]  # descent direction of the loss
 
-        direction = sign * grad  # descent direction of the loss
         if config.method == "adam":
-            adam_m = _ADAM_BETA1 * adam_m + (1 - _ADAM_BETA1) * direction
-            adam_v = _ADAM_BETA2 * adam_v + (1 - _ADAM_BETA2) * direction**2
-            mhat = adam_m / (1 - _ADAM_BETA1**it)
-            vhat = adam_v / (1 - _ADAM_BETA2**it)
-            theta = theta - config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
-        else:
-            gnorm = np.linalg.norm(direction)
-            if gnorm == 0.0:
+            adam_m[active] = _ADAM_BETA1 * adam_m[active] + (1 - _ADAM_BETA1) * direction
+            adam_v[active] = _ADAM_BETA2 * adam_v[active] + (1 - _ADAM_BETA2) * direction**2
+            mhat = adam_m[active] / (1 - _ADAM_BETA1**it)
+            vhat = adam_v[active] / (1 - _ADAM_BETA2**it)
+            update = config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+            theta[active] = theta[active] - update
+            continue
+
+        moving = np.linalg.norm(direction, axis=1) != 0.0
+        searching, direction, values = active[moving], direction[moving], values[moving]
+        accepted = []
+        step = config.learning_rate
+        for _halving in range(60):
+            if not searching.size:
                 break
-            step = config.learning_rate
-            accepted = False
-            for _halving in range(60):
-                cand = theta - step * direction
-                cand_value = _forward_cost(engine, cand, lam, kind)
-                if sign * cand_value <= sign * value + 1e-12:
-                    theta = cand
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-    trace.append(best_value)
-    return best_theta, trace
+            cand = theta[searching] - step * direction
+            ok = sign * _forward_cost(engine, cand, lam, kind) <= sign * values + 1e-12
+            theta[searching[ok]] = cand[ok]
+            accepted.append(searching[ok])
+            searching, direction, values = searching[~ok], direction[~ok], values[~ok]
+            step *= 0.5
+        active = np.sort(np.concatenate(accepted)) if accepted else searching[:0]
+    for row in range(count):
+        traces[row].append(best_value[row])
+    return best_theta, traces
 
 
 def optimize(h: Hamiltonian, layout: AnsatzLayout,
@@ -240,7 +300,9 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
     from (seed, restart index), and keeps the run with the lowest
     engineered Pauli norm.  The identity circuit is always an implicit
     candidate (reported as restart_index -1), so the engineered norm
-    never exceeds the original.
+    never exceeds the original.  The restarts run in lockstep through
+    one compiled engine, in batches whose stored states stay within
+    ``_BATCH_ENTRIES`` entries; each gives the same result as run alone.
     """
     config = config or OptimizerConfig()
     if len(h) == 0:
@@ -249,20 +311,22 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
     original_norm = pauli_norm(h)
     engine = CompiledAnsatz(h, layout)
 
+    theta0 = np.array([
+        np.random.default_rng((config.seed, r)).uniform(0.0, 2.0 * np.pi, layout.parameter_count)
+        for r in range(config.restarts)
+    ])
+    thetas, traces = _run_restarts(engine, theta0, config, lam)
     best = None  # (norm, restart, theta, engineered, trace)
-    for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, r))
-        theta0 = rng.uniform(0.0, 2.0 * np.pi, layout.parameter_count)
-        theta, trace = _run_single(engine, theta0, config, lam)
-        engineered = engine.hamiltonian(theta)
-        norm = pauli_norm(engineered)
-        if best is None or norm < best[0]:
-            best = (norm, r, theta, engineered, trace)
+    for rows, angles in _batches(engine, thetas):
+        for r, engineered in zip(range(config.restarts)[rows], engine.hamiltonians(angles)):
+            norm = pauli_norm(engineered)
+            if best is None or norm < best[0]:
+                best = (norm, r, thetas[r], engineered, traces[r])
 
     if best[0] > original_norm:
         theta = np.zeros(layout.parameter_count)
         best = (original_norm, -1, theta, h,
-                [_forward_cost(engine, theta, lam, config.cost_kind)])
+                [float(_forward_cost(engine, theta, lam, config.cost_kind))])
     norm, r, theta, engineered, trace = best
     return EngineeredResult(
         theta_star=theta,

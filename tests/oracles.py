@@ -5,17 +5,29 @@ explicit cos/sin gate matrices).  The sparse reference propagation
 merges terms gate by gate with np.unique.  Neither shares code with the
 compiled engine it checks.  The qDrift reference is the sampling code
 as first written, one copy per function; the sorted-insertion reference
-at the end calls the public commutation predicate once per pair.
+calls the public commutation predicate once per pair.  The restart
+reference at the end is the optimizer loop as it ran one restart at a
+time, before restarts ran in lockstep.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
+from pauliforge.ansatz import CompiledAnsatz, hardware_efficient_layout
 from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
 from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
 from pauliforge.dense import haar_state, pauli_matrix
 from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
+from pauliforge.optimize import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
+    _STALL_PATIENCE,
+    _STALL_TOL,
+    _forward_cost,
+    _value_and_grad,
+)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -130,10 +142,42 @@ def pauli_sums(draw):
     return Hamiltonian(n, {PauliString(n, x, z): v for (x, z), v in zip(strings, values)})
 
 
+ROTATION_SETS = [("RX",), ("RY",), ("RZ",), ("RX", "RZ"), ("RY", "RZ"), ("RX", "RY"),
+                 ("RX", "RY", "RZ")]
+SPECIAL_ANGLES = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, -np.pi / 2, 2 * np.pi]
+
+
+@st.composite
+def circuits(draw, rows=None, max_qubits=4):
+    """A random Hamiltonian, hardware-efficient layout and angle vector,
+    or, given ``rows``, a (b, P) stack of 1 to ``rows`` angle vectors."""
+    n = draw(st.integers(1, max_qubits))
+    layout = hardware_efficient_layout(
+        n, draw(st.integers(1, 2)),
+        rotations=draw(st.sampled_from(ROTATION_SETS)),
+        entangler=draw(st.sampled_from(["chain", "all"])),
+    )
+    indices = draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=12, unique=True))
+    # Magnitudes stay far above the range where the l2 norm underflows;
+    # the two tiny ones sit below and above PRUNE_TOL.
+    magnitudes = st.one_of(st.floats(1e-3, 2.0), st.sampled_from([1.0, 1e-13, 3e-12]))
+    values = draw(st.lists(st.builds(lambda m, sign: sign * m, magnitudes,
+                                     st.sampled_from([1.0, -1.0])),
+                           min_size=len(indices), max_size=len(indices)))
+    terms = {PauliString.from_index(i, n): v for i, v in zip(indices, values)}
+    angles = st.one_of(st.sampled_from(SPECIAL_ANGLES),
+                       st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_subnormal=False))
+    vectors = st.lists(angles, min_size=layout.parameter_count, max_size=layout.parameter_count)
+    if rows is None:
+        theta = np.array(draw(vectors), dtype=np.float64)
+    else:
+        theta = np.array(draw(st.lists(vectors, min_size=1, max_size=rows)), dtype=np.float64)
+        theta = theta.reshape(-1, layout.parameter_count)
+    return Hamiltonian(n, terms), layout, theta
+
+
 def random_layout(n, rng, max_depth=2):
     """Random hardware-efficient layout variant."""
-    from pauliforge.ansatz import hardware_efficient_layout
-
     depth = int(rng.integers(1, max_depth + 1))
     rotations = [("RX", "RZ"), ("RY", "RZ"), ("RX", "RY"), ("RX",), ("RY",)][
         int(rng.integers(0, 5))
@@ -401,3 +445,58 @@ def sorted_insertion_reference(h: Hamiltonian, commutation: str = "general") -> 
         Collection(index=i, members=tuple(members)) for i, members in enumerate(groups)
     )
     return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
+
+
+# -- one restart at a time ----------------------------------------------
+
+
+def run_single_reference(engine: CompiledAnsatz, theta0, config, lam):
+    """One gradient run; returns (best-seen theta, cost trace ending with
+    that theta's cost)."""
+    kind = config.cost_kind
+    sign = 1.0 if kind == "l1" else -1.0  # loss = sign * cost is minimized
+    theta = theta0.copy()
+    trace: list[float] = []
+    still = 0
+    prev = None
+    best_loss = np.inf
+    best_theta, best_value = theta, None
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
+    for it in range(1, config.max_iterations + 1):
+        value, grad = _value_and_grad(engine, theta, lam, config)
+        trace.append(value)
+        if sign * value < best_loss:
+            best_loss = sign * value
+            best_theta, best_value = theta.copy(), value
+        if prev is not None:
+            still = still + 1 if abs(value - prev) < _STALL_TOL else 0
+            if still >= _STALL_PATIENCE:
+                break
+        prev = value
+
+        direction = sign * grad  # descent direction of the loss
+        if config.method == "adam":
+            adam_m = _ADAM_BETA1 * adam_m + (1 - _ADAM_BETA1) * direction
+            adam_v = _ADAM_BETA2 * adam_v + (1 - _ADAM_BETA2) * direction**2
+            mhat = adam_m / (1 - _ADAM_BETA1**it)
+            vhat = adam_v / (1 - _ADAM_BETA2**it)
+            theta = theta - config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+        else:
+            gnorm = np.linalg.norm(direction)
+            if gnorm == 0.0:
+                break
+            step = config.learning_rate
+            accepted = False
+            for _halving in range(60):
+                cand = theta - step * direction
+                cand_value = _forward_cost(engine, cand, lam, kind)
+                if sign * cand_value <= sign * value + 1e-12:
+                    theta = cand
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+    trace.append(best_value)
+    return best_theta, trace

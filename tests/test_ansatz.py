@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pauliforge.ansatz import (
     AnsatzLayout,
@@ -20,6 +21,7 @@ from pauliforge.hamiltonian import Hamiltonian, l2_norm, vectorize
 from pauliforge.paulis import PauliString
 
 from oracles import (
+    circuits,
     conjugate_dense,
     cz_matrix,
     dense_hamiltonian,
@@ -189,6 +191,20 @@ class TestApplyAnsatz:
             e0 = np.sort(np.linalg.eigvalsh(dense_hamiltonian(h)))
             e1 = np.sort(np.linalg.eigvalsh(dense_hamiltonian(apply_ansatz(h, layout, theta))))
             assert np.allclose(e0, e1, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuits())
+    def test_conjugation_preserves_l2_norm_and_spectrum(self, case):
+        """Random RX/RY/RZ rotation sets and chain/all entanglers on up to
+        4 qubits, forward and inverse: the map is orthogonal on
+        coefficients and unitary on the operator."""
+        h, layout, theta = case
+        scale = max(1.0, float(np.abs(h.coeffs).max()))
+        e0 = np.linalg.eigvalsh(dense_hamiltonian(h))
+        for out in (apply_ansatz(h, layout, theta), apply_ansatz_inverse(h, layout, theta)):
+            assert abs(l2_norm(out) - l2_norm(h)) <= 1e-10 * scale
+            e1 = np.linalg.eigvalsh(dense_hamiltonian(out))
+            assert np.max(np.abs(e1 - e0)) <= 1e-9 * scale
 
     def test_theta_length_checked(self):
         h = Hamiltonian(2, {"XI": 1.0})

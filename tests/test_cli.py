@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: outputs, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pauliforge
+import pauliforge.cli as cli
 from pauliforge.cli import main
 
 
@@ -246,6 +252,36 @@ class TestReproducibility:
         from pauliforge.results import stable_json
 
         assert stable_json(strip_timings(out1)) == stable_json(strip_timings(out2))
+
+    def test_parser_built_once_matches_fresh_processes(self, capsys, monkeypatch):
+        """main parses with one parser per process.  Different subcommands
+        run back to back in one process, with a rejected flag between
+        them, print the bytes that fresh processes print."""
+        runs = [
+            ("engineer", "--ham", "ising-neighbor:3", "--restarts", "2",
+             "--iterations", "5", "--seed", "3"),
+            ("group", "--ham", "ising-all-to-all:3", "--strategy", "qwc", "--seed", "1"),
+            ("estimate-q", "--ham", "ising-neighbor:2"),
+        ]
+        main(list(runs[2]))
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+        in_process = []
+        for argv in runs:
+            with pytest.raises(SystemExit):
+                main(["group", "--strategy", "none"])
+            capsys.readouterr()
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0
+            in_process.append((out, err))
+        from pauliforge.results import stable_json
+
+        env = dict(os.environ, PYTHONPATH=str(Path(pauliforge.__file__).parents[1]))
+        for argv, (out, err) in zip(runs, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "pauliforge.cli", *argv], env=env,
+                                   capture_output=True, text=True, check=True)
+            assert stable_json(strip_timings(fresh.stdout)) == stable_json(strip_timings(out))
+            assert fresh.stderr == err
 
     def test_pipeline_engineer_then_group(self, capsys, tmp_path):
         src = tmp_path / "golden.txt"

@@ -20,6 +20,7 @@ from pauliforge.ansatz import (
 from pauliforge.hamiltonian import Hamiltonian, l2_norm
 from pauliforge.optimize import (
     OptimizerConfig,
+    _cost_grad,
     _forward_cost,
     _value_and_grad_analytic,
     cost_gradient,
@@ -27,36 +28,7 @@ from pauliforge.optimize import (
 )
 from pauliforge.paulis import PauliString
 
-from oracles import propagate_reference, value_and_grad_reference
-
-ROTATION_SETS = [("RX",), ("RY",), ("RZ",), ("RX", "RZ"), ("RY", "RZ"), ("RX", "RY"),
-                 ("RX", "RY", "RZ")]
-SPECIAL_ANGLES = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, -np.pi / 2, 2 * np.pi]
-
-
-@st.composite
-def circuits(draw):
-    """A random Hamiltonian, hardware-efficient layout and angle vector."""
-    n = draw(st.integers(1, 4))
-    layout = hardware_efficient_layout(
-        n, draw(st.integers(1, 2)),
-        rotations=draw(st.sampled_from(ROTATION_SETS)),
-        entangler=draw(st.sampled_from(["chain", "all"])),
-    )
-    indices = draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=12, unique=True))
-    # Magnitudes stay far above the range where the l2 norm underflows;
-    # the two tiny ones sit below and above PRUNE_TOL.
-    magnitudes = st.one_of(st.floats(1e-3, 2.0), st.sampled_from([1.0, 1e-13, 3e-12]))
-    values = draw(st.lists(st.builds(lambda m, sign: sign * m, magnitudes,
-                                     st.sampled_from([1.0, -1.0])),
-                           min_size=len(indices), max_size=len(indices)))
-    terms = {PauliString.from_index(i, n): v for i, v in zip(indices, values)}
-    angles = st.one_of(st.sampled_from(SPECIAL_ANGLES),
-                       st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_subnormal=False))
-    theta = np.array(draw(st.lists(angles, min_size=layout.parameter_count,
-                                   max_size=layout.parameter_count)), dtype=np.float64)
-    return Hamiltonian(n, terms), layout, theta
-
+from oracles import circuits, propagate_reference, value_and_grad_reference
 
 def assert_same(h, ref):
     keys, coeffs = ref
@@ -96,6 +68,35 @@ def test_inverse_undoes_forward(case):
     scale = max(1.0, float(np.abs(h.coeffs).max()))
     for p in set(PauliString.from_key(int(k), h.n) for k in np.union1d(h.keys, back.keys)):
         assert abs(back.coefficient(p) - h.coefficient(p)) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(rows=5), st.sampled_from(["l1", "q"]))
+def test_angle_stack_rows_match_single_vectors(case, kind):
+    """A (b, P) stack through propagate, pullback, the costs and the
+    conjugated Hamiltonians gives each row's single-vector run exactly."""
+    h, layout, theta = case
+    lam = l2_norm(h)
+    engine = CompiledAnsatz(h, layout)
+    states = list(engine.propagate(theta))
+    grad = engine.pullback(theta, states, _cost_grad(states[-1], lam, kind))
+    values, grads = _value_and_grad_analytic(engine, theta, lam, kind)
+    costs = _forward_cost(engine, theta, lam, kind)
+    hams = engine.hamiltonians(theta)
+    for r, row in enumerate(theta):
+        alone = list(engine.propagate(row))
+        assert len(alone) == len(states)
+        for stacked, single in zip(states, alone):
+            assert stacked.shape == (len(theta), single.size)
+            assert np.array_equal(stacked[r], single)
+        row_grad = engine.pullback(row, alone, _cost_grad(alone[-1], lam, kind))
+        assert np.array_equal(grad[r], row_grad)
+        value, row_grad = _value_and_grad_analytic(engine, row, lam, kind)
+        assert values[r] == value == costs[r] == _forward_cost(engine, row, lam, kind)
+        assert np.array_equal(grads[r], row_grad)
+        single_h = engine.hamiltonian(row)
+        assert np.array_equal(hams[r].keys, single_h.keys)
+        assert np.array_equal(hams[r].coeffs, single_h.coeffs)
 
 
 def test_plans_are_reused_across_angles():

@@ -1,21 +1,32 @@
 """Cost functions, gradients, optimization loop, and the partition trick."""
 
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import pauliforge.optimize as optimize_module
 from pauliforge.ansatz import (
+    CompiledAnsatz,
     Gate,
     apply_ansatz,
     hardware_efficient_layout,
     layout_from_gates,
 )
 from pauliforge.hamiltonian import Hamiltonian, embed, l2_norm, pauli_norm, vectorize
+from pauliforge.model_io import ising_neighbor
 from pauliforge.optimize import (
+    COST_KINDS,
+    GRADIENT_MODES,
+    METHODS,
     OptimizerConfig,
     PartitionPart,
     PartitionSpec,
+    _batches,
+    _run_restarts,
     cost_gradient,
     cost_q,
     optimize,
@@ -27,11 +38,13 @@ from pauliforge.paulis import PauliString
 
 from oracles import (
     ansatz_unitary_oracle,
+    circuits,
     dense_hamiltonian,
     haar_like_state,
     random_hamiltonian,
     random_layout,
     random_theta,
+    run_single_reference,
 )
 
 
@@ -154,13 +167,134 @@ class TestOptimize:
             optimize(Hamiltonian(1, {}), hardware_efficient_layout(1, 1))
 
 
+def batched(engine, rows):
+    """Patch the batch bound so that each batch of ``engine`` holds ``rows`` rows."""
+    return mock.patch.object(optimize_module, "_BATCH_ENTRIES", engine.entries * rows)
+
+
+def assert_lockstep_matches_reference(h, layout, theta0, config):
+    """_run_restarts, with batches of 1, 2 and all rows, gives every
+    restart the angles and trace of its run alone; returns those runs
+    (none when a run meets a non-finite value, which must then raise
+    in lockstep too)."""
+    engine = CompiledAnsatz(h, layout)
+    lam = l2_norm(h)
+    try:
+        refs = [run_single_reference(engine, row, config, lam) for row in theta0]
+    except ArithmeticError:
+        for rows in (1, 2, len(theta0)):
+            with batched(engine, rows), pytest.raises(ArithmeticError):
+                _run_restarts(engine, theta0, config, lam)
+        return []
+    for rows in (1, 2, len(theta0)):
+        with batched(engine, rows):
+            thetas, traces = _run_restarts(engine, theta0, config, lam)
+        assert thetas.shape == theta0.shape
+        for r, (ref_theta, ref_trace) in enumerate(refs):
+            assert np.array_equal(thetas[r], ref_theta)
+            assert traces[r] == ref_trace
+    return refs
+
+
+@st.composite
+def restart_cases(draw):
+    mode = draw(st.sampled_from(GRADIENT_MODES))
+    # Central differences take 2P forward passes per row and iteration.
+    h, layout, theta0 = draw(circuits(rows=4, max_qubits=3 if mode == "analytic" else 2))
+    if draw(st.booleans()):
+        # theta = 0 is often stationary: there Adam stalls after
+        # _STALL_PATIENCE iterations and the plain method stops at once.
+        theta0[0] = 0.0
+    config = OptimizerConfig(
+        cost_kind=draw(st.sampled_from(COST_KINDS)),
+        method=draw(st.sampled_from(METHODS)),
+        gradient_mode=mode,
+        max_iterations=draw(st.integers(1, 30)),
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 2.0])),
+        restarts=len(theta0),
+    )
+    return h, layout, theta0, config
+
+
+class TestLockstepRestarts:
+    @settings(max_examples=60, deadline=None)
+    @given(restart_cases())
+    def test_each_restart_matches_its_run_alone(self, case):
+        h, layout, theta0, config = case
+        assume(l2_norm(h) > 0.0)
+        assert_lockstep_matches_reference(h, layout, theta0, config)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    @pytest.mark.parametrize("mode", GRADIENT_MODES)
+    def test_restarts_stopping_at_different_iterations(self, method, kind, mode):
+        # theta = 0 is a stationary point of both costs of X + Z under RY:
+        # there the plain method stops at once on a zero gradient, while
+        # the other restarts run on until they stall or run out.
+        h = Hamiltonian(1, {"X": 1.0, "Z": 1.0})
+        layout = layout_from_gates(1, [Gate("RY", (0,), 0)])
+        theta0 = np.array([[0.0], [0.3], [2.0], [4.0]])
+        config = OptimizerConfig(cost_kind=kind, method=method, gradient_mode=mode,
+                                 max_iterations=120, restarts=len(theta0))
+        refs = assert_lockstep_matches_reference(h, layout, theta0, config)
+        lengths = [len(trace) for _, trace in refs]
+        assert len(set(lengths)) > 1
+        if method == "plain":
+            assert lengths[0] == 2  # one iteration, then the best value
+
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    @pytest.mark.parametrize("mode", GRADIENT_MODES)
+    def test_failed_line_search_stops_only_its_restart(self, kind, mode):
+        # pi/4 minimizes the l1 cost of X + Z under RY (and maximizes Q) at
+        # a kink, where the gradient is a few ulps but not zero.  With a
+        # huge learning rate every halving step lands on an arbitrary angle
+        # that does worse, so that restart's line search fails.
+        h = Hamiltonian(1, {"X": 1.0, "Z": 1.0})
+        layout = layout_from_gates(1, [Gate("RY", (0,), 0)])
+        theta0 = np.array([[0.3], [np.pi / 4], [2.0]])
+        config = OptimizerConfig(cost_kind=kind, method="plain", gradient_mode=mode,
+                                 learning_rate=1e60, max_iterations=40,
+                                 restarts=len(theta0))
+        refs = assert_lockstep_matches_reference(h, layout, theta0, config)
+        assert [len(trace) == 2 for _, trace in refs] == [False, True, False]
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_optimize_does_not_depend_on_batch_size(self, rows):
+        h = ising_neighbor(3)
+        layout = hardware_efficient_layout(3, 2)
+        config = OptimizerConfig(restarts=5, max_iterations=15, seed=4)
+        want = optimize(h, layout, config)
+        with batched(CompiledAnsatz(h, layout), rows):
+            got = optimize(h, layout, config)
+        assert np.array_equal(got.theta_star, want.theta_star)
+        assert got.cost_trace == want.cost_trace
+        assert got.restart_index == want.restart_index
+        assert got.engineered == want.engineered
+
+    def test_batch_size_follows_the_compiled_supports(self):
+        """Deep circuits keep one restart per batch; shallow ones batch."""
+        for n, depth, rows in ((8, 3, 1), (8, 2, 3), (4, 2, 3)):
+            engine = CompiledAnsatz(ising_neighbor(n), hardware_efficient_layout(n, depth))
+            stack = np.zeros((3, engine.layout.parameter_count))
+            assert [len(np.atleast_2d(angles)) for _, angles in _batches(engine, stack)] \
+                == [rows] * (3 // rows)
+
+
 class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("cost_kind", "l2"),
         ("gradient_mode", "forward"),
         ("method", "sgd"),
         ("max_iterations", 0),
+        ("max_iterations", 2.5),
+        ("max_iterations", 20.0),
+        ("max_iterations", True),
         ("restarts", 0),
+        ("restarts", 1.5),
+        ("restarts", "3"),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", None),
         ("learning_rate", 0.0),
         ("learning_rate", np.nan),
         ("learning_rate", np.inf),
@@ -170,6 +304,11 @@ class TestConfig:
     def test_bad_value_rejected_naming_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = OptimizerConfig(restarts=np.int64(2), max_iterations=np.int32(3),
+                                 seed=np.uint8(7))
+        assert (config.restarts, config.max_iterations, config.seed) == (2, 3, 7)
 
 
 def test_optimize_module_is_its_own_import_path():
