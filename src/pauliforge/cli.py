@@ -3,7 +3,8 @@
 Every run is fully determined by its flags (seeds default to 0 and are
 echoed in the output), JSON goes to stdout or --output, and diagnostics
 go to stderr.  Exit codes: 0 on success, 2 for input problems (missing
-or malformed files, bad flags), 1 for runtime failures.
+or malformed files, bad flags or builder sizes), 1 for runtime failures,
+capacity caps on valid input included.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model_io import (
     save_pauli_sum,
 )
 from .optimize import COST_KINDS, GRADIENT_MODES, METHODS, OptimizerConfig, optimize
+from .paulis import MAX_QUBITS
 from .qestimate import q_analytic, q_full_circuit
 from .results import (
     engineered_result_to_dict,
@@ -56,27 +58,39 @@ def _build_from_spec(spec: str) -> Hamiltonian:
         size = int(size_text)
     except ValueError:
         raise _InputError(f"bad builder size in {spec!r}") from None
+    if not 2 <= size <= MAX_QUBITS:
+        raise _InputError(f"builder size in {spec!r} must be in 2..{MAX_QUBITS}, got {size}")
     return _BUILDERS[name](size)
+
+
+def _read_text(path) -> tuple[str, str]:
+    """A UTF-8 input file's text and digest."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _InputError(f"{path}: not UTF-8 text") from None
+    return text, input_digest(data)
 
 
 def _load_input(args) -> tuple[Hamiltonian, str]:
     """Resolve --ham/--input into a Hamiltonian and its digest."""
     if getattr(args, "ham", None):
         return _build_from_spec(args.ham), input_digest(args.ham)
-    with open(args.input, "rb") as f:
-        data = f.read()
-    h = parse_pauli_sum(data.decode("utf-8"))
+    text, digest = _read_text(args.input)
+    h = parse_pauli_sum(text)
     if len(h) == 0:
         raise _InputError(f"{args.input}: all terms cancel; zero Hamiltonian")
-    return h, input_digest(data)
+    return h, digest
 
 
 def _load_state(path) -> tuple[np.ndarray, str]:
-    """Raw state file: one amplitude per line as 're' or 're im'."""
-    with open(path, "rb") as f:
-        data = f.read()
+    """Raw state file: one amplitude per line as 're' or 're im'; the
+    amplitude count must be a power of two >= 2."""
+    text, digest = _read_text(path)
     values = []
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -92,9 +106,9 @@ def _load_state(path) -> tuple[np.ndarray, str]:
             raise _InputError(f"{path}: line {lineno}: expected 're' or 're im'") from None
         if not np.isfinite(values[-1]):
             raise _InputError(f"{path}: line {lineno}: non-finite amplitude {line!r}")
-    if not values:
-        raise _InputError(f"{path}: empty state file")
-    return np.asarray(values, dtype=complex), input_digest(data)
+    if len(values) < 2 or len(values) & (len(values) - 1):
+        raise _InputError(f"{path}: {len(values)} amplitudes; need a power of two >= 2")
+    return np.asarray(values, dtype=complex), digest
 
 
 def _emit(args, text: str) -> None:
@@ -194,8 +208,8 @@ def _parse_sizes(text: str) -> list[int]:
             sizes = [int(s) for s in text.split(",")]
     except ValueError:
         raise _InputError(f"bad --sizes value {text!r}; expected 'a..b' or comma list") from None
-    if not sizes or any(s < 2 for s in sizes):
-        raise _InputError(f"sizes must be >= 2, got {text!r}")
+    if not sizes or any(not 2 <= s <= MAX_QUBITS for s in sizes):
+        raise _InputError(f"sizes must be in 2..{MAX_QUBITS}, got {text!r}")
     return sizes
 
 
@@ -357,10 +371,7 @@ def main(argv=None) -> int:
     except (PauliSumParseError, _InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ArithmeticError as err:
+    except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

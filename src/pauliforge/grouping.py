@@ -43,9 +43,8 @@ COMMUTATION_KINDS = ("general", "qubit_wise")
 
 @dataclass(frozen=True)
 class Collection:
-    """Mutually commuting terms measured together; index = creation order."""
+    """Mutually commuting terms measured together."""
 
-    index: int
     members: tuple[tuple[float, PauliString], ...]
 
     def l2(self) -> float:
@@ -113,9 +112,7 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
         gx[j] |= x[i]
         gz[j] |= z[i]
 
-    collections = tuple(
-        Collection(index=i, members=tuple(members)) for i, members in enumerate(groups)
-    )
+    collections = tuple(Collection(members=tuple(members)) for members in groups)
     return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
 
 

@@ -16,11 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paulis import PauliString
+from .paulis import (
+    MAX_QUBITS,
+    PauliString,
+    digits_from_indices,
+    digits_from_keys,
+    digits_from_labels,
+    indices_from_digits,
+    keys_from_digits,
+    labels_from_digits,
+)
 
 PRUNE_TOL = 1e-12
-
-MAX_QUBITS = 32
 
 
 def _merge_raw(keys: np.ndarray, coeffs: np.ndarray):
@@ -57,18 +64,21 @@ class Hamiltonian:
     __slots__ = ("n", "_keys", "_coeffs")
 
     def __init__(self, n: int, terms=None):
-        """Build from a mapping of PauliString (or label str) to coefficient."""
+        """Build from a mapping of PauliString (or label str) to coefficient;
+        the labels are encoded in one codec call."""
+        terms = terms or {}
+        labels = [p for p in terms if isinstance(p, str)]
+        label_keys = iter(keys_from_digits(digits_from_labels(labels, n)).tolist())
         keys = []
-        coeffs = []
-        for p, c in (terms or {}).items():
+        for p in terms:
             if isinstance(p, str):
-                p = PauliString.from_label(p)
-            if p.n != n:
+                keys.append(next(label_keys))
+            elif p.n != n:
                 raise ValueError(f"term {p.label!r} has {p.n} qubits, expected {n}")
-            keys.append(p.key())
-            coeffs.append(float(c))
+            else:
+                keys.append(p.key())
         self.n = n
-        self._keys, self._coeffs = _validated_merge(n, keys, coeffs)
+        self._keys, self._coeffs = _validated_merge(n, keys, [float(c) for c in terms.values()])
 
     @classmethod
     def from_arrays(cls, n: int, keys: np.ndarray, coeffs: np.ndarray) -> "Hamiltonian":
@@ -100,10 +110,13 @@ class Hamiltonian:
         v.flags.writeable = False
         return v
 
+    def _terms(self, order) -> list[tuple[PauliString, float]]:
+        keys, coeffs = self._keys[order].tolist(), self._coeffs[order].tolist()
+        return [(PauliString.from_key(k, self.n), c) for k, c in zip(keys, coeffs)]
+
     @property
     def terms(self) -> dict[PauliString, float]:
-        return {PauliString.from_key(int(k), self.n): float(c)
-                for k, c in zip(self._keys, self._coeffs)}
+        return dict(self._terms(slice(None)))
 
     def coefficient(self, p: PauliString | str) -> float:
         if isinstance(p, str):
@@ -117,28 +130,24 @@ class Hamiltonian:
 
     def indices(self) -> np.ndarray:
         """Base-4 uint64 indices of the stored terms (same order as ``keys``)."""
-        n = self.n
-        x = self._keys >> np.uint64(n)
-        z = self._keys & np.uint64((1 << n) - 1)
-        idx = np.zeros(self._keys.size, dtype=np.uint64)
-        for q in range(n):
-            xq = (x >> np.uint64(q)) & np.uint64(1)
-            zq = (z >> np.uint64(q)) & np.uint64(1)
-            idx = (idx << np.uint64(2)) | (2 * zq + (xq ^ zq))
-        return idx
+        return indices_from_digits(digits_from_keys(self._keys, self.n))
+
+    def labeled_terms(self) -> tuple[list[str], np.ndarray]:
+        """Labels and coefficients in base-4 index order, the order of the
+        pauli-sum format and of result documents."""
+        digits = digits_from_keys(self._keys, self.n)
+        order = np.argsort(indices_from_digits(digits), kind="stable")
+        return labels_from_digits(digits[order]), self._coeffs[order]
 
     def terms_by_index(self) -> list[tuple[PauliString, float]]:
         """Terms sorted by base-4 index; the canonical public ordering."""
-        order = np.argsort(self.indices(), kind="stable")
-        return [(PauliString.from_key(int(self._keys[i]), self.n), float(self._coeffs[i]))
-                for i in order]
+        return self._terms(np.argsort(self.indices(), kind="stable"))
 
     def __len__(self) -> int:
         return int(self._keys.size)
 
     def __iter__(self):
-        for k, c in zip(self._keys, self._coeffs):
-            yield PauliString.from_key(int(k), self.n), float(c)
+        return iter(self._terms(slice(None)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hamiltonian):
@@ -171,33 +180,46 @@ class Hamiltonian:
         return f"Hamiltonian(n={self.n}, terms={len(self)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientVector:
     """Normalized coefficient vector of a Hamiltonian (its 2n-qubit state).
 
-    ``entries`` maps base-4 indices to real amplitudes with unit l2 norm;
-    ``lam`` is the l2 norm of the source coefficients, so
-    coefficient_i = lam * entries[i].
+    ``indices`` holds ascending, unique base-4 indices (uint64) and
+    ``entries`` their real amplitudes (float64), with unit l2 norm;
+    ``lam`` is the l2 norm of the source coefficients, so the string of
+    index indices[k] has coefficient lam * entries[k].  Both arrays are
+    read-only copies; vectors compare by identity, not by value.
     """
 
     n: int
     lam: float
-    entries: dict[int, float] = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.lam <= 0.0 or not np.isfinite(self.lam):
             raise ValueError(f"normalization factor must be positive, got {self.lam}")
-        sq = sum(v * v for v in self.entries.values())
+        indices = np.array(self.indices, dtype=np.uint64)
+        entries = np.array(self.entries, dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != entries.shape:
+            raise ValueError(f"indices {indices.shape} and entries {entries.shape} "
+                             "must be 1-D arrays of equal length")
+        if np.any(indices[1:] <= indices[:-1]) or indices.size and int(indices[-1]) >= 4**self.n:
+            raise ValueError(f"indices must be strictly increasing and below 4**{self.n}")
+        sq = float(np.dot(entries, entries))
         if abs(sq - 1.0) > 1e-9:
             raise ValueError(f"entries are not normalized: sum of squares {sq}")
+        indices.flags.writeable = False
+        entries.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "entries", entries)
 
     def to_dense(self) -> np.ndarray:
         """Dense float64 vector of length 4**n (test scale: n <= 10)."""
         if self.n > 10:
             raise ValueError(f"dense coefficient vector capped at 10 qubits, got {self.n}")
         out = np.zeros(4**self.n, dtype=np.float64)
-        for i, v in self.entries.items():
-            out[i] = v
+        out[self.indices] = self.entries
         return out
 
 
@@ -205,9 +227,7 @@ def _terms_by_magnitude(h: Hamiltonian) -> list[tuple[PauliString, float]]:
     """Terms in descending |coefficient|, ties broken on the text label;
     the fixed order of sorted insertion and the product formulas.  Labels
     of one length sort as their base-4 indices do, so no label is built."""
-    keys, coeffs = h.keys, h.coeffs
-    order = np.lexsort((h.indices(), -np.abs(coeffs)))
-    return [(PauliString.from_key(int(keys[i]), h.n), float(coeffs[i])) for i in order]
+    return h._terms(np.lexsort((h.indices(), -np.abs(h.coeffs))))
 
 
 def pauli_norm(h: Hamiltonian) -> float:
@@ -226,23 +246,21 @@ def vectorize(h: Hamiltonian) -> CoefficientVector:
         raise ValueError("cannot vectorize the zero Hamiltonian (normalization is 0)")
     lam = l2_norm(h)
     idx = h.indices()
-    entries = {int(i): float(c / lam) for i, c in zip(idx, h.coeffs)}
-    return CoefficientVector(n=h.n, lam=lam, entries=entries)
+    order = np.argsort(idx)
+    return CoefficientVector(n=h.n, lam=lam, indices=idx[order], entries=h.coeffs[order] / lam)
 
 
 def devectorize(v: CoefficientVector) -> Hamiltonian:
     """Inverse of :func:`vectorize`; drops coefficients below ``PRUNE_TOL``."""
-    terms = {}
-    for i, e in v.entries.items():
-        c = v.lam * e
-        if abs(c) >= PRUNE_TOL:
-            terms[PauliString.from_index(i, v.n)] = c
-    return Hamiltonian(v.n, terms)
+    coeffs = v.lam * v.entries
+    keep = np.abs(coeffs) >= PRUNE_TOL
+    keys = keys_from_digits(digits_from_indices(v.indices[keep], v.n))
+    return Hamiltonian.from_arrays(v.n, keys, coeffs[keep])
 
 
 def state_l1_norm(v: CoefficientVector) -> float:
     """l1 norm of the coefficient vector; pauli_norm(h) = lam * this."""
-    return float(sum(abs(e) for e in v.entries.values()))
+    return float(np.abs(v.entries).sum())
 
 
 def tensor(a: Hamiltonian, b: Hamiltonian) -> Hamiltonian:
@@ -250,12 +268,10 @@ def tensor(a: Hamiltonian, b: Hamiltonian) -> Hamiltonian:
     n = a.n + b.n
     if n > MAX_QUBITS:
         raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
-    terms = {}
-    for pa, ca in a:
-        for pb, cb in b:
-            p = PauliString(n, pa.x | (pb.x << a.n), pa.z | (pb.z << a.n))
-            terms[p] = ca * cb
-    return Hamiltonian(n, terms)
+    digits = np.hstack([np.repeat(digits_from_keys(a.keys, a.n), len(b), axis=0),
+                        np.tile(digits_from_keys(b.keys, b.n), (len(a), 1))])
+    coeffs = np.outer(a.coeffs, b.coeffs).ravel()
+    return Hamiltonian.from_arrays(n, keys_from_digits(digits), coeffs)
 
 
 def embed(h: Hamiltonian, qubits: tuple[int, ...], n: int) -> Hamiltonian:
@@ -264,11 +280,6 @@ def embed(h: Hamiltonian, qubits: tuple[int, ...], n: int) -> Hamiltonian:
         raise ValueError(f"need {h.n} target qubits, got {len(qubits)}")
     if len(set(qubits)) != len(qubits) or any(not 0 <= q < n for q in qubits):
         raise ValueError(f"invalid embedding target {qubits} for {n} qubits")
-    terms = {}
-    for p, c in h:
-        x = z = 0
-        for k, q in enumerate(qubits):
-            x |= ((p.x >> k) & 1) << q
-            z |= ((p.z >> k) & 1) << q
-        terms[PauliString(n, x, z)] = c
-    return Hamiltonian(n, terms)
+    digits = np.zeros((len(h), n), dtype=np.uint8)
+    digits[:, list(qubits)] = digits_from_keys(h.keys, h.n)
+    return Hamiltonian.from_arrays(n, keys_from_digits(digits), h.coeffs)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .hamiltonian import MAX_QUBITS, Hamiltonian
-from .paulis import PauliString
-
-_LABEL_CHARS = set("IXYZ")
+from .hamiltonian import Hamiltonian
+from .paulis import MAX_QUBITS, LabelError, PauliString, digits_from_labels, keys_from_digits
 
 
 def ising_neighbor(n: int) -> Hamiltonian:
@@ -54,10 +52,12 @@ class PauliSumParseError(ValueError):
 
 def parse_pauli_sum(text: str) -> Hamiltonian:
     """Parse the text format; duplicate labels add up in file order, zero
-    results drop."""
-    keys: list[int] = []
+    results drop.  Labels are checked in one batch after the lines are
+    read: the first one that is not n characters from {I, X, Y, Z}, n
+    being the first label's length, is reported with its line number."""
+    linenos: list[int] = []
+    labels: list[str] = []
     coeffs: list[float] = []
-    n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,28 +72,26 @@ def parse_pauli_sum(text: str) -> Hamiltonian:
             raise PauliSumParseError(lineno, f"bad coefficient {coeff_text!r}") from None
         if not math.isfinite(coeff):
             raise PauliSumParseError(lineno, f"non-finite coefficient {coeff_text!r}")
-        if not all(ch in _LABEL_CHARS for ch in label):
-            raise PauliSumParseError(lineno, f"bad Pauli label {label!r}")
-        if n is None:
-            if len(label) > MAX_QUBITS:
-                raise PauliSumParseError(
-                    lineno, f"label {label!r} has length {len(label)}, above {MAX_QUBITS}"
-                )
-            n = len(label)
-        elif len(label) != n:
-            raise PauliSumParseError(
-                lineno, f"label {label!r} has length {len(label)}, expected {n}"
-            )
-        keys.append(PauliString.from_label(label).key())
+        linenos.append(lineno)
+        labels.append(label)
         coeffs.append(coeff)
-    if n is None:
+    if not labels:
         raise PauliSumParseError(1, "no terms found")
-    return Hamiltonian.from_arrays(n, keys, coeffs)
+    n = len(labels[0])
+    if n > MAX_QUBITS:
+        raise PauliSumParseError(linenos[0], f"label {labels[0]!r} has length {n}, "
+                                             f"above {MAX_QUBITS}")
+    try:
+        digits = digits_from_labels(labels, n)
+    except LabelError as err:
+        raise PauliSumParseError(linenos[err.position], str(err)) from None
+    return Hamiltonian.from_arrays(n, keys_from_digits(digits), coeffs)
 
 
 def serialize_pauli_sum(h: Hamiltonian) -> str:
     """One line per term in base-4 index order, full float precision."""
-    lines = [f"{c:.17g} {p.label}" for p, c in h.terms_by_index()]
+    labels, coeffs = h.labeled_terms()
+    lines = [f"{c:.17g} {label}" for c, label in zip(coeffs.tolist(), labels)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -75,7 +75,7 @@ def cost_q(v: CoefficientVector) -> float:
 
     Lies in (0, 1]; equals 1 exactly on basis vectors.
     """
-    return float(sum(e**4 for e in v.entries.values()))
+    return float(np.sum(v.entries**4))
 
 
 @dataclass

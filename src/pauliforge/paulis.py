@@ -6,17 +6,89 @@ a Z factor, and both bits are set for Y.  Qubit 0 is the leftmost
 character of the text label and the most significant digit of the
 base-4 integer index, with digit values I=0, X=1, Y=2, Z=3.  That index
 convention is part of the public file-format contract.
+
+The array codec below holds that convention once.  Its pivot is an
+(m, n) uint8 digit array, qubit 0 in column 0, with converters each way
+to packed keys ``(x << n) | z``, labels and base-4 indices (uint64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-LABEL_ALPHABET = "IXYZ"
-_CHAR_TO_DIGIT = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+import numpy as np
 
-# digit -> (x bit, z bit)
-_DIGIT_TO_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
+MAX_QUBITS = 32  # 2n bits of a packed key or base-4 index fit one uint64
+
+LABEL_ALPHABET = "IXYZ"
+# digit -> label byte, and label byte -> digit (4 for a byte outside the alphabet)
+_BYTES = np.frombuffer(LABEL_ALPHABET.encode("ascii"), dtype=np.uint8)
+_DIGITS = np.full(256, 4, dtype=np.uint8)
+_DIGITS[_BYTES] = np.arange(4)
+
+
+class LabelError(ValueError):
+    """A label that is not n characters from LABEL_ALPHABET, at ``position`` in its batch."""
+
+    def __init__(self, label: str, position: int, n: int):
+        super().__init__(f"bad Pauli label {label!r}: need {n} characters from {LABEL_ALPHABET}")
+        self.position = position
+
+
+def _checked_width(n: int) -> int:
+    """The qubit count n, refused outside 1..MAX_QUBITS, where uint64 would wrap."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    return n
+
+
+def digits_from_keys(keys, n: int) -> np.ndarray:
+    """(m, n) digits of packed keys: 2z + (x xor z) per qubit."""
+    n = _checked_width(n)
+    bits = (np.asarray(keys, np.uint64).reshape(-1, 1) >> np.arange(2 * n, dtype=np.uint64)) & 1
+    return (2 * bits[:, :n] + (bits[:, n:] ^ bits[:, :n])).astype(np.uint8)
+
+
+def keys_from_digits(digits: np.ndarray) -> np.ndarray:
+    """uint64 packed keys of (m, n) digits."""
+    _checked_width(digits.shape[1])
+    z = digits >> 1
+    bits = np.hstack([z, (digits & 1) ^ z]).astype(np.uint64)
+    return (bits << np.arange(bits.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def digits_from_indices(indices, n: int) -> np.ndarray:
+    """(m, n) digits of base-4 indices, qubit 0 the most significant."""
+    n = _checked_width(n)
+    indices = np.asarray(indices, np.uint64).reshape(-1, 1)
+    return ((indices >> np.arange(2 * n - 2, -1, -2, dtype=np.uint64)) & 3).astype(np.uint8)
+
+
+def indices_from_digits(digits: np.ndarray) -> np.ndarray:
+    """uint64 base-4 indices of (m, n) digits."""
+    shift = np.arange(2 * _checked_width(digits.shape[1]) - 2, -1, -2, dtype=np.uint64)
+    return (digits.astype(np.uint64) << shift).sum(axis=1, dtype=np.uint64)
+
+
+def labels_from_digits(digits: np.ndarray) -> list[str]:
+    """Text labels of (m, n) digits."""
+    m, n = digits.shape
+    text = _BYTES[digits].tobytes().decode("ascii")
+    return [text[i:i + n] for i in range(0, m * n, n)]
+
+
+def digits_from_labels(labels, n: int) -> np.ndarray:
+    """(m, n) digits of text labels; raises :class:`LabelError` for the
+    first label that is not n characters from LABEL_ALPHABET."""
+    lengths = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
+    # "replace" makes each non-ASCII character one b"?", outside the alphabet
+    digits = _DIGITS[np.frombuffer("".join(labels).encode("ascii", "replace"), np.uint8)]
+    bad = lengths != n
+    bad[np.repeat(np.arange(len(labels)), lengths)[digits > 3]] = True
+    if bad.any():
+        first = int(bad.argmax())
+        raise LabelError(labels[first], first, n)
+    return digits.reshape(len(labels), n)
 
 
 class PauliString:
@@ -25,8 +97,7 @@ class PauliString:
     __slots__ = ("n", "x", "z")
 
     def __init__(self, n: int, x: int, z: int):
-        if n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {n}")
+        _checked_width(n)
         mask = (1 << n) - 1
         if not (0 <= x <= mask) or not (0 <= z <= mask):
             raise ValueError(f"bit masks out of range for {n} qubits")
@@ -41,30 +112,15 @@ class PauliString:
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Build from a text label such as ``"XIZ"`` (qubit 0 leftmost)."""
-        if not label:
-            raise ValueError("empty Pauli label")
-        x = z = 0
-        for q, ch in enumerate(label):
-            digit = _CHAR_TO_DIGIT.get(ch)
-            if digit is None:
-                raise ValueError(f"invalid Pauli character {ch!r} in {label!r}")
-            xb, zb = _DIGIT_TO_BITS[digit]
-            x |= xb << q
-            z |= zb << q
-        return cls(len(label), x, z)
+        key = keys_from_digits(digits_from_labels([label], len(label)))[0]
+        return cls.from_key(int(key), len(label))
 
     @classmethod
     def from_index(cls, index: int, n: int) -> "PauliString":
         """Build from the base-4 index (qubit 0 = most significant digit)."""
         if not (0 <= index < 4**n):
             raise ValueError(f"index {index} out of range for {n} qubits")
-        x = z = 0
-        for q in range(n):
-            digit = (index >> (2 * (n - 1 - q))) & 3
-            xb, zb = _DIGIT_TO_BITS[digit]
-            x |= xb << q
-            z |= zb << q
-        return cls(n, x, z)
+        return cls.from_key(int(keys_from_digits(digits_from_indices(index, n))[0]), n)
 
     @classmethod
     def from_key(cls, key: int, n: int) -> "PauliString":
@@ -78,20 +134,17 @@ class PauliString:
 
     def digit(self, qubit: int) -> int:
         """Base-4 digit of the factor on ``qubit``."""
-        xb = (self.x >> qubit) & 1
-        zb = (self.z >> qubit) & 1
-        return 2 * zb + (xb ^ zb)
+        if not 0 <= qubit < self.n:
+            raise ValueError(f"qubit {qubit} out of range for {self.n} qubits")
+        return int(digits_from_keys(self.key(), self.n)[0, qubit])
 
     @property
     def label(self) -> str:
-        return "".join(LABEL_ALPHABET[self.digit(q)] for q in range(self.n))
+        return labels_from_digits(digits_from_keys(self.key(), self.n))[0]
 
     @property
     def index(self) -> int:
-        out = 0
-        for q in range(self.n):
-            out = (out << 2) | self.digit(q)
-        return out
+        return int(indices_from_digits(digits_from_keys(self.key(), self.n))[0])
 
     @property
     def x_bits(self) -> tuple[int, ...]:

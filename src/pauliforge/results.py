@@ -15,6 +15,7 @@ import numpy as np
 from .ansatz import AnsatzLayout, layout_to_dict
 from .grouping import GroupingResult
 from .optimize import EngineeredResult
+from .paulis import digits_from_keys, labels_from_digits
 from .qestimate import QEstimate
 
 
@@ -53,7 +54,8 @@ def input_digest(data: bytes | str) -> str:
 
 
 def _terms_list(h) -> list[dict]:
-    return [{"label": p.label, "coefficient": c} for p, c in h.terms_by_index()]
+    labels, coeffs = h.labeled_terms()
+    return [{"label": label, "coefficient": c} for label, c in zip(labels, coeffs.tolist())]
 
 
 def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout | None = None) -> dict:
@@ -72,12 +74,16 @@ def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout | None
 
 
 def grouping_result_to_dict(g: GroupingResult) -> dict:
+    members = [p for col in g.collections for _, p in col.members]
+    n = members[0].n if members else 1
+    keys = np.array([p.key() for p in members], dtype=np.uint64)
+    labels = iter(labels_from_digits(digits_from_keys(keys, n)))
     return {
         "strategy": g.strategy,
         "collection_count": g.collection_count,
         "grouped_norm": g.grouped_norm,
         "collections": [
-            [{"label": p.label, "coefficient": c} for c, p in col.members]
+            [{"label": next(labels), "coefficient": c} for c, _ in col.members]
             for col in g.collections
         ],
     }

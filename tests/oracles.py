@@ -441,9 +441,7 @@ def sorted_insertion_reference(h: Hamiltonian, commutation: str = "general") -> 
         else:
             groups.append([(c, p)])
 
-    collections = tuple(
-        Collection(index=i, members=tuple(members)) for i, members in enumerate(groups)
-    )
+    collections = tuple(Collection(members=tuple(members)) for members in groups)
     return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
 
 

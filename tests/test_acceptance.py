@@ -166,9 +166,8 @@ def test_c06_cost_estimator_agreement():
         n = int(rng.integers(1, 4))
         vec = rng.standard_normal(4**n)
         vec /= np.linalg.norm(vec)
-        v = CoefficientVector(
-            n=n, lam=1.0, entries={i: float(x) for i, x in enumerate(vec) if x != 0.0}
-        )
+        nonzero = np.flatnonzero(vec)
+        v = CoefficientVector(n=n, lam=1.0, indices=nonzero, entries=vec[nonzero])
         assert abs(q_analytic(vec).q_value - cost_q(v)) <= 1e-12
 
     for n in (1, 2):

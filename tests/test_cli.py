@@ -236,6 +236,46 @@ class TestFlagValidation:
         assert json.loads(out)["results"]["engineered_norm"] == 3.0
 
 
+class TestExitCodes:
+    """Exit 2 marks bad input (parse errors and _InputError); any other
+    ValueError, such as a capacity cap met by valid input, exits 1."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("estimate-q", "--ham", "ising-neighbor:4"), 1, "state register capped at 7 qubits, got 8"),
+        (("qdrift", "--ham", "ising-neighbor:9", "--gates", "2", "--trials", "2"), 1,
+         "qdrift error runs capped at 8 qubits, got 9"),
+        (("group", "--ham", "ising-neighbor:1"), 2,
+         "builder size in 'ising-neighbor:1' must be in 2..32, got 1"),
+        (("group", "--ham", "ising-neighbor:33"), 2,
+         "builder size in 'ising-neighbor:33' must be in 2..32, got 33"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2,33"), 2,
+         "sizes must be in 2..32, got '2,33'"),
+    ])
+    def test_code_and_message(self, capsys, argv, code, message):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("amplitudes", [1, 3, 6])
+    def test_state_length_not_a_power_of_two(self, capsys, tmp_path, amplitudes):
+        state = tmp_path / "state.txt"
+        state.write_text("1.0\n" + "0.0\n" * (amplitudes - 1))
+        code, out, err = run_cli(capsys, "estimate-q", "--state", str(state))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {state}: {amplitudes} amplitudes; "
+                       "need a power of two >= 2\n")
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        src = tmp_path / "binary.txt"
+        src.write_bytes(b"1.0 X\xff\n")
+        code, out, err = run_cli(capsys, "group", "--input", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {src}: not UTF-8 text\n"
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("argv", [
         ("engineer", "--ham", "ising-neighbor:3", "--restarts", "2",

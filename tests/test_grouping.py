@@ -118,10 +118,7 @@ class TestGroupedNorm:
         h = random_hamiltonian(2, 8, rng)
         from pauliforge.grouping import Collection
 
-        cols = tuple(
-            Collection(index=i, members=((c, p),))
-            for i, (p, c) in enumerate(h.terms_by_index())
-        )
+        cols = tuple(Collection(members=((c, p),)) for p, c in h.terms_by_index())
         g = GroupingResult("singletons", cols)
         assert np.isclose(g.grouped_norm, pauli_norm(h), atol=1e-12)
 

@@ -117,7 +117,8 @@ class TestVectorization:
         h = Hamiltonian(2, {"ZZ": 5.0})
         v = vectorize(h)
         assert v.lam == 5.0
-        assert v.entries == {PauliString.from_label("ZZ").index: 1.0}
+        assert v.indices.tolist() == [PauliString.from_label("ZZ").index]
+        assert v.entries.tolist() == [1.0]
 
     def test_zero_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
@@ -128,36 +129,71 @@ class TestVectorization:
         for _ in range(10):
             h = random_hamiltonian(3, 12, rng)
             v = vectorize(h)
-            assert abs(sum(e * e for e in v.entries.values()) - 1.0) <= 1e-12
+            assert abs(sum(e * e for e in v.entries) - 1.0) <= 1e-12
             back = devectorize(v)
             assert back.n == h.n and len(back) == len(h)
             for p, c in h:
                 assert abs(back.coefficient(p) - c) < 1e-14
 
     def test_devectorize_basis_vector(self):
-        v = CoefficientVector(n=1, lam=1.0, entries={0: 1.0})
+        v = CoefficientVector(n=1, lam=1.0, indices=[0], entries=[1.0])
         h = devectorize(v)
         assert h.terms == {PauliString.from_label("I"): 1.0}
 
     def test_devectorize_prunes(self):
         amp = 1e-13
         big = np.sqrt(1 - amp**2)
-        v = CoefficientVector(n=1, lam=1.0, entries={0: big, 1: amp})
+        v = CoefficientVector(n=1, lam=1.0, indices=[0, 1], entries=[big, amp])
         assert len(devectorize(v)) == 1
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            CoefficientVector(n=1, lam=1.0, entries={0: 0.5, 1: 0.5})
+            CoefficientVector(n=1, lam=1.0, indices=[0, 1], entries=[0.5, 0.5])
+
+
+class TestCoefficientVectorChecks:
+    @pytest.mark.parametrize("indices, entries", [
+        ([1, 1], [0.6, 0.8]),  # duplicate
+        ([2, 1], [0.6, 0.8]),  # unsorted
+        ([0, 4], [0.6, 0.8]),  # 4**n is out of range at n = 1
+        ([0, 1, 2], [0.6, 0.8]),  # unequal lengths
+        ([[0, 1]], [[0.6, 0.8]]),  # not 1-D
+        ([], []),  # empty: norm 0, not 1
+    ])
+    def test_rejected(self, indices, entries):
+        with pytest.raises(ValueError):
+            CoefficientVector(n=1, lam=1.0, indices=indices, entries=entries)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lambda_rejected(self, lam):
+        with pytest.raises(ValueError):
+            CoefficientVector(n=1, lam=lam, indices=[0], entries=[1.0])
+
+    def test_arrays_are_read_only_copies(self):
+        indices, entries = np.array([0, 3]), np.array([0.6, 0.8])
+        v = CoefficientVector(n=1, lam=2.0, indices=indices, entries=entries)
+        indices[0], entries[0] = 1, -0.6
+        assert v.indices.tolist() == [0, 3] and v.entries.tolist() == [0.6, 0.8]
+        assert v.indices.dtype == np.uint64 and v.entries.dtype == np.float64
+        with pytest.raises(ValueError):
+            v.entries[0] = 1.0
+
+    def test_top_index_at_32_qubits(self):
+        h = Hamiltonian(32, {"Z" * 32: 2.0, "I" * 32: -2.0})
+        v = vectorize(h)
+        assert [int(i) for i in v.indices] == [0, 4**32 - 1]
+        assert devectorize(v) == h
 
 
 class TestStateL1Norm:
     def test_basis_vector_minimal(self):
-        v = CoefficientVector(n=1, lam=1.0, entries={2: 1.0})
+        v = CoefficientVector(n=1, lam=1.0, indices=[2], entries=[1.0])
         assert state_l1_norm(v) == 1.0
 
     def test_uniform_maximal(self):
         d = 16
-        v = CoefficientVector(n=2, lam=1.0, entries={i: 1 / np.sqrt(d) for i in range(d)})
+        v = CoefficientVector(n=2, lam=1.0, indices=np.arange(d),
+                              entries=np.full(d, 1 / np.sqrt(d)))
         assert np.isclose(state_l1_norm(v), np.sqrt(d), atol=1e-12)
 
     def test_norm_identity_and_bounds_random(self):

@@ -110,6 +110,14 @@ class TestParse:
             parse_pauli_sum("1.0 XQ\n")
         assert err.value.line_number == 1
 
+    @pytest.mark.parametrize("label", ["xI", "XΩ", "X-"])
+    def test_bad_label_reports_its_own_line(self, label):
+        text = f"# header\n1.0 XI\n-2.0 {label}  # third line\n0.5 ZZ\n1.5 yy\n"
+        with pytest.raises(PauliSumParseError, match="bad Pauli label") as err:
+            parse_pauli_sum(text)
+        assert err.value.line_number == 3
+        assert repr(label) in str(err.value)
+
     def test_mixed_lengths(self):
         with pytest.raises(PauliSumParseError) as err:
             parse_pauli_sum("1.0 XI\n2.0 X\n")

@@ -6,7 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauliforge.dense import _pauli_rows, apply_pauli, pauli_matrix
-from pauliforge.paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
+from pauliforge.paulis import (
+    LabelError,
+    PauliString,
+    commutes,
+    digits_from_indices,
+    digits_from_keys,
+    digits_from_labels,
+    indices_from_digits,
+    keys_from_digits,
+    labels_from_digits,
+    pauli_product,
+    qubit_wise_commutes,
+)
 
 from oracles import label_matrix
 
@@ -36,8 +48,9 @@ class TestRepresentation:
         assert p.z_bits == (0, 1, 1, 0)
 
     def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            PauliString.from_label("XQ")
+        for bad in ("XQ", "xI", "XΩ", "XI ", "I-"):
+            with pytest.raises(ValueError, match="bad Pauli label"):
+                PauliString.from_label(bad)
         with pytest.raises(ValueError):
             PauliString.from_label("")
 
@@ -52,6 +65,77 @@ class TestRepresentation:
         assert p.restrict((0, 1, 2)).label == "XIZ"
         assert p.restrict((3, 4, 5)).label == "YIX"
         assert p.restrict((5, 0)).label == "XX"
+
+
+def _label_reference(key, n):
+    """Label of a packed key, one qubit at a time from its x and z bits."""
+    x, z = key >> n, key & ((1 << n) - 1)
+    return "".join("IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(n))
+
+
+def _index_reference(label):
+    return sum("IXYZ".index(ch) * 4 ** (len(label) - 1 - q) for q, ch in enumerate(label))
+
+
+class TestCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.integers(1, 32), st.just(32)))
+    def test_round_trips_match_per_qubit_reference(self, data, n):
+        keys = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=20))
+        digits = digits_from_keys(np.array(keys, dtype=np.uint64), n)
+        assert digits.shape == (len(keys), n) and digits.dtype == np.uint8
+        labels = labels_from_digits(digits)
+        assert labels == [_label_reference(k, n) for k in keys]
+        indices = indices_from_digits(digits)
+        assert indices.dtype == np.uint64
+        assert [int(i) for i in indices] == [_index_reference(label) for label in labels]
+        for back in (digits_from_labels(labels, n), digits_from_indices(indices, n)):
+            assert np.array_equal(back, digits)
+            assert [int(k) for k in keys_from_digits(back)] == keys
+
+    def test_top_index_at_32_qubits(self):
+        top = 4**32 - 1  # = 2**64 - 1, the largest uint64
+        p = PauliString.from_index(top, 32)
+        assert p.label == "Z" * 32
+        assert p.index == top
+        assert PauliString.from_label("Z" * 32).index == top
+
+    def test_all_y_at_32_qubits(self):
+        p = PauliString.from_label("Y" * 32)
+        assert p == PauliString(32, (1 << 32) - 1, (1 << 32) - 1)
+        assert p.index == int("2" * 32, 4)
+        assert PauliString.from_index(p.index, 32).label == "Y" * 32
+
+    @pytest.mark.parametrize("bad", ["xI", "XΩ", "XIZ", "X", ""])
+    def test_names_the_first_bad_label(self, bad):
+        labels = ["XI", "ZZ", bad, "q?", "IY"]
+        with pytest.raises(LabelError) as err:
+            digits_from_labels(labels, 2)
+        assert err.value.position == 2
+        assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize("qubit", [-1, 3])
+    def test_digit_out_of_range(self, qubit):
+        with pytest.raises(ValueError):
+            PauliString.from_label("XYZ").digit(qubit)
+
+    def test_from_index_out_of_range(self):
+        with pytest.raises(ValueError):
+            PauliString.from_index(4**3, 3)
+        with pytest.raises(ValueError):
+            PauliString.from_index(-1, 3)
+
+    def test_more_than_32_qubits_rejected(self):
+        with pytest.raises(ValueError):
+            PauliString(33, 0, 0)
+        for build in (lambda: PauliString.from_label("X" * 33),
+                      lambda: PauliString.from_index(4**32, 33),
+                      lambda: digits_from_keys([1], 33),
+                      lambda: digits_from_indices([1], 33),
+                      lambda: keys_from_digits(np.zeros((1, 33), dtype=np.uint8)),
+                      lambda: indices_from_digits(np.zeros((1, 33), dtype=np.uint8))):
+            with pytest.raises(ValueError, match="qubit count must be in 1..32, got 33"):
+                build()
 
 
 class TestProduct:
