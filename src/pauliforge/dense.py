@@ -45,11 +45,19 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    """Dense Hermitian matrix of a sparse Pauli sum."""
+    """Dense Hermitian matrix of a sparse Pauli sum.
+
+    Row i of P_j holds phase[i] in column src[i] (``_pauli_rows``), so
+    each term is one scatter of c_j * phase into those entries, added in
+    term order: the sum of Kronecker-product matrices bit for bit.
+    """
     _check_capacity(h.n)
-    out = np.zeros((2**h.n, 2**h.n), dtype=complex)
+    dim = 1 << h.n
+    out = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
     for p, c in h:
-        out += c * pauli_matrix(p)
+        src, phase = _pauli_rows(p)
+        out[rows, src] += c * phase
     return out
 
 

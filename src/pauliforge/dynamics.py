@@ -10,13 +10,19 @@ as the mean 2-norm state deviation over a fixed panel of Haar-random
 test states, averaged over independently sampled plans.
 
 Plans are applied matrix-free: a Pauli string sends basis row i to one
-source row with a phase in {+-1, +-i}, so a step is a row gather, a
-phase and the rotation, and no term matrix is built.  An error run draws
-each trial's plan from its own seed stream as below, then applies the
-plans of a chunk of trials together, one gather per step; chunks hold
-at most ``_CHUNK_AMPLITUDES`` output amplitudes whatever ``trials`` is.
-The outputs and their reductions, in trial order, are those of one
-dense product per trial bit for bit.
+source row with a phase in {+-1, +-i}, so a step is a row gather and one
+multiply, and no term matrix is built.  Each apply call folds the
+rotation into the phases once, rot_j * phase_j per term and row, as a
+table as wide as the panel; a table that would hold more than
+``_CHUNK_AMPLITUDES`` entries is built one column wide and broadcast.
+An error run draws each trial's plan from its own seed stream as below,
+searching one cdf table (Generator.choice's own, so the draws are
+choice's bit for bit), then applies the plans of a chunk of trials
+together, one gather per step; chunks hold at most
+``_CHUNK_AMPLITUDES`` output amplitudes whatever ``trials`` is, and the
+state errors are reduced a chunk at a time.  The outputs and their
+reductions, in trial order, are those of one dense product per trial
+bit for bit.
 
 Seed streams (the reproducibility contract): ``qdrift_sample`` uses
 ``default_rng(seed)``; trial k of ``qdrift_error`` uses the k-th child of
@@ -109,10 +115,10 @@ class QDriftPlan:
 
 class _QDrift:
     """The one qDrift path for a Hamiltonian and a gate count G: p_j over
-    terms_by_index(), plans drawn from the caller's Generator, and plans
+    terms_by_index(), plans drawn from the caller's Generators, and plans
     applied matrix-free to a stack of trials.  Each term is a source-row
     table and a phase table (built on first use only), so one step of
-    every trial is one row gather, a phase and the rotation."""
+    every trial is one row gather and one multiply."""
 
     def __init__(self, h: Hamiltonian, gate_count: int):
         if gate_count < 1:
@@ -123,7 +129,9 @@ class _QDrift:
         self._terms = h.terms_by_index()
         weights = np.abs([c for _, c in self._terms])
         self.gamma = float(weights.sum())
-        self._probs = weights / self.gamma
+        # Generator.choice(p=weights/gamma) builds and searches this table
+        self._cdf = (weights / self.gamma).cumsum()
+        self._cdf /= self._cdf[-1]
         self._signs = [1.0 if c >= 0 else -1.0 for _, c in self._terms]
 
     @cached_property
@@ -134,29 +142,42 @@ class _QDrift:
     def tau(self, t: float) -> float:
         return t * self.gamma / self.gate_count
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(len(self._probs), size=self.gate_count, p=self._probs)
+    def draw(self, rngs: list[np.random.Generator]) -> np.ndarray:
+        """(len(rngs), G) term indices; row r is what
+        rngs[r].choice(terms, size=G, p=p) would return."""
+        uniforms = np.stack([rng.random(self.gate_count) for rng in rngs])
+        return self._cdf.searchsorted(uniforms, side="right")
 
     def sample(self, t: float, rng: np.random.Generator, seed: int) -> QDriftPlan:
         return QDriftPlan(gamma=self.gamma, tau=self.tau(t), gate_count=self.gate_count,
-                          indices=self.draw(rng), seed=seed)
+                          indices=self.draw([rng])[0], seed=seed)
 
     def apply(self, tau: float, indices: np.ndarray, panel: np.ndarray) -> np.ndarray:
         """Apply each row of ``indices`` (trials x G) to the (2^n, k) panel;
-        returns the (trials, 2^n, k) outputs.  Step by step this is the
-        dense update c*out - rot_j*(P_j @ out), in the same operation
-        order, so the outputs are the dense path's bit for bit."""
+        returns the (trials, 2^n, k) outputs.
+
+        Step by step this is the dense update c*out - rot_j*(P_j @ out).
+        rot_j = i*sign(h_j)*sin(tau) and the phases are +-1 or +-i, so
+        their product coef_j is exact, and coef_j * psi rounds as
+        rot_j * (phase_j * psi) does: the outputs are the dense path's
+        bit for bit.  The coef table is (terms, 2^n, k), so each step's
+        multiply runs over contiguous operands, unless that would exceed
+        _CHUNK_AMPLITUDES entries; then it is (terms, 2^n, 1) and
+        broadcasts.  A step is one gather of the moved rows, one
+        multiply by the gathered coefficients, c*out and the subtract.
+        """
         c, s = np.cos(tau), np.sin(tau)
         rot = np.array([1j * sign * s for sign in self._signs])
         src, phase = self._rows
         trials, (dim, k) = len(indices), panel.shape
+        width = k if rot.size * dim * k <= _CHUNK_AMPLITUDES else 1
+        coef = np.repeat((rot[:, None] * phase)[:, :, None], width, axis=2)
         out = np.repeat(panel.astype(complex)[None], trials, axis=0)
         flat = out.reshape(trials * dim, k)
         first_row = np.arange(0, trials * dim, dim)[:, None]
         for js in indices.T:
-            moved = flat[first_row + src[js]]
-            np.multiply(phase[js][:, :, None], moved, out=moved)
-            np.multiply(rot[js][:, None, None], moved, out=moved)
+            moved = flat.take(first_row + src.take(js, axis=0), axis=0)
+            np.multiply(coef.take(js, axis=0), moved, out=moved)
             np.multiply(c, out, out=out)
             np.subtract(out, moved, out=out)
         return out
@@ -192,10 +213,10 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
 def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
                 seed: int, root: np.random.SeedSequence):
     """Exact outputs on the seeded Haar panel, and a lazy stream of the
-    panel outputs of ``trials`` plans, one per child of ``root``, in
-    trial order.  Plans are drawn and applied in chunks of at most
-    _CHUNK_AMPLITUDES output amplitudes, so memory does not grow with
-    ``trials``."""
+    (b, 2^n, k) panel outputs of ``trials`` plans, one per child of
+    ``root``, in trial order.  Plans are drawn and applied in chunks of
+    at most _CHUNK_AMPLITUDES output amplitudes, so memory does not grow
+    with ``trials``."""
     if h.n > QDRIFT_MAX_QUBITS:
         raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
     if trials < 2:
@@ -204,12 +225,11 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9E3779B9)))
     panel = np.column_stack([haar_state(1 << h.n, rng) for _ in range(_PANEL_SIZE)])
     exact = exact_evolution(h, t) @ panel
-    seqs = root.spawn(trials)
+    tau, seqs = q.tau(t), root.spawn(trials)
     chunk = max(1, _CHUNK_AMPLITUDES // panel.size)
-    batches = (np.stack([q.draw(np.random.default_rng(seq)) for seq in seqs[i:i + chunk]])
-               for i in range(0, trials, chunk))
-    outputs = (out for indices in batches for out in q.apply(q.tau(t), indices, panel))
-    return exact, outputs
+    chunks = (q.apply(tau, q.draw([np.random.default_rng(s) for s in seqs[i:i + chunk]]), panel)
+              for i in range(0, trials, chunk))
+    return exact, chunks
 
 
 def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
@@ -220,8 +240,9 @@ def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
     20 seeded Haar-random states and over ``trials`` independent plans;
     returns (mean, standard error over plans).
     """
-    exact, outputs = _error_runs(h, t, gate_count, trials, seed, np.random.SeedSequence(seed))
-    errors = np.array([np.mean(np.linalg.norm(out - exact, axis=0)) for out in outputs])
+    exact, chunks = _error_runs(h, t, gate_count, trials, seed, np.random.SeedSequence(seed))
+    errors = np.concatenate([np.linalg.norm(outs - exact, axis=1).mean(axis=1)
+                             for outs in chunks])
     return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(trials))
 
 
@@ -236,9 +257,9 @@ def qdrift_channel_error(h: Hamiltonian, t: float, gate_count: int,
     over plans cancels the first-order fluctuations and leaves the
     ~ (gamma*t)^2/G channel bias that sets the gate-count model.
     """
-    exact, outputs = _error_runs(h, t, gate_count, trials, seed,
-                                 np.random.SeedSequence((seed, gate_count)))
-    rho = sum(np.einsum("ik,jk->kij", out, out.conj()) for out in outputs) / trials
+    exact, chunks = _error_runs(h, t, gate_count, trials, seed,
+                                np.random.SeedSequence((seed, gate_count)))
+    rho = sum(np.einsum("ik,jk->kij", out, out.conj()) for outs in chunks for out in outs) / trials
     dists = [0.5 * np.abs(np.linalg.eigvalsh(r - np.outer(e, e.conj()))).sum()
              for r, e in zip(rho, exact.T)]
     return float(np.mean(dists))

@@ -158,7 +158,7 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
     return base + 1
 
 
-def _shared_eigenbasis(members, n, rng):
+def _shared_eigenbasis(members, rng):
     """Orthonormal basis diagonalizing every member of a commuting family."""
     mats = [pauli_matrix(p) for _, p in members]
     for _ in range(5):
@@ -204,7 +204,7 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
         counts = allocate_shots(weights, shots)
         estimate = 0.0
         for col, s_i in zip(allocation.collections, counts):
-            w, diags = _shared_eigenbasis(col.members, h.n, rng)
+            w, diags = _shared_eigenbasis(col.members, rng)
             probs = np.abs(w.conj().T @ state) ** 2
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum()

@@ -1,8 +1,9 @@
 """Machine-readable result documents with reproducible byte output.
 
 All floats are printed with 17 significant digits (enough to round-trip
-float64 exactly), keys keep insertion order, and no whitespace varies,
-so identical runs serialize to identical bytes.
+float64 exactly; -0.0 is printed "-0.0", as "-0" reads back as the
+integer 0), keys keep insertion order, and no whitespace varies, so
+identical runs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ def _format_value(obj) -> str:
         x = float(obj)
         if not np.isfinite(x):
             raise ValueError(f"non-finite value {x} cannot be serialized")
+        if x == 0.0 and np.signbit(x):
+            return "-0.0"  # "-0" reads back as the integer 0
         return f"{x:.17g}"
     if isinstance(obj, str):
         return json.dumps(obj)

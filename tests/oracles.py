@@ -4,10 +4,11 @@ The dense ones are built from first principles (kron products and
 explicit cos/sin gate matrices).  The sparse reference propagation
 merges terms gate by gate with np.unique.  Neither shares code with the
 compiled engine it checks.  The qDrift reference is the sampling code
-as first written, one copy per function; the sorted-insertion reference
-calls the public commutation predicate once per pair.  The restart
-reference at the end is the optimizer loop as it ran one restart at a
-time, before restarts ran in lockstep.
+as first written, one copy per function; the dense Hamiltonian reference
+sums one Kronecker-product matrix per term; the sorted-insertion
+reference calls the public commutation predicate once per pair.  The
+restart reference at the end is the optimizer loop as it ran one restart
+at a time, before restarts ran in lockstep.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from pauliforge.ansatz import CompiledAnsatz, hardware_efficient_layout
 from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
 from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
-from pauliforge.dense import haar_state, pauli_matrix
+from pauliforge.dense import _check_capacity, haar_state, pauli_matrix
 from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
 from pauliforge.optimize import (
     _ADAM_BETA1,
@@ -419,6 +420,20 @@ def qdrift_channel_error_reference(h: Hamiltonian, t: float, gate_count: int,
         sigma = np.outer(exact[:, k], exact[:, k].conj())
         dists[k] = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
     return float(dists.mean())
+
+
+# -- dense Hamiltonian reference -----------------------------------------
+# dense.hamiltonian_matrix as first written: one Kronecker-product matrix
+# per term, summed in term order.  The row-table scatter must reproduce
+# it bit for bit, signed zeros included.
+
+def hamiltonian_matrix_reference(h: Hamiltonian) -> np.ndarray:
+    """Dense Hermitian matrix of a sparse Pauli sum."""
+    _check_capacity(h.n)
+    out = np.zeros((2**h.n, 2**h.n), dtype=complex)
+    for p, c in h:
+        out += c * pauli_matrix(p)
+    return out
 
 
 # -- sorted-insertion reference ------------------------------------------

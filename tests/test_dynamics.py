@@ -211,6 +211,34 @@ class TestQDriftError:
             run(Hamiltonian(2, GOLDEN_2Q), 0.5, 0, trials=5, seed=0)
 
 
+class TestDrawMatchesChoice:
+    """_QDrift draws from Generator.choice's own cdf table, so a plan's
+    indices are choice's, element for element and in dtype.  A NumPy whose
+    choice draws differently fails here, not in a stream comparison."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=st.lists(st.one_of(st.floats(1e-3, 10.0), st.floats(1e-12, 1e-6),
+                                      st.floats(5e-324, 1e-300)), min_size=1, max_size=40),
+           data=st.data(), gates=st.integers(1, 700),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    def test_single_and_chunk_draws(self, weights, data, gates, seeds):
+        signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                   min_size=len(weights), max_size=len(weights)))
+        # packed keys 0..63 are the 64 strings on 3 qubits
+        h = Hamiltonian.from_arrays(3, np.arange(len(weights)), np.multiply(signs, weights))
+        w = np.abs([c for _, c in h.terms_by_index()])
+        p = w / w.sum()
+        expected = [np.random.default_rng(seed).choice(len(p), size=gates, p=p) for seed in seeds]
+        q = dynamics._QDrift(h, gates)
+        for seed, want in zip(seeds, expected):
+            single = q.draw([np.random.default_rng(seed)])
+            assert single.dtype == want.dtype and single.shape == (1, gates)
+            assert np.array_equal(single[0], want)
+        chunk = q.draw([np.random.default_rng(seed) for seed in seeds])
+        assert chunk.dtype == expected[0].dtype
+        assert np.array_equal(chunk, np.stack(expected))
+
+
 class TestQDriftAgainstReference:
     """The single qDrift path reproduces the per-function code it replaced
     bit for bit: same plans, same applied panels, same error values."""

@@ -160,6 +160,21 @@ class TestRoundTrip:
         assert np.array_equal(back.coeffs, h.coeffs)
 
 
+# Finite floats of every kind (-0.0, subnormals, +-1e308 included), ints,
+# bools, None and strings, nested in string-keyed dicts and lists.
+json_scalars = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.integers(-(2**70), 2**70), st.booleans(), st.none(), st.text(max_size=8),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
 class TestStableJson:
     def test_float_precision_round_trips(self):
         values = [1.0 / 3.0, np.pi, 1e-300, -7.25, 0.1 + 0.2]
@@ -174,6 +189,24 @@ class TestStableJson:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             stable_json({"x": float("nan")})
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=json_documents)
+    def test_round_trip(self, doc):
+        text = stable_json(doc)
+        back = json.loads(text)
+        assert back == doc
+        assert stable_json(back) == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(doc=json_documents, bad=st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    def test_non_finite_anywhere_rejected(self, doc, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            stable_json({"doc": doc, "nested": [1, {"x": [bad]}]})
+
+    def test_negative_zero_keeps_its_sign(self):
+        back = json.loads(stable_json({"x": -0.0}))["x"]
+        assert back == 0.0 and np.signbit(back)
 
     def test_digest_stable(self):
         assert input_digest("abc") == input_digest(b"abc")

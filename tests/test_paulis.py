@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliforge.dense import _pauli_rows, apply_pauli, pauli_matrix
+from pauliforge.dense import _pauli_rows, apply_pauli, hamiltonian_matrix, pauli_matrix
+from pauliforge.hamiltonian import Hamiltonian
 from pauliforge.paulis import (
     LabelError,
     PauliString,
@@ -20,7 +21,7 @@ from pauliforge.paulis import (
     qubit_wise_commutes,
 )
 
-from oracles import label_matrix
+from oracles import hamiltonian_matrix_reference, label_matrix
 
 
 class TestRepresentation:
@@ -272,3 +273,36 @@ class TestPauliRows:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         assert np.array_equal(apply_pauli(p, psi), dense @ psi)
+
+
+@st.composite
+def colliding_sums(draw):
+    """1-6 qubits; the terms share at most three X parts, so several of
+    them write the same matrix entries, and coefficients of +-1 and +-0.5
+    cancel there exactly."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    xs = draw(st.lists(masks, min_size=1, max_size=3))
+    strings = draw(st.lists(st.tuples(st.sampled_from(xs), masks), min_size=1, max_size=12))
+    coeffs = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -0.5]), st.floats(-5.0, 5.0))
+    values = draw(st.lists(coeffs, min_size=len(strings), max_size=len(strings)))
+    return Hamiltonian(n, {PauliString(n, x, z): v for (x, z), v in zip(strings, values)})
+
+
+class TestHamiltonianMatrix:
+    """The row-table scatter is the sum of Kronecker-product matrices bit
+    for bit: the bit patterns are compared, so signed zeros count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=colliding_sums())
+    def test_matches_kronecker_reference(self, h):
+        got, ref = hamiltonian_matrix(h), hamiltonian_matrix_reference(h)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_colliding_terms_cancel(self):
+        h = Hamiltonian(2, {"XZ": 1.0, "XI": -1.0, "YY": 0.5, "XX": -0.5})
+        got = hamiltonian_matrix(h)
+        assert np.array_equal(got.view(np.uint64), hamiltonian_matrix_reference(h).view(np.uint64))
+        assert np.array_equal(got, label_matrix("XZ") - label_matrix("XI")
+                              + 0.5 * label_matrix("YY") - 0.5 * label_matrix("XX"))
