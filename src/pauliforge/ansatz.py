@@ -1,10 +1,12 @@
-"""Adjoint action of hardware-efficient ansatz gates on Pauli sums.
+"""Adjoint action of Pauli-rotation and CZ ansatz gates on Pauli sums.
 
+A gate is ``CZ`` on two distinct qubits, or ``R`` followed by one letter
+of X, Y, Z per distinct qubit: ``RXZ`` on (0, 3) is exp(-i*theta*A/2)
+about the axis A = X_0 Z_3, and RX/RY/RZ are the one-qubit case.
 Conjugating a Hamiltonian by a circuit, H -> U H U^dag, is applied gate
-by gate directly on the sparse coefficient map.  A rotation
-exp(-i*theta*A/2) leaves terms commuting with the axis Pauli A fixed
-and mixes each anticommuting term B with its partner A*B as a planar
-rotation:
+by gate directly on the sparse coefficient map.  A rotation leaves terms
+commuting with A fixed and mixes each anticommuting term B with its
+partner A*B as a planar rotation:
 
     B -> cos(theta)*B - i*sin(theta)*(A*B),
 
@@ -38,21 +40,17 @@ optimizer runs its restarts in lockstep through one pass per gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .hamiltonian import PRUNE_TOL, Hamiltonian
-from .paulis import PauliString, commutes, pauli_product
-
-ROTATION_KINDS = ("RX", "RY", "RZ")
-
-# axis (x, z) bit pair per rotation kind
-_AXIS_BITS = {"RX": (1, 0), "RY": (1, 1), "RZ": (0, 1)}
+from .paulis import PauliString, digits_from_labels, keys_from_digits
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One ansatz gate: a parameterized rotation or a CZ entangler."""
+    """One ansatz gate: a parameterized Pauli rotation or a CZ entangler."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -71,36 +69,58 @@ class AnsatzLayout:
     def __post_init__(self):
         seen = set()
         for g in self.gates:
-            if g.kind in ROTATION_KINDS:
-                if len(g.qubits) != 1 or g.param is None:
-                    raise ValueError(f"rotation gate needs one qubit and a slot: {g}")
-                if g.param in seen:
-                    raise ValueError(f"parameter slot {g.param} used twice")
-                seen.add(g.param)
-            elif g.kind == "CZ":
-                if len(g.qubits) != 2 or g.qubits[0] == g.qubits[1]:
-                    raise ValueError(f"CZ needs two distinct qubits: {g}")
+            if gate_axis(g, self.n) is None:
                 if g.param is not None:
                     raise ValueError(f"CZ takes no parameter: {g}")
+            elif type(g.param) is not int or g.param in seen:  # bool is refused too
+                raise ValueError(f"rotation needs an int parameter slot of its own: {g}")
             else:
-                raise ValueError(f"unknown gate kind {g.kind!r}")
-            for q in g.qubits:
-                if not (0 <= q < self.n):
-                    raise ValueError(f"qubit {q} out of range for n={self.n}")
+                seen.add(g.param)
         if seen != set(range(self.parameter_count)):
             raise ValueError(
                 f"parameter slots must be 0..{self.parameter_count - 1}, each once"
             )
 
 
+def gate_axis(gate: Gate, n: int) -> str | None:
+    """Parse a gate on n qubits: None for ``CZ``, and for a rotation its
+    axis as an n-qubit Pauli label (``RXZ`` on (2, 0) gives ``"ZIX"``).
+
+    ``CZ`` acts on two distinct qubits; ``R`` is followed by one letter
+    of X, Y, Z per qubit, on distinct qubits.  Qubits are ints in
+    0..n-1.  Anything else raises a ValueError that names the gate.
+    """
+    qubits = gate.qubits
+    if not all(type(q) is int and 0 <= q < n for q in qubits):
+        raise ValueError(f"qubits must be ints in 0..{n - 1}: {gate}")
+    if gate.kind == "CZ":
+        if len(qubits) != 2 or qubits[0] == qubits[1]:
+            raise ValueError(f"CZ needs two distinct qubits: {gate}")
+        return None
+    letters = gate.kind[1:] if isinstance(gate.kind, str) and gate.kind[:1] == "R" else ""
+    if not letters or letters.strip("XYZ"):
+        raise ValueError(f"unknown gate kind {gate.kind!r}: {gate}")
+    if len(letters) != len(qubits) or len(set(qubits)) != len(qubits):
+        raise ValueError(f"rotation needs one axis letter per distinct qubit: {gate}")
+    label = ["I"] * n
+    for q, letter in zip(qubits, letters):
+        label[q] = letter
+    return "".join(label)
+
+
 def hardware_efficient_layout(n: int, depth: int,
                               rotations: tuple[str, ...] = ("RX", "RZ"),
                               entangler: str = "chain") -> AnsatzLayout:
-    """Layered ansatz: per layer, the given rotations on every qubit,
-    then CZ on neighboring pairs ("chain") or all pairs ("all")."""
+    """Layered ansatz: per layer, the given one-qubit rotations on every
+    qubit, then CZ on neighboring pairs ("chain") or all pairs ("all")."""
     for kind in rotations:
-        if kind not in ROTATION_KINDS:
-            raise ValueError(f"unknown rotation kind {kind!r}")
+        gate_axis(Gate(kind, (0,), 0), 1)  # a one-qubit rotation, or ValueError
+    if entangler == "chain":
+        pairs = [(q, q + 1) for q in range(n - 1)]
+    elif entangler == "all":
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    else:
+        raise ValueError(f"unknown entangler {entangler!r}")
     gates = []
     slot = 0
     for _ in range(depth):
@@ -108,12 +128,6 @@ def hardware_efficient_layout(n: int, depth: int,
             for q in range(n):
                 gates.append(Gate(kind, (q,), slot))
                 slot += 1
-        if entangler == "chain":
-            pairs = [(q, q + 1) for q in range(n - 1)]
-        elif entangler == "all":
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        else:
-            raise ValueError(f"unknown entangler {entangler!r}")
         gates.extend(Gate("CZ", pair) for pair in pairs)
     return AnsatzLayout(n=n, depth=depth, gates=tuple(gates), parameter_count=slot)
 
@@ -158,37 +172,33 @@ def as_parameter_vector(theta, count: int) -> np.ndarray:
 # -- compiled propagation ------------------------------------------------
 
 
-def _rotation_tables(kind: str):
-    """Indexed by a string o's digit 2*x + z on the rotated qubit: whether
-    o anticommutes with the axis A, and the sign with which its partner
-    B = A*o feeds into it (0 where it commutes): -i*(A*B) is that sign
-    times o, with the phase taken from :func:`~pauliforge.paulis.pauli_product`."""
-    axis = PauliString(1, *_AXIS_BITS[kind])
-    anti = np.zeros(4, dtype=bool)
-    sign = np.zeros(4)
-    for d in range(4):
-        o = PauliString(1, d >> 1, d & 1)
-        if not commutes(axis, o):
-            anti[d] = True
-            partner = pauli_product(axis, o).string
-            sign[d] = 1.0 if pauli_product(axis, partner).phase == 1j else -1.0
-    return anti, sign
+def _anticommuting(keys: np.ndarray, axis: np.uint64, n: int) -> np.ndarray:
+    """Whether each key anticommutes with the axis A: the symplectic form
+    is the parity of popcount(key & A'), A' being A with its x and z
+    halves swapped."""
+    shift = np.uint64(n)
+    swapped = ((axis & np.uint64((1 << n) - 1)) << shift) | (axis >> shift)
+    return (np.bitwise_count(keys & swapped) & 1).astype(bool)
 
 
-_ROTATION_TABLES = {kind: _rotation_tables(kind) for kind in ROTATION_KINDS}
+def _partner_signs(targets: np.ndarray, axis: np.uint64, n: int) -> np.ndarray:
+    """For keys o anticommuting with the axis A, the sign s with
+    -i*(A*B) = s*o for the partner B = A*o.
 
-
-def _axis_key(kind: str, n: int, q: int) -> np.uint64:
-    """Packed key of the rotation's axis Pauli on qubit q."""
-    ax, az = _AXIS_BITS[kind]
-    return np.uint64((ax << (n + q)) | (az << q))
-
-
-def _digits(keys: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Each key's digit 2*x + z on qubit q."""
-    one = np.uint64(1)
-    x = (keys >> np.uint64(n + q)) & one
-    return ((x << one) | ((keys >> np.uint64(q)) & one)).astype(np.intp)
+    :func:`~pauliforge.paulis.pauli_product` gives A*B = i^k * o with
+    k = |A.x&A.z| + |B.x&B.z| - |o.x&o.z| + 2*|A.z&B.x| (mod 4), which
+    is 1 (s = +1) or 3 (s = -1) for an anticommuting pair.
+    """
+    shift = np.uint64(n)
+    partners = targets ^ axis
+    # |P.x & P.z| is popcount(P & (P >> n)), and 3 is -1 mod 4.  axis << n
+    # puts A.z on the x half; A.x lands above the 2n key bits, where
+    # partners are 0.
+    k = (np.bitwise_count(axis & (axis >> shift))
+         + np.bitwise_count(partners & (partners >> shift))
+         + 3 * np.bitwise_count(targets & (targets >> shift))
+         + 2 * np.bitwise_count(partners & (axis << shift)))  # uint8, below 256
+    return 1.0 - (k & 2)
 
 
 def _locate(keys: np.ndarray, queries: np.ndarray):
@@ -202,7 +212,7 @@ class _RotationGather:
     """A rotation's map from entries on ``source`` keys to ``target`` keys.
 
     Target entry o reads the source entry at its own key and, when o
-    anticommutes with the axis A, the one at A*o:
+    anticommutes with the axis A (``anti``), the one at A*o:
 
         y[o] = (keep[o] + cos(t)*own[o]) * x[src1[o]] + sin(t)*sign[o] * x[src2[o]]
 
@@ -218,18 +228,19 @@ class _RotationGather:
 
     __slots__ = ("src1", "src2", "keep", "own", "sign")
 
-    def __init__(self, source, target, n, kind, qubit):
-        anti_table, sign_table = _ROTATION_TABLES[kind]
-        digits = _digits(target, n, qubit)
-        anti = anti_table[digits]
+    def __init__(self, source, target, anti, axis, n):
         own_at, own_in = _locate(source, target)
-        partner_at, partner_in = _locate(source, target ^ _axis_key(kind, n, qubit))
-        partner_in &= anti
-        self.src1 = np.where(own_in, own_at, partner_at)
-        self.src2 = np.where(partner_in, partner_at, self.src1)
+        at = np.flatnonzero(anti)
+        partner_at, partner_in = _locate(source, target[at] ^ axis)
+        at, partner_at = at[partner_in], partner_at[partner_in]  # partners present
+        self.src2 = own_at.copy()
+        self.src2[at] = partner_at
+        # a target absent from the source is the partner of a source key
+        self.src1 = np.where(own_in, own_at, self.src2)
         self.keep = (own_in & ~anti).astype(np.float64)
         self.own = (own_in & anti).astype(np.float64)
-        self.sign = np.where(partner_in, sign_table[digits], 0.0)
+        self.sign = np.zeros(target.size)
+        self.sign[at] = _partner_signs(target[at], axis, n)
 
     def __call__(self, x, c, s):
         return ((self.keep + c * self.own) * x.take(self.src1, axis=-1)
@@ -270,47 +281,44 @@ class _CZGather:
         return self.sign * x.take(self.src, axis=-1)
 
 
-def _output_keys(gate: Gate, keys: np.ndarray, n: int) -> np.ndarray:
-    """Sorted support leaving the gate when ``keys`` enter it, before pruning."""
-    if gate.kind == "CZ":
-        flip, _ = _cz_bits(keys, n, *gate.qubits)
-        return np.sort(keys ^ flip)
-    q = gate.qubits[0]
-    anti = _ROTATION_TABLES[gate.kind][0][_digits(keys, n, q)]
+def _rotated_keys(keys: np.ndarray, anti: np.ndarray, axis: np.uint64) -> np.ndarray:
+    """Sorted support leaving a rotation when ``keys`` enter it, before
+    pruning: the keys and the partners of those anticommuting with it."""
     # Sort and drop repeats by hand: np.union1d's hash-based np.unique
     # costs about 1.5 MB of resident memory on first use.
-    partners = keys[anti] ^ _axis_key(gate.kind, n, q)
-    merged = np.sort(np.concatenate([keys, partners]))
+    merged = np.sort(np.concatenate([keys, keys[anti] ^ axis]))
     first = np.ones(merged.size, dtype=bool)
     first[1:] = merged[1:] != merged[:-1]
     return merged[first]
 
 
-def _gather(gate: Gate, source: np.ndarray, target: np.ndarray, n: int):
-    if gate.kind == "CZ":
-        return _CZGather(source, target, n, *gate.qubits)
-    return _RotationGather(source, target, n, gate.kind, gate.qubits[0])
-
-
 class _Step:
-    """One gate compiled on the key set that enters it."""
+    """One gate compiled on the key set that enters it; ``axis`` is the
+    rotation's axis key, None for a CZ."""
 
-    __slots__ = ("gate", "param", "keys_in", "keys", "gather", "_back", "_n")
+    __slots__ = ("param", "keys_in", "keys", "gather", "_back", "_compile_back")
 
-    def __init__(self, gate: Gate, keys_in: np.ndarray, n: int):
-        self.gate = gate
+    def __init__(self, gate: Gate, axis, keys_in: np.ndarray, n: int):
         self.param = gate.param
         self.keys_in = keys_in
-        self.keys = _output_keys(gate, keys_in, n)
-        self.gather = _gather(gate, keys_in, self.keys, n)
         self._back = None
-        self._n = n
+        if axis is None:
+            flip, _ = _cz_bits(keys_in, n, *gate.qubits)
+            self.keys = np.sort(keys_in ^ flip)
+            self.gather = _CZGather(keys_in, self.keys, n, *gate.qubits)
+            self._compile_back = partial(_CZGather, self.keys, keys_in, n, *gate.qubits)
+        else:
+            anti = _anticommuting(keys_in, axis, n)  # also the back gather's
+            self.keys = _rotated_keys(keys_in, anti, axis)
+            self.gather = _RotationGather(keys_in, self.keys,
+                                          _anticommuting(self.keys, axis, n), axis, n)
+            self._compile_back = partial(_RotationGather, self.keys, keys_in, anti, axis, n)
 
     def back(self):
         """The transposed gather, from the output keys onto the input keys,
         compiled on first use (only gradients need it)."""
         if self._back is None:
-            self._back = _gather(self.gate, self.keys, self.keys_in, self._n)
+            self._back = self._compile_back()
         return self._back
 
 
@@ -378,10 +386,13 @@ class CompiledAnsatz:
             raise ValueError(f"layout is for {layout.n} qubits, Hamiltonian has {h.n}")
         self.h = h
         self.layout = layout
+        labels = [gate_axis(g, h.n) for g in layout.gates]  # None for a CZ
+        rotations = [a for a in labels if a]
+        axes = iter(keys_from_digits(digits_from_labels(rotations, h.n)) if rotations else ())
         steps = []
         keys = h.keys
-        for gate in layout.gates:
-            steps.append(_Step(gate, keys, h.n))
+        for gate, label in zip(layout.gates, labels):
+            steps.append(_Step(gate, label and next(axes), keys, h.n))
             keys = steps[-1].keys
         self.steps = tuple(steps)
         self.keys = keys
@@ -462,9 +473,7 @@ class CompiledAnsatz:
 
 
 def conjugate_rotation(h: Hamiltonian, axis: str, qubit: int, theta: float) -> Hamiltonian:
-    """U H U^dag for U = exp(-i*theta*P_axis(qubit)/2)."""
-    if axis not in ("X", "Y", "Z"):
-        raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
+    """U H U^dag for U = exp(-i*theta*P_axis(qubit)/2), ``axis`` one of X, Y, Z."""
     return apply_ansatz(h, layout_from_gates(h.n, [Gate("R" + axis, (qubit,), 0)]), [theta])
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ansatz import Gate, gate_axis
 from .hamiltonian import Hamiltonian
 from .paulis import PauliString
 
@@ -103,23 +104,12 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def gate_matrix(kind: str, qubits: tuple[int, ...], theta: float | None, n: int) -> np.ndarray:
     """Dense unitary of a single ansatz gate embedded on n qubits."""
     _check_capacity(n)
-    if kind in ("RX", "RY", "RZ"):
-        (q,) = qubits
-        axis = {"RX": PauliString(n, 1 << q, 0),
-                "RY": PauliString(n, 1 << q, 1 << q),
-                "RZ": PauliString(n, 0, 1 << q)}[kind]
-        a = pauli_matrix(axis)
+    axis = gate_axis(Gate(kind, qubits), n)
+    if axis is not None:
+        a = pauli_matrix(PauliString.from_label(axis))
         return np.cos(theta / 2) * np.eye(2**n) - 1j * np.sin(theta / 2) * a
-    if kind == "CZ":
-        q1, q2 = qubits
-        dim = 1 << n
-        diag = np.ones(dim, dtype=complex)
-        idx = np.arange(dim)
-        b1 = (idx >> (n - 1 - q1)) & 1
-        b2 = (idx >> (n - 1 - q2)) & 1
-        diag[(b1 & b2) == 1] = -1.0
-        return np.diag(diag)
-    raise ValueError(f"unknown gate kind {kind!r}")
+    za, zb = (pauli_matrix(PauliString(n, 0, 1 << q)) for q in qubits)
+    return (np.eye(2**n) + za + zb - za @ zb) / 2  # CZ
 
 
 def ansatz_unitary(layout, theta) -> np.ndarray:

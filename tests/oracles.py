@@ -2,22 +2,24 @@
 
 The dense ones are built from first principles (kron products and
 explicit cos/sin gate matrices).  The sparse reference propagation
-merges terms gate by gate with np.unique.  Neither shares code with the
-compiled engine it checks.  The qDrift reference is the sampling code
-as first written, one copy per function; the dense Hamiltonian reference
-sums one Kronecker-product matrix per term; the sorted-insertion
-reference calls the public commutation predicate once per pair.  The
-restart reference at the end is the optimizer loop as it ran one restart
-at a time, before restarts ran in lockstep.
+rotates one key at a time through the public ``commutes`` and
+``pauli_product`` and merges terms gate by gate with np.unique.
+Neither shares code with the compiled engine it checks.  The qDrift
+reference is the sampling code as first written, one copy per function;
+the dense Hamiltonian reference sums one Kronecker-product matrix per
+term; the sorted-insertion reference calls the public commutation
+predicate once per pair.  The restart reference at the end is the
+optimizer loop as it ran one restart at a time, before restarts ran in
+lockstep.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from pauliforge.ansatz import CompiledAnsatz, hardware_efficient_layout
+from pauliforge.ansatz import CompiledAnsatz, Gate, hardware_efficient_layout, layout_from_gates
 from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
-from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
+from pauliforge.paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
 from pauliforge.dense import _check_capacity, haar_state, pauli_matrix
 from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
 from pauliforge.optimize import (
@@ -85,10 +87,21 @@ def cz_matrix(q1, q2, n):
     return np.diag(diag)
 
 
+def axis_label_reference(gate, n):
+    """The n-qubit label of a rotation's axis: letter k of ``R<letters>``
+    on qubit ``gate.qubits[k]``."""
+    label = ["I"] * n
+    for q, letter in zip(gate.qubits, gate.kind[1:]):
+        label[q] = letter
+    return "".join(label)
+
+
 def gate_unitary(gate, theta, n):
     if gate.kind == "CZ":
         return cz_matrix(gate.qubits[0], gate.qubits[1], n)
-    return embed_1q(rotation_1q(gate.kind[1], theta[gate.param]), gate.qubits[0], n)
+    t = theta[gate.param]
+    a = label_matrix(axis_label_reference(gate, n))
+    return np.cos(t / 2) * np.eye(2**n) - 1j * np.sin(t / 2) * a
 
 
 def ansatz_unitary_oracle(layout, theta):
@@ -149,15 +162,36 @@ SPECIAL_ANGLES = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, -np.pi / 2, 2 * np.pi]
 
 
 @st.composite
-def circuits(draw, rows=None, max_qubits=4):
-    """A random Hamiltonian, hardware-efficient layout and angle vector,
-    or, given ``rows``, a (b, P) stack of 1 to ``rows`` angle vectors."""
+def hardware_efficient_layouts(draw, max_qubits=4):
     n = draw(st.integers(1, max_qubits))
-    layout = hardware_efficient_layout(
+    return hardware_efficient_layout(
         n, draw(st.integers(1, 2)),
         rotations=draw(st.sampled_from(ROTATION_SETS)),
         entangler=draw(st.sampled_from(["chain", "all"])),
     )
+
+
+@st.composite
+def pauli_axis_layouts(draw, max_qubits=4):
+    """A hardware-efficient layout with one to four rotations about Pauli
+    axes of weight 1 to 3 inserted at random positions, on new slots."""
+    layout = draw(hardware_efficient_layouts(max_qubits))
+    gates = list(layout.gates)
+    first = layout.parameter_count
+    for slot in range(first, first + draw(st.integers(1, 4))):
+        qubits = draw(st.lists(st.integers(0, layout.n - 1), min_size=1,
+                               max_size=min(3, layout.n), unique=True))
+        letters = draw(st.text("XYZ", min_size=len(qubits), max_size=len(qubits)))
+        gates.insert(draw(st.integers(0, len(gates))), Gate("R" + letters, tuple(qubits), slot))
+    return layout_from_gates(layout.n, gates, layout.depth)
+
+
+@st.composite
+def circuits(draw, rows=None, max_qubits=4, layouts=hardware_efficient_layouts):
+    """A random Hamiltonian, layout and angle vector, or, given ``rows``,
+    a (b, P) stack of 1 to ``rows`` angle vectors."""
+    layout = draw(layouts(max_qubits))
+    n = layout.n
     indices = draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=12, unique=True))
     # Magnitudes stay far above the range where the l2 norm underflows;
     # the two tiny ones sit below and above PRUNE_TOL.
@@ -202,7 +236,6 @@ def random_theta(layout, rng):
 # match these numbers bit for bit.
 
 REF_PRUNE_TOL = 1e-12
-_REF_AXIS_BITS = {"RX": (1, 0), "RY": (1, 1), "RZ": (0, 1)}
 
 
 def merge_reference(keys, coeffs, tol):
@@ -215,29 +248,29 @@ def merge_reference(keys, coeffs, tol):
     return uniq[keep], summed[keep]
 
 
-def _ref_bits(keys, n, q):
-    xq = ((keys >> np.uint64(n + q)) & np.uint64(1)).astype(np.int64)
-    zq = ((keys >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
-    return xq, zq
-
-
-def rotation_raw_reference(keys, coeffs, n, kind, qubit, theta, derivative=False):
-    """Unmerged output terms of a rotation, or of its theta-derivative."""
-    ax, az = _REF_AXIS_BITS[kind]
-    xq, zq = _ref_bits(keys, n, qubit)
-    anti = (ax * zq + az * xq) % 2 == 1
-    akeys, acoeffs = keys[anti], coeffs[anti]
-    partner = akeys ^ np.uint64((ax << (n + qubit)) | (az << qubit))
-    txq, tzq = xq[anti], zq[anti]
-    cx, cz = txq ^ ax, tzq ^ az
-    k = (ax * az + txq * tzq - cx * cz + 2 * az * txq) % 4
-    sign = np.where(k == 1, 1.0, -1.0)
+def rotation_raw_reference(keys, coeffs, n, gate, theta, derivative=False):
+    """Unmerged output terms of a rotation about any Pauli axis A, or of
+    its theta-derivative, one key at a time through the public algebra:
+    a term B anticommuting with A gives cos*B and sin*s*C, where
+    -i*(A*B) = s*C."""
+    axis = PauliString.from_label(axis_label_reference(gate, n))
     c, s = np.cos(theta), np.sin(theta)
-    if derivative:
-        return (np.concatenate([akeys, partner]),
-                np.concatenate([-s * acoeffs, c * sign * acoeffs]))
-    return (np.concatenate([keys[~anti], akeys, partner]),
-            np.concatenate([coeffs[~anti], c * acoeffs, s * sign * acoeffs]))
+    out_keys, out_coeffs = [], []
+    for key, coeff in zip(keys.tolist(), coeffs.tolist()):
+        b = PauliString.from_key(key, n)
+        if commutes(axis, b):
+            if not derivative:
+                out_keys.append(key)
+                out_coeffs.append(coeff)
+            continue
+        product = pauli_product(axis, b)
+        sign = (-1j * product.phase).real
+        out_keys += [key, product.string.key()]
+        if derivative:
+            out_coeffs += [-s * coeff, c * sign * coeff]
+        else:
+            out_coeffs += [c * coeff, s * sign * coeff]
+    return np.array(out_keys, dtype=np.uint64), np.array(out_coeffs, dtype=np.float64)
 
 
 def cz_raw_reference(keys, coeffs, n, q1, q2):
@@ -255,7 +288,7 @@ def gate_reference(keys, coeffs, n, gate, theta_value, tol=REF_PRUNE_TOL):
     if gate.kind == "CZ":
         raw = cz_raw_reference(keys, coeffs, n, *gate.qubits)
     else:
-        raw = rotation_raw_reference(keys, coeffs, n, gate.kind, gate.qubits[0], theta_value)
+        raw = rotation_raw_reference(keys, coeffs, n, gate, theta_value)
     return merge_reference(raw[0], raw[1], tol)
 
 
@@ -301,8 +334,7 @@ def value_and_grad_reference(h, layout, theta, kind):
             gk, gc = gate_reference(gk, gc, n, g, None, tol=0.0)
             continue
         t = float(theta[g.param])
-        dk, dc = rotation_raw_reference(*states[j], n, g.kind, g.qubits[0], t,
-                                        derivative=True)
+        dk, dc = rotation_raw_reference(*states[j], n, g, t, derivative=True)
         dk, dc = merge_reference(dk, dc, 0.0)
         grad[g.param] = sparse_dot_reference(gk, gc, dk, dc)
         gk, gc = gate_reference(gk, gc, n, g, -t, tol=0.0)

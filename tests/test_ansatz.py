@@ -1,11 +1,14 @@
 """Adjoint gate action versus dense conjugation oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from pauliforge.ansatz import (
     AnsatzLayout,
+    CompiledAnsatz,
     Gate,
     apply_ansatz,
     apply_ansatz_inverse,
@@ -17,15 +20,17 @@ from pauliforge.ansatz import (
     layout_from_gates,
     layout_to_dict,
 )
-from pauliforge.hamiltonian import Hamiltonian, l2_norm, vectorize
+from pauliforge.hamiltonian import PRUNE_TOL, Hamiltonian, l2_norm, vectorize
 from pauliforge.paulis import PauliString
 
 from oracles import (
+    ansatz_unitary_oracle,
     circuits,
     conjugate_dense,
     cz_matrix,
     dense_hamiltonian,
     embed_1q,
+    pauli_axis_layouts,
     random_hamiltonian,
     random_layout,
     random_theta,
@@ -35,6 +40,17 @@ from oracles import (
 
 def assert_matches_dense(h_sparse, m_dense, atol=1e-10):
     assert np.allclose(dense_hamiltonian(h_sparse), m_dense, atol=atol)
+
+
+def pruned_mass(engine, theta):
+    """The l1 mass the engine's pruning drops over the whole circuit."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    total = 0.0
+    for step, x in zip(engine.steps, engine.propagate(theta)):
+        y = step.gather(x) if step.param is None else step.gather(x, cos[step.param],
+                                                                   sin[step.param])
+        total += np.abs(y[np.abs(y) < PRUNE_TOL]).sum()
+    return total
 
 
 class TestConjugateRotation:
@@ -87,6 +103,11 @@ class TestConjugateRotation:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
             conjugate_rotation(Hamiltonian(2, {"XI": 1.0}), "X", 2, 0.1)
+
+    @pytest.mark.parametrize("axis", ["Q", "I", "XZ", ""])
+    def test_axis_other_than_x_y_z_rejected(self, axis):
+        with pytest.raises(ValueError, match="R" + axis):
+            conjugate_rotation(Hamiltonian(2, {"XI": 1.0}), axis, 0, 0.1)
 
 
 class TestConjugateCZ:
@@ -148,6 +169,39 @@ class TestLayout:
         layout = hardware_efficient_layout(2, 2, rotations=("RY", "RZ"))
         assert layout_from_dict(layout_to_dict(layout)) == layout
 
+    def test_pauli_axis_gate_json_round_trip(self):
+        layout = layout_from_gates(3, [Gate("RX", (1,), 0), Gate("RXZ", (2, 0), 1),
+                                       Gate("CZ", (0, 1))])
+        assert layout_from_dict(json.loads(json.dumps(layout_to_dict(layout)))) == layout
+
+    @pytest.mark.parametrize("kind, qubits", [
+        ("RI", (0,)), ("RQ", (0,)), ("R", ()), ("RXX", (1,)), ("RXZ", (1, 1)), ("rx", (0,)),
+    ])
+    def test_malformed_rotation_rejected(self, kind, qubits):
+        with pytest.raises(ValueError, match=kind):
+            layout_from_gates(3, [Gate(kind, qubits, 0)])
+
+    @pytest.mark.parametrize("gate", [
+        {"kind": "RX", "qubits": [0.0], "param": 0},
+        {"kind": "RX", "qubits": [True], "param": 0},
+        {"kind": "CZ", "qubits": [0, 1.0], "param": None},
+        {"kind": "RX", "qubits": [0], "param": True},
+        {"kind": "RX", "qubits": [0], "param": 0.0},
+    ])
+    def test_non_int_qubit_or_slot_rejected(self, gate):
+        """A float or bool qubit or slot in layout JSON is refused up front,
+        naming the gate, instead of failing later inside the engine."""
+        d = {"n": 2, "depth": 0, "parameter_count": 1 if gate["param"] is not None else 0,
+             "gates": [gate]}
+        with pytest.raises(ValueError, match=f"kind='{gate['kind']}'"):
+            layout_from_dict(d)
+
+    def test_options_checked_at_depth_zero(self):
+        with pytest.raises(ValueError, match="unknown entangler"):
+            hardware_efficient_layout(3, 0, entangler="bogus")
+        with pytest.raises(ValueError, match="RXY"):
+            hardware_efficient_layout(3, 0, rotations=("RXY",))
+
 
 class TestApplyAnsatz:
     def test_zero_angles_identity(self):
@@ -205,6 +259,25 @@ class TestApplyAnsatz:
             assert abs(l2_norm(out) - l2_norm(h)) <= 1e-10 * scale
             e1 = np.linalg.eigvalsh(dense_hamiltonian(out))
             assert np.max(np.abs(e1 - e0)) <= 1e-9 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuits(layouts=pauli_axis_layouts))
+    def test_pauli_axis_rotations_match_dense(self, case):
+        """Rotations about axes of weight 1 to 3 on up to 4 qubits, forward
+        and inverse, against dense U H U^dag.  Each prune moves the operator
+        by at most the l1 mass it drops and the gates after it are unitary,
+        so the distance is rounding (1e-12) plus the mass pruned in total."""
+        h, layout, theta = case
+        u = ansatz_unitary_oracle(layout, theta)
+        m = dense_hamiltonian(h)
+        reverse = AnsatzLayout(h.n, layout.depth, layout.gates[::-1], layout.parameter_count)
+        for got, expected, engine, angles in (
+            (apply_ansatz(h, layout, theta), u @ m @ u.conj().T, CompiledAnsatz(h, layout), theta),
+            (apply_ansatz_inverse(h, layout, theta), u.conj().T @ m @ u,
+             CompiledAnsatz(h, reverse), -theta),
+        ):
+            error = np.max(np.abs(dense_hamiltonian(got) - expected))
+            assert error <= 1e-12 + pruned_mass(engine, angles)
 
     def test_theta_length_checked(self):
         h = Hamiltonian(2, {"XI": 1.0})
