@@ -13,7 +13,7 @@ partner A*B as a planar rotation:
 where -i*(A*B) is again +/- a Hermitian Pauli string, so coefficients
 stay real.  CZ is Clifford: each string maps to one string with a sign.
 The induced linear map on coefficient space is real orthogonal;
-:func:`build_encoded_v` materializes it densely for verification.
+:func:`pauliforge.dense.build_encoded_v` materializes it densely.
 
 One engine, :class:`CompiledAnsatz`, runs every propagation.  For a
 fixed input key set the support after each gate does not depend on the
@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .hamiltonian import PRUNE_TOL, Hamiltonian
-from .paulis import PauliString, digits_from_labels, keys_from_digits
+from .paulis import digits_from_labels, keys_from_digits
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class AnsatzLayout:
     parameter_count: int
 
     def __post_init__(self):
+        if type(self.depth) is not int or self.depth < 0:  # bool is refused too
+            raise ValueError(f"depth must be an int >= 0, got {self.depth!r}")
         seen = set()
         for g in self.gates:
             if gate_axis(g, self.n) is None:
@@ -494,21 +496,3 @@ def apply_ansatz_inverse(h: Hamiltonian, layout: AnsatzLayout, theta) -> Hamilto
     reverse = AnsatzLayout(layout.n, layout.depth, layout.gates[::-1], layout.parameter_count)
     return CompiledAnsatz(h, reverse).hamiltonian(-theta)
 
-
-def build_encoded_v(layout: AnsatzLayout, theta, n: int) -> np.ndarray:
-    """Dense 4^n x 4^n coefficient-space unitary of the ansatz.
-
-    Row i holds the Pauli coefficients of U^dag P_i U, so that
-    V @ vectorize(H) equals vectorize(U H U^dag) entrywise.  Test-only;
-    capped at 3 qubits.
-    """
-    if n > 3:
-        raise ValueError(f"encoded unitary is dense in 4^n; capped at n=3, got {n}")
-    dim = 4**n
-    v = np.zeros((dim, dim), dtype=np.float64)
-    for i in range(dim):
-        basis = Hamiltonian(n, {PauliString.from_index(i, n): 1.0})
-        row = apply_ansatz_inverse(basis, layout, theta)
-        idx = row.indices()
-        v[i, idx] = row.coeffs
-    return v

@@ -2,25 +2,22 @@
 
 Basis convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of the computational-basis index.  Dense paths are
-capped at 10 qubits (dimension 1024).
+capped at 10 qubits (dimension 1024).  Every dense Pauli action is the
+string's row table (:func:`_pauli_rows`), read off its packed key.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ansatz import Gate, gate_axis
+from .ansatz import AnsatzLayout, apply_ansatz_inverse, as_parameter_vector, gate_axis
 from .hamiltonian import Hamiltonian
-from .paulis import PauliString
+from .paulis import PauliString, digits_from_keys
 
 DENSE_MAX_QUBITS = 10
-
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# Row-table entries built at once for a Hamiltonian's terms: 1 MiB of phases
+_TABLE_ENTRIES = 1 << 16
+_Y_PHASES = np.array([1j**k for k in range(4)])  # i^|x&z|, by |x&z| mod 4
 
 
 def _check_capacity(n: int) -> None:
@@ -28,20 +25,45 @@ def _check_capacity(n: int) -> None:
         raise ValueError(f"dense path capped at {DENSE_MAX_QUBITS} qubits, got {n}")
 
 
-def _reverse_bits(v: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (v & 1)
-        v >>= 1
-    return out
+def _check_state(psi: np.ndarray, n: int) -> None:
+    if psi.shape != (1 << n,):
+        raise ValueError(f"state has dimension {psi.shape}, expected ({1 << n},)")
+
+
+def _pauli_rows(keys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source row and phase of every basis row under the string of each
+    packed key, so that (P psi)[i] = phase[i] * psi[src[i]]: length 2^n
+    for one key, shape (m, 2^n) for m keys.
+
+    Uses P = i^{|x&z|} X^x Z^z: the X part sends row i to source row
+    i ^ x, the Z part flips the sign where the source row has an odd
+    number of bits in z.  The row masks are read off the codec's digits.
+    """
+    digits = digits_from_keys(keys, n)
+    z = digits >> 1
+    x = (digits & 1) ^ z
+    bit = 1 << np.arange(n - 1, -1, -1)
+    src = np.arange(1 << n) ^ (x @ bit)[:, None]
+    # bitwise_count returns uint8, where 1 - 2*parity would wrap to 255
+    parity = np.bitwise_count(src & (z @ bit)[:, None]).astype(np.intp) & 1
+    phase = _Y_PHASES[(x & z).sum(axis=1) % 4][:, None] * (1 - 2 * parity)
+    return (src[0], phase[0]) if np.ndim(keys) == 0 else (src, phase)
+
+
+def _term_rows(h: Hamiltonian):
+    """Each term's coefficient, source rows and phases in key order, the
+    tables built _TABLE_ENTRIES at a time whatever the term count."""
+    step = max(1, _TABLE_ENTRIES >> h.n)
+    for i in range(0, len(h), step):
+        yield from zip(h.coeffs[i:i + step].tolist(), *_pauli_rows(h.keys[i:i + step], h.n))
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli string."""
+    """Dense 2^n x 2^n matrix of a Pauli string: its row table scattered."""
     _check_capacity(p.n)
-    out = np.array([[1.0 + 0.0j]])
-    for ch in p.label:
-        out = np.kron(out, PAULI_1Q[ch])
+    src, phase = _pauli_rows(p.key(), p.n)
+    out = np.zeros((src.size, src.size), dtype=complex)
+    out[np.arange(src.size), src] = phase
     return out
 
 
@@ -53,36 +75,17 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     term order: the sum of Kronecker-product matrices bit for bit.
     """
     _check_capacity(h.n)
-    dim = 1 << h.n
-    out = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for p, c in h:
-        src, phase = _pauli_rows(p)
+    rows = np.arange(1 << h.n)
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    for c, src, phase in _term_rows(h):
         out[rows, src] += c * phase
     return out
 
 
-def _pauli_rows(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Source row and phase of every basis row under P, so that
-    (P psi)[i] = phase[i] * psi[src[i]].
-
-    Uses P = i^{|x&z|} X^x Z^z: the X part sends row i to source row
-    i ^ x, the Z part flips the sign where the source row has an odd
-    number of bits in z.
-    """
-    n = p.n
-    src = np.arange(1 << n, dtype=np.intp) ^ _reverse_bits(p.x, n)
-    # bitwise_count returns uint8, where 1 - 2*parity would wrap to 255
-    parity = np.bitwise_count(src & _reverse_bits(p.z, n)).astype(np.intp) & 1
-    return src, 1j ** ((p.x & p.z).bit_count() % 4) * (1 - 2 * parity)
-
-
 def apply_pauli(p: PauliString, psi: np.ndarray) -> np.ndarray:
     """P @ psi without building the matrix: one row gather and phase."""
-    dim = 1 << p.n
-    if psi.shape != (dim,):
-        raise ValueError(f"state has dimension {psi.shape}, expected ({dim},)")
-    src, phase = _pauli_rows(p)
+    _check_state(psi, p.n)
+    src, phase = _pauli_rows(p.key(), p.n)
     return phase * psi[src]
 
 
@@ -92,7 +95,10 @@ def pauli_expectation(p: PauliString, psi: np.ndarray) -> float:
 
 
 def hamiltonian_expectation(h: Hamiltonian, psi: np.ndarray) -> float:
-    return float(sum(c * pauli_expectation(p, psi) for p, c in h))
+    """Real <psi|H|psi>, summed term by term in key order."""
+    _check_state(psi, h.n)
+    return float(sum(c * float(np.vdot(psi, phase * psi[src]).real)
+                     for c, src, phase in _term_rows(h)))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,23 +107,38 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def gate_matrix(kind: str, qubits: tuple[int, ...], theta: float | None, n: int) -> np.ndarray:
-    """Dense unitary of a single ansatz gate embedded on n qubits."""
-    _check_capacity(n)
-    axis = gate_axis(Gate(kind, qubits), n)
-    if axis is not None:
-        a = pauli_matrix(PauliString.from_label(axis))
-        return np.cos(theta / 2) * np.eye(2**n) - 1j * np.sin(theta / 2) * a
-    za, zb = (pauli_matrix(PauliString(n, 0, 1 << q)) for q in qubits)
-    return (np.eye(2**n) + za + zb - za @ zb) / 2  # CZ
-
-
-def ansatz_unitary(layout, theta) -> np.ndarray:
-    """Dense unitary of a full ansatz (gates applied in circuit order)."""
+def ansatz_unitary(layout: AnsatzLayout, theta) -> np.ndarray:
+    """Dense unitary of a full ansatz, its gates applied in circuit order
+    as row operations: a rotation about the Pauli A is u <- cos(t/2)*u
+    - i*sin(t/2)*(A u), and CZ negates the rows where Z_a and Z_b both
+    read -1, i.e. where both qubits are 1."""
     _check_capacity(layout.n)
-    theta = np.asarray(theta, dtype=np.float64)
-    u = np.eye(2**layout.n, dtype=complex)
+    theta = as_parameter_vector(theta, layout.parameter_count)
+    u = np.eye(1 << layout.n, dtype=complex)
     for g in layout.gates:
-        t = float(theta[g.param]) if g.param is not None else None
-        u = gate_matrix(g.kind, g.qubits, t, layout.n) @ u
+        axis = gate_axis(g, layout.n)
+        if axis is None:
+            _, z = _pauli_rows(np.array([1 << q for q in g.qubits], np.uint64), layout.n)
+            u[(z.real < 0).all(axis=0)] *= -1
+        else:
+            src, phase = _pauli_rows(PauliString.from_label(axis).key(), layout.n)
+            t = theta[g.param] / 2
+            u = np.cos(t) * u - 1j * np.sin(t) * (phase[:, None] * u[src])
     return u
+
+
+def build_encoded_v(layout: AnsatzLayout, theta, n: int) -> np.ndarray:
+    """Dense 4^n x 4^n coefficient-space unitary of the ansatz.
+
+    Row i holds the Pauli coefficients of U^dag P_i U, so that
+    V @ vectorize(H) equals vectorize(U H U^dag) entrywise.  Test-only;
+    capped at 3 qubits.
+    """
+    if n > 3:
+        raise ValueError(f"encoded unitary is dense in 4^n; capped at n=3, got {n}")
+    v = np.zeros((4**n, 4**n), dtype=np.float64)
+    for i in range(4**n):
+        basis = Hamiltonian(n, {PauliString.from_index(i, n): 1.0})
+        row = apply_ansatz_inverse(basis, layout, theta)
+        v[i, row.indices()] = row.coeffs
+    return v

@@ -71,9 +71,7 @@ def trotter_first_order(h: Hamiltonian, t: float, r: int) -> np.ndarray:
         raise ValueError(f"product formula capped at {DENSE_MAX_QUBITS} qubits, got {h.n}")
     if r < 1:
         raise ValueError(f"segment count must be >= 1, got {r}")
-    dim = 1 << h.n
-    segment = np.eye(dim, dtype=complex)
-    eye = np.eye(dim, dtype=complex)
+    segment = eye = np.eye(1 << h.n, dtype=complex)
     for p, c in _terms_by_magnitude(h):
         alpha = t * c / r
         gate = np.cos(alpha) * eye - 1j * np.sin(alpha) * pauli_matrix(p)
@@ -126,18 +124,18 @@ class _QDrift:
         if len(h) == 0:
             raise ValueError("cannot sample the zero Hamiltonian")
         self.gate_count = gate_count
-        self._terms = h.terms_by_index()
-        weights = np.abs([c for _, c in self._terms])
+        order = np.argsort(h.indices(), kind="stable")  # terms_by_index() order
+        self._n, self._keys, coeffs = h.n, h.keys[order], h.coeffs[order]
+        weights = np.abs(coeffs)
         self.gamma = float(weights.sum())
         # Generator.choice(p=weights/gamma) builds and searches this table
         self._cdf = (weights / self.gamma).cumsum()
         self._cdf /= self._cdf[-1]
-        self._signs = [1.0 if c >= 0 else -1.0 for _, c in self._terms]
+        self._signs = [1.0 if c >= 0 else -1.0 for c in coeffs.tolist()]
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        src, phase = zip(*(_pauli_rows(p) for p, _ in self._terms))
-        return np.array(src), np.array(phase)
+        return _pauli_rows(self._keys, self._n)
 
     def tau(self, t: float) -> float:
         return t * self.gamma / self.gate_count

@@ -164,16 +164,9 @@ def _shared_eigenbasis(members, rng):
     for _ in range(5):
         combo = sum(rng.standard_normal() * m for m in mats)
         _, w = np.linalg.eigh(combo)
-        diags = []
-        ok = True
-        for m in mats:
-            d = w.conj().T @ m @ w
-            if np.max(np.abs(d - np.diag(np.diagonal(d)))) > 1e-8:
-                ok = False
-                break
-            diags.append(np.real(np.diagonal(d)))
-        if ok:
-            return w, diags
+        ds = [w.conj().T @ m @ w for m in mats]
+        if not any(np.max(np.abs(d - np.diag(np.diagonal(d)))) > 1e-8 for d in ds):
+            return w, [np.real(np.diagonal(d)) for d in ds]
     raise ArithmeticError("failed to find a shared eigenbasis for a commuting family")
 
 

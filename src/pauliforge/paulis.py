@@ -53,7 +53,7 @@ def keys_from_digits(digits: np.ndarray) -> np.ndarray:
     """uint64 packed keys of (m, n) digits."""
     _checked_width(digits.shape[1])
     z = digits >> 1
-    bits = np.hstack([z, (digits & 1) ^ z]).astype(np.uint64)
+    bits = np.concatenate([z, (digits & 1) ^ z], axis=1).astype(np.uint64)
     return (bits << np.arange(bits.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
@@ -80,15 +80,14 @@ def labels_from_digits(digits: np.ndarray) -> list[str]:
 def digits_from_labels(labels, n: int) -> np.ndarray:
     """(m, n) digits of text labels; raises :class:`LabelError` for the
     first label that is not n characters from LABEL_ALPHABET."""
-    lengths = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
     # "replace" makes each non-ASCII character one b"?", outside the alphabet
-    digits = _DIGITS[np.frombuffer("".join(labels).encode("ascii", "replace"), np.uint8)]
-    bad = lengths != n
-    bad[np.repeat(np.arange(len(labels)), lengths)[digits > 3]] = True
-    if bad.any():
-        first = int(bad.argmax())
+    text = "".join(labels).encode("ascii", "replace")
+    # one test over the whole batch; the offending label is sought only on failure
+    if not {n}.issuperset(map(len, labels)) or text.translate(None, _BYTES.tobytes()):
+        first = next(i for i, label in enumerate(labels)
+                     if len(label) != n or label.strip(LABEL_ALPHABET))
         raise LabelError(labels[first], first, n)
-    return digits.reshape(len(labels), n)
+    return _DIGITS[np.frombuffer(text, np.uint8)].reshape(len(labels), n)
 
 
 class PauliString:

@@ -60,10 +60,8 @@ def q_circuit_marginal(psi: np.ndarray) -> float:
     psi, n = _check_state(psi, CIRCUIT_MAX_QUBITS)
     dim = 1 << n
 
-    zero_reg = np.zeros(dim, dtype=complex)
-    zero_reg[0] = 1.0
-    ancilla = np.array([1.0, 0.0], dtype=complex)
-    state = np.kron(np.kron(np.kron(ancilla, psi), psi), zero_reg)
+    state = np.zeros((2, dim, dim, dim), dtype=complex)
+    state[0, :, :, 0] = np.multiply.outer(psi, psi)
     state = state.reshape([2] * (3 * n + 1))
 
     # CNOTs copy register 3 (axes 1+n .. 2n) onto register 4 (axes 1+2n .. 3n)

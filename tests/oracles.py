@@ -1,14 +1,14 @@
 """Independent oracles used across the test suite.
 
 The dense ones are built from first principles (kron products and
-explicit cos/sin gate matrices).  The sparse reference propagation
-rotates one key at a time through the public ``commutes`` and
-``pauli_product`` and merges terms gate by gate with np.unique.
+explicit cos/sin gate matrices); the library itself acts with Pauli row
+tables, so these are its only Kronecker products.  The sparse reference
+propagation rotates one key at a time through the public ``commutes``
+and ``pauli_product`` and merges terms gate by gate with np.unique.
 Neither shares code with the compiled engine it checks.  The qDrift
 reference is the sampling code as first written, one copy per function;
-the dense Hamiltonian reference sums one Kronecker-product matrix per
-term; the sorted-insertion reference calls the public commutation
-predicate once per pair.  The restart reference at the end is the
+the sorted-insertion reference calls the public commutation predicate
+once per pair.  The restart reference at the end is the
 optimizer loop as it ran one restart at a time, before restarts ran in
 lockstep.
 """
@@ -20,7 +20,7 @@ from pauliforge.ansatz import CompiledAnsatz, Gate, hardware_efficient_layout, l
 from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
 from pauliforge.paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
-from pauliforge.dense import _check_capacity, haar_state, pauli_matrix
+from pauliforge.dense import haar_state
 from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
 from pauliforge.optimize import (
     _ADAM_BETA1,
@@ -47,6 +47,9 @@ def label_matrix(label):
 
 
 def dense_hamiltonian(h):
+    """One Kronecker-product matrix per term, summed in term order: the
+    reference dense.hamiltonian_matrix reproduces bit for bit, signed
+    zeros included."""
     out = np.zeros((2**h.n, 2**h.n), dtype=complex)
     for p, c in h:
         out += c * label_matrix(p.label)
@@ -371,7 +374,7 @@ def qdrift_apply_reference(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray)
     - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.
     """
     terms = h.terms_by_index()
-    mats = [pauli_matrix(p) for p, _ in terms]
+    mats = [label_matrix(p.label) for p, _ in terms]
     signs = [1.0 if c >= 0 else -1.0 for _, c in terms]
     c, s = np.cos(plan.tau), np.sin(plan.tau)
     out = states.astype(complex)
@@ -452,20 +455,6 @@ def qdrift_channel_error_reference(h: Hamiltonian, t: float, gate_count: int,
         sigma = np.outer(exact[:, k], exact[:, k].conj())
         dists[k] = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
     return float(dists.mean())
-
-
-# -- dense Hamiltonian reference -----------------------------------------
-# dense.hamiltonian_matrix as first written: one Kronecker-product matrix
-# per term, summed in term order.  The row-table scatter must reproduce
-# it bit for bit, signed zeros included.
-
-def hamiltonian_matrix_reference(h: Hamiltonian) -> np.ndarray:
-    """Dense Hermitian matrix of a sparse Pauli sum."""
-    _check_capacity(h.n)
-    out = np.zeros((2**h.n, 2**h.n), dtype=complex)
-    for p, c in h:
-        out += c * pauli_matrix(p)
-    return out
 
 
 # -- sorted-insertion reference ------------------------------------------

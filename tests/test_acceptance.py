@@ -15,11 +15,11 @@ import pytest
 from pauliforge.ansatz import (
     Gate,
     apply_ansatz,
-    build_encoded_v,
     hardware_efficient_layout,
     layout_from_gates,
 )
 from pauliforge.cli import main as cli_main
+from pauliforge.dense import build_encoded_v
 from pauliforge.dynamics import qdrift_channel_error, qdrift_error, sandwich_check
 from pauliforge.grouping import (
     allocate_shots,

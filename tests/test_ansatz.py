@@ -12,7 +12,6 @@ from pauliforge.ansatz import (
     Gate,
     apply_ansatz,
     apply_ansatz_inverse,
-    build_encoded_v,
     conjugate_cz,
     conjugate_rotation,
     hardware_efficient_layout,
@@ -20,6 +19,7 @@ from pauliforge.ansatz import (
     layout_from_gates,
     layout_to_dict,
 )
+from pauliforge.dense import ansatz_unitary, build_encoded_v
 from pauliforge.hamiltonian import PRUNE_TOL, Hamiltonian, l2_norm, vectorize
 from pauliforge.paulis import PauliString
 
@@ -201,6 +201,19 @@ class TestLayout:
             hardware_efficient_layout(3, 0, entangler="bogus")
         with pytest.raises(ValueError, match="RXY"):
             hardware_efficient_layout(3, 0, rotations=("RXY",))
+
+    @pytest.mark.parametrize("build", [
+        lambda: hardware_efficient_layout(3, -2),
+        lambda: layout_from_gates(2, [Gate("CZ", (0, 1))], depth=-1),
+        lambda: layout_from_dict({"n": 2, "depth": -1, "parameter_count": 0, "gates": []}),
+        lambda: layout_from_dict({"n": 2, "depth": 1.0, "parameter_count": 0, "gates": []}),
+        lambda: layout_from_dict({"n": 2, "depth": True, "parameter_count": 0, "gates": []}),
+    ], ids=["hardware_efficient", "from_gates", "from_dict", "float", "bool"])
+    def test_bad_depth_rejected(self, build):
+        """A depth that is not an int >= 0 is refused instead of yielding a
+        layout that reports it."""
+        with pytest.raises(ValueError, match="depth"):
+            build()
 
 
 class TestApplyAnsatz:
@@ -403,3 +416,26 @@ class TestEncodedV:
         layout = hardware_efficient_layout(4, 1)
         with pytest.raises(ValueError):
             build_encoded_v(layout, np.zeros(layout.parameter_count), 4)
+
+
+class TestDenseUnitary:
+    """dense.ansatz_unitary applies gates as row operations; the oracle
+    multiplies explicit Kronecker-product gate matrices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuits(layouts=pauli_axis_layouts))
+    def test_matches_oracle(self, case):
+        _, layout, theta = case
+        u = ansatz_unitary(layout, theta)
+        assert np.max(np.abs(u - ansatz_unitary_oracle(layout, theta))) <= 1e-12
+
+    @pytest.mark.parametrize("extra", [-1, 3])
+    def test_angle_count_checked(self, extra):
+        layout = hardware_efficient_layout(2, 1)
+        with pytest.raises(ValueError, match="angles"):
+            ansatz_unitary(layout, np.zeros(layout.parameter_count + extra))
+
+    @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (0, 2), (2, 1)])
+    def test_cz_negates_rows(self, qubits):
+        layout = layout_from_gates(3, [Gate("CZ", qubits)])
+        assert np.array_equal(ansatz_unitary(layout, []), cz_matrix(*qubits, 3))

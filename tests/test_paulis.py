@@ -1,10 +1,13 @@
 """Pauli-string representation, products, and commutation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauliforge import dense
 from pauliforge.dense import _pauli_rows, apply_pauli, hamiltonian_matrix, pauli_matrix
 from pauliforge.hamiltonian import Hamiltonian
 from pauliforge.paulis import (
@@ -21,7 +24,7 @@ from pauliforge.paulis import (
     qubit_wise_commutes,
 )
 
-from oracles import hamiltonian_matrix_reference, label_matrix
+from oracles import dense_hamiltonian, label_matrix
 
 
 class TestRepresentation:
@@ -246,33 +249,39 @@ class TestQubitWiseCommutation:
             assert qubit_wise_commutes(a, b) == per_qubit
 
 
-def _rows_as_matrix(p):
-    src, phase = _pauli_rows(p)
-    dim = 1 << p.n
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.arange(dim), src] = phase
-    return m
-
-
 class TestPauliRows:
-    """The row gather behind apply_pauli and qDrift is the dense matrix:
-    one source row per basis row, with a phase in {+-1, +-i}."""
+    """The row table behind every dense Pauli action is the Kronecker
+    product matrix: one source row per basis row, with a phase in
+    {+-1, +-i}.  pauli_matrix is one table scattered."""
 
     @pytest.mark.parametrize("label", ["I", "X", "Y", "Z"])
     def test_single_qubit_kinds(self, label):
         p = PauliString.from_label(label)
-        assert np.array_equal(_rows_as_matrix(p), pauli_matrix(p))
+        assert np.array_equal(pauli_matrix(p), label_matrix(label))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8))
     def test_random_strings(self, data, n):
         masks = st.integers(0, (1 << n) - 1)
         p = PauliString(n, data.draw(masks), data.draw(masks))
-        dense = pauli_matrix(p)
-        assert np.array_equal(_rows_as_matrix(p), dense)
+        dense = label_matrix(p.label)
+        assert np.array_equal(pauli_matrix(p), dense)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         assert np.array_equal(apply_pauli(p, psi), dense @ psi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_batch_equals_per_key_tables(self, data, n):
+        """A batch of keys gives each key's own table, bit for bit."""
+        keys = data.draw(st.lists(st.integers(0, (1 << 2 * n) - 1), min_size=1, max_size=6))
+        src, phase = _pauli_rows(np.array(keys, dtype=np.uint64), n)
+        assert src.shape == phase.shape == (len(keys), 1 << n)
+        for key, s, ph in zip(keys, src, phase):
+            s1, ph1 = _pauli_rows(key, n)
+            assert s1.dtype == s.dtype and ph1.dtype == ph.dtype
+            assert np.array_equal(s1, s)
+            assert np.array_equal(ph1.view(np.uint64), ph.view(np.uint64))
 
 
 @st.composite
@@ -290,19 +299,47 @@ def colliding_sums(draw):
 
 
 class TestHamiltonianMatrix:
-    """The row-table scatter is the sum of Kronecker-product matrices bit
-    for bit: the bit patterns are compared, so signed zeros count."""
+    """The row-table scatter is the sum of Kronecker-product matrices
+    (``oracles.dense_hamiltonian``) bit for bit: the bit patterns are
+    compared, so signed zeros count."""
 
     @settings(max_examples=80, deadline=None)
     @given(h=colliding_sums())
     def test_matches_kronecker_reference(self, h):
-        got, ref = hamiltonian_matrix(h), hamiltonian_matrix_reference(h)
+        got, ref = hamiltonian_matrix(h), dense_hamiltonian(h)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=colliding_sums())
+    def test_chunked_tables_match_reference(self, h):
+        """Tables built three terms at a time scatter the same bits."""
+        with mock.patch.object(dense, "_TABLE_ENTRIES", 3 << h.n):
+            got = hamiltonian_matrix(h)
+        assert np.array_equal(got.view(np.uint64), dense_hamiltonian(h).view(np.uint64))
+
+    def test_many_terms_at_ten_qubits_build_bounded_tables(self):
+        """A 300-term 10-qubit sum never builds one table for all terms at
+        once, and its chunks scatter what one term at a time does."""
+        rng = np.random.default_rng(5)
+        h = Hamiltonian.from_arrays(10, rng.choice(1 << 20, 300, replace=False),
+                                    rng.standard_normal(300))
+        sizes = []
+
+        def spy(keys, n):
+            sizes.append(np.size(keys))
+            return _pauli_rows(keys, n)
+
+        with mock.patch.object(dense, "_pauli_rows", spy):
+            got = hamiltonian_matrix(h)
+        assert sum(sizes) == 300 and max(sizes) <= dense._TABLE_ENTRIES >> 10 < 300
+        with mock.patch.object(dense, "_TABLE_ENTRIES", 1):
+            one_by_one = hamiltonian_matrix(h)
+        assert np.array_equal(got.view(np.uint64), one_by_one.view(np.uint64))
 
     def test_colliding_terms_cancel(self):
         h = Hamiltonian(2, {"XZ": 1.0, "XI": -1.0, "YY": 0.5, "XX": -0.5})
         got = hamiltonian_matrix(h)
-        assert np.array_equal(got.view(np.uint64), hamiltonian_matrix_reference(h).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), dense_hamiltonian(h).view(np.uint64))
         assert np.array_equal(got, label_matrix("XZ") - label_matrix("XI")
                               + 0.5 * label_matrix("YY") - 0.5 * label_matrix("XX"))
