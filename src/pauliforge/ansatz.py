@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .hamiltonian import PRUNE_TOL, Hamiltonian
-from .paulis import digits_from_labels, keys_from_digits
+from .paulis import MAX_QUBITS, digits_from_labels, keys_from_digits
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class AnsatzLayout:
     parameter_count: int
 
     def __post_init__(self):
+        if type(self.n) is not int or not 1 <= self.n <= MAX_QUBITS:  # bool is refused too
+            raise ValueError(f"n must be an int in 1..{MAX_QUBITS}, got {self.n!r}")
         if type(self.depth) is not int or self.depth < 0:  # bool is refused too
             raise ValueError(f"depth must be an int >= 0, got {self.depth!r}")
         seen = set()
@@ -298,11 +300,10 @@ class _Step:
     """One gate compiled on the key set that enters it; ``axis`` is the
     rotation's axis key, None for a CZ."""
 
-    __slots__ = ("param", "keys_in", "keys", "gather", "_back", "_compile_back")
+    __slots__ = ("param", "keys", "gather", "_back", "_compile_back")
 
     def __init__(self, gate: Gate, axis, keys_in: np.ndarray, n: int):
         self.param = gate.param
-        self.keys_in = keys_in
         self._back = None
         if axis is None:
             flip, _ = _cz_bits(keys_in, n, *gate.qubits)
@@ -433,10 +434,6 @@ class CompiledAnsatz:
             pass
         return x
 
-    def hamiltonian(self, theta) -> Hamiltonian:
-        """The conjugated Hamiltonian for validated angles of shape (P,)."""
-        return self._output(self.coefficients(theta))
-
     def hamiltonians(self, theta) -> list[Hamiltonian]:
         """The conjugated Hamiltonian for validated angles of shape (P,),
         or for each row of a (b, P) stack from one batched pass."""
@@ -487,12 +484,12 @@ def conjugate_cz(h: Hamiltonian, q1: int, q2: int) -> Hamiltonian:
 def apply_ansatz(h: Hamiltonian, layout: AnsatzLayout, theta) -> Hamiltonian:
     """U(theta) H U(theta)^dag with gates applied in circuit order."""
     theta = as_parameter_vector(theta, layout.parameter_count)
-    return CompiledAnsatz(h, layout).hamiltonian(theta)
+    return CompiledAnsatz(h, layout).hamiltonians(theta)[0]
 
 
 def apply_ansatz_inverse(h: Hamiltonian, layout: AnsatzLayout, theta) -> Hamiltonian:
     """U(theta)^dag H U(theta): reversed gate order, negated angles."""
     theta = as_parameter_vector(theta, layout.parameter_count)
     reverse = AnsatzLayout(layout.n, layout.depth, layout.gates[::-1], layout.parameter_count)
-    return CompiledAnsatz(h, reverse).hamiltonian(-theta)
+    return CompiledAnsatz(h, reverse).hamiltonians(-theta)[0]
 

@@ -12,9 +12,8 @@ import numpy as np
 
 from .ansatz import AnsatzLayout, apply_ansatz_inverse, as_parameter_vector, gate_axis
 from .hamiltonian import Hamiltonian
-from .paulis import PauliString, digits_from_keys
+from .paulis import DENSE_MAX_QUBITS, PauliString, digits_from_keys
 
-DENSE_MAX_QUBITS = 10
 # Row-table entries built at once for a Hamiltonian's terms: 1 MiB of phases
 _TABLE_ENTRIES = 1 << 16
 _Y_PHASES = np.array([1j**k for k in range(4)])  # i^|x&z|, by |x&z| mod 4

@@ -38,15 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from .ansatz import AnsatzLayout, apply_ansatz
-from .dense import (
-    DENSE_MAX_QUBITS,
-    _pauli_rows,
-    ansatz_unitary,
-    haar_state,
-    hamiltonian_matrix,
-    pauli_matrix,
-)
+from .dense import _pauli_rows, ansatz_unitary, haar_state, hamiltonian_matrix, pauli_matrix
 from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
+from .paulis import DENSE_MAX_QUBITS
 
 QDRIFT_MAX_QUBITS = 8
 SANDWICH_MAX_QUBITS = 6

@@ -27,16 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (
-    DENSE_MAX_QUBITS,
-    haar_state,
-    hamiltonian_expectation,
-    pauli_expectation,
-    pauli_matrix,
-)
+from .dense import haar_state, hamiltonian_expectation, pauli_expectation, pauli_matrix
 from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
 # Both predicates stay bound here: perfbench/tracing.py wraps them by name.
-from .paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
+from .paulis import DENSE_MAX_QUBITS, PauliString, commutes, pauli_product, qubit_wise_commutes
 
 COMMUTATION_KINDS = ("general", "qubit_wise")
 
@@ -145,6 +139,8 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
     """
     weights = np.asarray(weights, dtype=np.float64)
     m = weights.size
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
     if shots < m:
         raise ValueError(f"need at least {m} shots to cover every entry, got {shots}")
     if np.any(weights < 0) or weights.sum() == 0:
@@ -193,6 +189,10 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
     exact = hamiltonian_expectation(h, state)
 
     if isinstance(allocation, GroupingResult):
+        members = [m for col in allocation.collections for m in col.members]
+        if len(members) != len(h) or {p: c for c, p in members} != h.terms:
+            raise ValueError("grouping must hold each of the Hamiltonian's terms once, "
+                             "with its coefficient")
         weights = [col.l2() for col in allocation.collections]
         counts = allocate_shots(weights, shots)
         estimate = 0.0

@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paulis import (
+    DENSE_MAX_QUBITS,
     MAX_QUBITS,
     PauliString,
+    _checked_width,
     digits_from_indices,
     digits_from_keys,
     digits_from_labels,
@@ -44,8 +46,7 @@ def _validated_merge(n: int, keys, coeffs):
     """The one validator behind both public constructors: a qubit count in
     1..MAX_QUBITS, equal-length 1-D arrays and finite coefficients; then
     sort, merge and drop exact zeros."""
-    if not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    _checked_width(n)
     keys = np.asarray(keys, dtype=np.uint64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if keys.ndim != 1 or keys.shape != coeffs.shape:
@@ -215,9 +216,10 @@ class CoefficientVector:
         object.__setattr__(self, "entries", entries)
 
     def to_dense(self) -> np.ndarray:
-        """Dense float64 vector of length 4**n (test scale: n <= 10)."""
-        if self.n > 10:
-            raise ValueError(f"dense coefficient vector capped at 10 qubits, got {self.n}")
+        """Dense float64 vector of length 4**n (n <= DENSE_MAX_QUBITS)."""
+        if self.n > DENSE_MAX_QUBITS:
+            raise ValueError(
+                f"dense coefficient vector capped at {DENSE_MAX_QUBITS} qubits, got {self.n}")
         out = np.zeros(4**self.n, dtype=np.float64)
         out[self.indices] = self.entries
         return out

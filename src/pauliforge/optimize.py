@@ -64,6 +64,9 @@ _ADAM_EPS = 1e-8
 _STALL_TOL = 1e-10
 _STALL_PATIENCE = 20
 
+# The angle step of the "central_difference" gradient mode.
+_FD_STEP = 1e-5
+
 # Restarts run as rows of one angle stack through the compiled engine.
 # A batch's stored states (rows x CompiledAnsatz.entries) hold at most
 # this many entries, which bounds the memory batching adds.
@@ -95,7 +98,6 @@ class OptimizerConfig:
     restarts: int = 10
     learning_rate: float = 0.1
     gradient_mode: str = "analytic"
-    fd_step: float = 1e-5
     seed: int = 0
     method: str = "adam"
 
@@ -111,10 +113,9 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        for name in ("learning_rate", "fd_step"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        rate = self.learning_rate
+        if not (np.isfinite(rate) and rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {rate}")
 
 
 @dataclass
@@ -167,13 +168,12 @@ def _cost_grad(coeffs: np.ndarray, lam: float, kind: str) -> np.ndarray:
 
 
 def _forward_cost(engine: CompiledAnsatz, theta, lam, kind):
-    """The cost at angles of shape (P,), or at each row of a (k, P) stack
-    (a (k,) array), the stack run in memory-bounded batches."""
-    stack = np.atleast_2d(theta)
-    values = np.empty(len(stack))
-    for rows, angles in _batches(engine, stack):
+    """The cost at each row of a (k, P) stack, a (k,) array, the stack run
+    in memory-bounded batches."""
+    values = np.empty(len(theta))
+    for rows, angles in _batches(engine, theta):
         values[rows] = _cost_values(engine.coefficients(angles), lam, kind)
-    return values if theta.ndim == 2 else values[0]
+    return values
 
 
 def _value_and_grad_analytic(engine: CompiledAnsatz, theta, lam, kind):
@@ -182,35 +182,33 @@ def _value_and_grad_analytic(engine: CompiledAnsatz, theta, lam, kind):
     return _cost_values(x, lam, kind), engine.pullback(theta, states, _cost_grad(x, lam, kind))
 
 
-def _grad_central(engine: CompiledAnsatz, theta, lam, kind, step):
+def _grad_central(engine: CompiledAnsatz, theta, lam, kind):
     """Central differences at each row of a (k, P) stack, all 2P shifted
     angle vectors of every row taken in batched forward passes."""
     k, count = theta.shape
     shifted = np.repeat(theta[:, None, :], 2 * count, axis=1)
     slot = np.arange(count)
-    shifted[:, slot, slot] += step
-    shifted[:, count + slot, slot] -= step
+    shifted[:, slot, slot] += _FD_STEP
+    shifted[:, count + slot, slot] -= _FD_STEP
     costs = _forward_cost(engine, shifted.reshape(k * 2 * count, count), lam, kind)
     costs = costs.reshape(k, 2 * count)
-    return (costs[:, :count] - costs[:, count:]) / (2 * step)
+    return (costs[:, :count] - costs[:, count:]) / (2 * _FD_STEP)
 
 
 def _value_and_grad(engine: CompiledAnsatz, theta, lam, config: OptimizerConfig):
     """The configured cost and its angle gradient, in the configured
-    gradient mode, at angles of shape (P,) or at each row of a (k, P)
-    stack; all must be finite."""
+    gradient mode, at each row of a (k, P) stack; all must be finite."""
     kind = config.cost_kind
-    stack = np.atleast_2d(theta)
     if config.gradient_mode == "analytic":
-        values, grads = np.empty(len(stack)), np.empty(stack.shape)
-        for rows, angles in _batches(engine, stack):
+        values, grads = np.empty(len(theta)), np.empty(theta.shape)
+        for rows, angles in _batches(engine, theta):
             values[rows], grads[rows] = _value_and_grad_analytic(engine, angles, lam, kind)
     else:
-        values = _forward_cost(engine, stack, lam, kind)
-        grads = _grad_central(engine, stack, lam, kind, config.fd_step)
+        values = _forward_cost(engine, theta, lam, kind)
+        grads = _grad_central(engine, theta, lam, kind)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grads))):
         raise ArithmeticError("non-finite cost or gradient")
-    return (values, grads) if theta.ndim == 2 else (values[0], grads[0])
+    return values, grads
 
 
 def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
@@ -220,7 +218,7 @@ def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
     lam = l2_norm(h)
     if lam == 0.0:
         raise ValueError("zero Hamiltonian has no defined cost")
-    return _value_and_grad(CompiledAnsatz(h, layout), theta, lam, config)[1]
+    return _value_and_grad(CompiledAnsatz(h, layout), theta[None], lam, config)[1][0]
 
 
 def _run_restarts(engine: CompiledAnsatz, theta0: np.ndarray, config, lam):
@@ -239,10 +237,9 @@ def _run_restarts(engine: CompiledAnsatz, theta0: np.ndarray, config, lam):
     best_theta = theta.copy()
     count = len(theta)
     traces: list[list[float]] = [[] for _ in range(count)]
-    best_value: list[float | None] = [None] * count
-    best_loss = [np.inf] * count
-    prev = [0.0] * count
-    still = [0] * count
+    best_loss = np.full(count, np.inf)
+    prev = np.full(count, np.nan)  # no stall is counted on the first value
+    still = np.zeros(count, dtype=int)
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     active = np.arange(count)
@@ -250,16 +247,16 @@ def _run_restarts(engine: CompiledAnsatz, theta0: np.ndarray, config, lam):
         if not active.size:
             break
         values, grads = _value_and_grad(engine, theta[active], lam, config)
-        going = np.ones(active.size, dtype=bool)
-        for i, (row, value) in enumerate(zip(active.tolist(), values.tolist())):
+        for row, value in zip(active.tolist(), values.tolist()):
             traces[row].append(value)
-            if sign * value < best_loss[row]:
-                best_loss[row] = sign * value
-                best_theta[row], best_value[row] = theta[row], value
-            if it > 1:
-                still[row] = still[row] + 1 if abs(value - prev[row]) < _STALL_TOL else 0
-                going[i] = still[row] < _STALL_PATIENCE
-            prev[row] = value
+        loss = sign * values
+        improved = active[loss < best_loss[active]]
+        best_theta[improved] = theta[improved]
+        best_loss[active] = np.minimum(best_loss[active], loss)
+        stalled = np.abs(values - prev[active]) < _STALL_TOL
+        still[active] = np.where(stalled, still[active] + 1, 0)
+        prev[active] = values
+        going = still[active] < _STALL_PATIENCE
         active, values = active[going], values[going]
         direction = sign * grads[going]  # descent direction of the loss
 
@@ -274,7 +271,7 @@ def _run_restarts(engine: CompiledAnsatz, theta0: np.ndarray, config, lam):
 
         moving = np.linalg.norm(direction, axis=1) != 0.0
         searching, direction, values = active[moving], direction[moving], values[moving]
-        accepted = []
+        accepted = np.zeros(count, dtype=bool)
         step = config.learning_rate
         for _halving in range(60):
             if not searching.size:
@@ -282,12 +279,12 @@ def _run_restarts(engine: CompiledAnsatz, theta0: np.ndarray, config, lam):
             cand = theta[searching] - step * direction
             ok = sign * _forward_cost(engine, cand, lam, kind) <= sign * values + 1e-12
             theta[searching[ok]] = cand[ok]
-            accepted.append(searching[ok])
+            accepted[searching[ok]] = True
             searching, direction, values = searching[~ok], direction[~ok], values[~ok]
             step *= 0.5
-        active = np.sort(np.concatenate(accepted)) if accepted else searching[:0]
-    for row in range(count):
-        traces[row].append(best_value[row])
+        active = np.flatnonzero(accepted)
+    for trace, best in zip(traces, (sign * best_loss).tolist()):
+        trace.append(best)
     return best_theta, traces
 
 
@@ -326,7 +323,7 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
     if best[0] > original_norm:
         theta = np.zeros(layout.parameter_count)
         best = (original_norm, -1, theta, h,
-                [float(_forward_cost(engine, theta, lam, config.cost_kind))])
+                [float(_forward_cost(engine, theta[None], lam, config.cost_kind)[0])])
     norm, r, theta, engineered, trace = best
     return EngineeredResult(
         theta_star=theta,
@@ -361,9 +358,13 @@ def _validate_spec(h: Hamiltonian, spec: PartitionSpec):
     terms = h.terms_by_index()
     covered: set[int] = set()
     for part in spec.parts:
-        if part.factor.n != len(part.factor_qubits):
+        qubits = part.factor_qubits
+        if len(set(qubits)) != len(qubits) or not all(0 <= q < h.n for q in qubits):
+            raise ValueError(f"factor qubits must be distinct qubits in 0..{h.n - 1}, "
+                             f"got {qubits}")
+        if part.factor.n != len(qubits):
             raise ValueError("factor length does not match its qubit subset")
-        expected_residual = tuple(sorted(set(range(h.n)) - set(part.factor_qubits)))
+        expected_residual = tuple(sorted(set(range(h.n)) - set(qubits)))
         if tuple(sorted(part.residual_qubits)) != expected_residual:
             raise ValueError("residual qubits must be the complement of the factor qubits")
         for i in part.term_indices:
@@ -372,7 +373,7 @@ def _validate_spec(h: Hamiltonian, spec: PartitionSpec):
             if i in covered:
                 raise ValueError(f"term index {i} appears in two parts")
             covered.add(i)
-            if terms[i][0].restrict(part.factor_qubits) != part.factor:
+            if terms[i][0].restrict(qubits) != part.factor:
                 raise ValueError(
                     f"term {terms[i][0].label} does not carry factor {part.factor.label}"
                 )

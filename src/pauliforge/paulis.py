@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_QUBITS = 32  # 2n bits of a packed key or base-4 index fit one uint64
+DENSE_MAX_QUBITS = 10  # dense vectors, matrices and states: dimension 1024
 
 LABEL_ALPHABET = "IXYZ"
 # digit -> label byte, and label byte -> digit (4 for a byte outside the alphabet)

@@ -498,7 +498,7 @@ def run_single_reference(engine: CompiledAnsatz, theta0, config, lam):
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     for it in range(1, config.max_iterations + 1):
-        value, grad = _value_and_grad(engine, theta, lam, config)
+        [value], [grad] = _value_and_grad(engine, theta[None], lam, config)
         trace.append(value)
         if sign * value < best_loss:
             best_loss = sign * value
@@ -524,7 +524,7 @@ def run_single_reference(engine: CompiledAnsatz, theta0, config, lam):
             accepted = False
             for _halving in range(60):
                 cand = theta - step * direction
-                cand_value = _forward_cost(engine, cand, lam, kind)
+                cand_value = _forward_cost(engine, cand[None], lam, kind)[0]
                 if sign * cand_value <= sign * value + 1e-12:
                     theta = cand
                     accepted = True

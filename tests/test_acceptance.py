@@ -195,9 +195,7 @@ def test_c07_gradient_check():
         ga = cost_gradient(h, layout, theta,
                            OptimizerConfig(cost_kind=kind, gradient_mode="analytic"))
         gc = cost_gradient(h, layout, theta,
-                           OptimizerConfig(cost_kind=kind,
-                                           gradient_mode="central_difference",
-                                           fd_step=1e-5))
+                           OptimizerConfig(cost_kind=kind, gradient_mode="central_difference"))
         rel = np.linalg.norm(ga - gc) / max(np.linalg.norm(gc), 1e-12)
         assert rel <= 1e-5
 

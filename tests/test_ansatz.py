@@ -215,6 +215,18 @@ class TestLayout:
         with pytest.raises(ValueError, match="depth"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: hardware_efficient_layout(-1, 1),
+        lambda: hardware_efficient_layout(0, 2),
+        lambda: layout_from_dict({"n": 33, "depth": 0, "parameter_count": 0, "gates": []}),
+        lambda: AnsatzLayout(True, 0, (), 0),
+    ], ids=["negative", "zero", "above_max", "bool"])
+    def test_bad_qubit_count_rejected(self, build):
+        """A qubit count that is not an int in 1..MAX_QUBITS is refused
+        instead of yielding a layout that reports it."""
+        with pytest.raises(ValueError, match="n must be an int in 1..32"):
+            build()
+
 
 class TestApplyAnsatz:
     def test_zero_angles_identity(self):

@@ -58,7 +58,7 @@ def check_costs_and_gradient(case, kind):
     ref_value, ref_grad = value_and_grad_reference(h, layout, theta, kind)
     lam = l2_norm(h)
     engine = CompiledAnsatz(h, layout)
-    assert _forward_cost(engine, theta, lam, kind) == ref_value
+    assert _forward_cost(engine, theta[None], lam, kind)[0] == ref_value
     value, grad = _value_and_grad_analytic(engine, theta, lam, kind)
     assert value == ref_value
     assert np.array_equal(grad, ref_grad)
@@ -149,9 +149,9 @@ def test_angle_stack_rows_match_single_vectors(case, kind):
         row_grad = engine.pullback(row, alone, _cost_grad(alone[-1], lam, kind))
         assert np.array_equal(grad[r], row_grad)
         value, row_grad = _value_and_grad_analytic(engine, row, lam, kind)
-        assert values[r] == value == costs[r] == _forward_cost(engine, row, lam, kind)
+        assert values[r] == value == costs[r] == _forward_cost(engine, row[None], lam, kind)[0]
         assert np.array_equal(grads[r], row_grad)
-        single_h = engine.hamiltonian(row)
+        [single_h] = engine.hamiltonians(row)
         assert np.array_equal(hams[r].keys, single_h.keys)
         assert np.array_equal(hams[r].coeffs, single_h.coeffs)
 
@@ -165,7 +165,7 @@ def test_plans_are_reused_across_angles():
     for theta in (rng.uniform(0, 2 * np.pi, layout.parameter_count),
                   np.zeros(layout.parameter_count),
                   rng.integers(0, 4, layout.parameter_count) * (np.pi / 2)):
-        assert_same(engine.hamiltonian(theta), propagate_reference(h, layout, theta))
+        assert_same(engine.hamiltonians(theta)[0], propagate_reference(h, layout, theta))
 
 
 @pytest.mark.parametrize("call", [

@@ -173,6 +173,11 @@ class TestAllocateShots:
         with pytest.raises(ValueError):
             allocate_shots([1.0, 1.0, 1.0], 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            allocate_shots([1.0, bad], 10)
+
 
 class TestShotSimulator:
     def test_z_on_zero_state_deterministic(self):
@@ -220,6 +225,30 @@ class TestShotSimulator:
         h = Hamiltonian(2, GOLDEN_2Q)
         with pytest.raises(ValueError):
             shot_simulator(h, np.zeros(2), "uniform", shots=10, seed=0)
+
+    @pytest.mark.parametrize("other", [
+        {"ZI": 5.0},
+        {**GOLDEN_2Q, "ZI": 5.0},
+        {"XI": 3.0, "YY": -1.0},
+        {**GOLDEN_2Q, "ZZ": 2.5},
+    ], ids=["disjoint", "extra_term", "missing_term", "other_coefficient"])
+    def test_grouping_of_another_hamiltonian_rejected(self, other):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        with pytest.raises(ValueError, match="grouping must hold"):
+            shot_simulator(h, psi, sorted_insertion(Hamiltonian(2, other)), shots=100)
+
+    def test_grouping_repeating_a_term_rejected(self):
+        """Every term once plus a second copy of one: the terms and their
+        coefficients match h, but the copy would be measured twice."""
+        h = Hamiltonian(2, GOLDEN_2Q)
+        g = sorted_insertion(h)
+        twice = GroupingResult(g.strategy, (*g.collections, g.collections[0]))
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        with pytest.raises(ValueError, match="grouping must hold"):
+            shot_simulator(h, psi, twice, shots=100)
 
 
 def _counts_in_index_order(h, counts):

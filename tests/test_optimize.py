@@ -95,8 +95,7 @@ class TestGradient:
                                OptimizerConfig(cost_kind=kind, gradient_mode="analytic"))
             gc = cost_gradient(h, layout, theta,
                                OptimizerConfig(cost_kind=kind,
-                                               gradient_mode="central_difference",
-                                               fd_step=1e-5))
+                                               gradient_mode="central_difference"))
             rel = np.linalg.norm(ga - gc) / max(np.linalg.norm(gc), 1e-12)
             assert rel <= 1e-5
 
@@ -298,8 +297,6 @@ class TestConfig:
         ("learning_rate", 0.0),
         ("learning_rate", np.nan),
         ("learning_rate", np.inf),
-        ("fd_step", -1e-5),
-        ("fd_step", np.nan),
     ])
     def test_bad_value_rejected_naming_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -420,6 +417,18 @@ class TestPartition:
         part = PartitionPart((0,), PauliString.from_label("X"), (1,), (0, 0))
         with pytest.raises(ValueError):
             partition(h, PartitionSpec((part,)))
+
+    @pytest.mark.parametrize("parts", [
+        (PartitionPart((0, 0), PauliString.from_label("XX"), (1, 2), (0, 1)),),
+        (PartitionPart((0, 1), PauliString.from_label("XX"), (2,), (0, 1)),
+         PartitionPart((0, 3), PauliString.from_label("XI"), (1, 2), ())),
+    ], ids=["repeated", "out_of_range"])
+    def test_bad_factor_qubits_rejected(self, parts):
+        """Both specs carry every term's factor and cover every term, so
+        only the factor qubits themselves can refuse them."""
+        h = Hamiltonian(3, {"XXI": 1.0, "XXZ": 2.0})
+        with pytest.raises(ValueError, match="factor qubits must be distinct qubits in 0..2"):
+            partition(h, PartitionSpec(parts))
 
     def test_wrong_factor_rejected(self):
         h = Hamiltonian(2, {"XI": 1.0, "ZZ": 2.0})
