@@ -71,6 +71,9 @@ class AnsatzLayout:
             raise ValueError(f"n must be an int in 1..{MAX_QUBITS}, got {self.n!r}")
         if type(self.depth) is not int or self.depth < 0:  # bool is refused too
             raise ValueError(f"depth must be an int >= 0, got {self.depth!r}")
+        if type(self.parameter_count) is not int or self.parameter_count < 0:  # bool too
+            raise ValueError(
+                f"parameter_count must be an int >= 0, got {self.parameter_count!r}")
         seen = set()
         for g in self.gates:
             if gate_axis(g, self.n) is None:

@@ -6,14 +6,21 @@ candidate (general commutation) or qubit-wise commute with it.  The
 grouped Pauli norm sum_i sqrt(sum_j h_ij^2) then bounds the shot budget
 the same way the plain Pauli norm does for term-by-term estimation.
 
-Each candidate is tested against every collection at once on uint64
-x/z masks.  Members of a qubit-wise collection agree on every qubit
-they share, so the OR of their masks (gx, gz) summarizes the collection
-exactly: the candidate fits iff
-((x ^ gx) | (z ^ gz)) & (x | z) & (gx | gz) == 0.  For general
-commutation the candidate's symplectic parity against every placed
-term marks the collections holding a term it anticommutes with; it
-joins the first unmarked one.
+Both tests run on packed uint64 keys K = x << n | z, 2n <= 64 bits.
+
+General commutation: with the swapped key S = z << n | x, two terms
+anticommute iff popcount(K_i & S_p) is odd, the bit rule the ansatz
+engine uses for rotation axes.  That parity is computed for a block of
+candidates against every earlier term in one array op; the block holds
+at most ``_BLOCK_ENTRIES`` entries, so its temporary stays at 256 KiB.
+Each candidate then marks the collections owning a placed term it
+anticommutes with and joins the first unmarked one.
+
+Qubit-wise commutation: members of a collection agree on every qubit
+they share, so the OR of their keys GK and of their doubled supports
+GS2 (s << n | s, s = x | z) summarize it exactly.  A candidate fits iff
+(K_i ^ GK) & GS2 & S2_i == 0, S2_i being its own doubled support: one
+test over all collections at once.
 
 The shot simulator draws measurement outcomes per term, or per
 collection after numerically diagonalizing the commuting family in a
@@ -33,6 +40,10 @@ from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
 from .paulis import DENSE_MAX_QUBITS, PauliString, commutes, pauli_product, qubit_wise_commutes
 
 COMMUTATION_KINDS = ("general", "qubit_wise")
+
+# Entries of one block of the general test's parity matrix: 2**15 uint64
+# temporaries are 256 KiB, so a 2000-term sum tests 16 candidates at a time.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,8 +76,8 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
 
     Ties in |coefficient| break on the lexicographic order of the text
     labels so the outcome is reproducible.  Each candidate joins the
-    earliest collection it is compatible with, found by one array test
-    over all collections (see the module docstring).
+    earliest collection it is compatible with, found by array tests on
+    packed keys (see the module docstring).
     """
     if commutation not in COMMUTATION_KINDS:
         raise ValueError(f"commutation must be one of {COMMUTATION_KINDS}")
@@ -74,38 +85,54 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
         raise ValueError("cannot group the zero Hamiltonian")
     terms = _terms_by_magnitude(h)
     m = len(terms)
-    # n <= MAX_QUBITS = 32, so the masks fit uint64 exactly.
+    # n <= MAX_QUBITS = 32, so the 2n-bit keys fit uint64 exactly.
     x = np.array([p.x for p, _ in terms], dtype=np.uint64)
     z = np.array([p.z for p, _ in terms], dtype=np.uint64)
-    # qubit-wise test: per collection, the OR of its members' masks
-    gx = np.zeros(m, dtype=np.uint64)
-    gz = np.zeros(m, dtype=np.uint64)
-    # general test: per placed term, the collection it joined
-    owner = np.zeros(m, dtype=np.intp)
+    width = np.uint64(h.n)
+    keys = (x << width) | z
+    owner = np.empty(m, dtype=np.intp)  # the collection each placed term joined
 
-    # Every test spans all m slots, opened or not: an unopened collection is
+    # Every mask spans all m slots, opened or not: an unopened collection is
     # free, so argmax lands on the next new one when no open one fits.  Fixed
-    # sizes also let the allocator reuse each step's temporaries; slices that
-    # grow by one per step raised the peak RSS of a 2000-term pass by ~1 MB.
-    groups: list[list[tuple[float, PauliString]]] = []
-    for i, (p, c) in enumerate(terms):
-        if commutation == "general":
-            # popcount(a) + popcount(b) has the parity of popcount(a ^ b)
-            anti = np.bitwise_count((x & z[i]) ^ (z & x[i]))
+    # sizes also let the allocator reuse each step's temporaries; masks that
+    # grow by one collection at a time raised the peak RSS of a 2000-term
+    # pass by ~0.5 MB.
+    if commutation == "general":
+        swapped = (z << width) | x
+        rows = min(m, max(1, _BLOCK_ENTRIES // m))
+        # one block's buffers, reused: per-block temporaries that grow with the
+        # block's last column raised the peak RSS of a 2000-term pass by ~0.15 MB
+        pair_bits = np.empty((rows, m), dtype=np.uint64)
+        parity = np.empty((rows, m), dtype=np.uint8)
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            # parity of every candidate in the block against every earlier term
+            bits = np.bitwise_and(keys[start:stop, None], swapped[:stop],
+                                  out=pair_bits[:stop - start, :stop])
+            anti = np.bitwise_count(bits, out=parity[:stop - start, :stop])
             anti &= 1  # in place, so the 0/1 counts view as a bool mask
-            anti[i:] = 0  # terms not yet placed block nothing
-            free = np.ones(m, dtype=bool)
-            free[owner[anti.view(bool)]] = False
-        else:
-            free = (((x[i] ^ gx) | (z[i] ^ gz)) & (x[i] | z[i]) & (gx | gz)) == 0
-        j = int(free.argmax())
-        if j == len(groups):
-            groups.append([])
-        groups[j].append((c, p))
-        owner[i] = j
-        gx[j] |= x[i]
-        gz[j] |= z[i]
+            anti = anti.view(bool)
+            for i in range(start, stop):
+                free = np.ones(m, dtype=bool)
+                free[owner[:i][anti[i - start, :i]]] = False
+                owner[i] = free.argmax()
+    else:
+        support = x | z
+        support2 = (support << width) | support
+        # per collection, the OR of its members' keys and doubled supports
+        group_keys = np.zeros(m, dtype=np.uint64)
+        group_support2 = np.zeros(m, dtype=np.uint64)
+        for i in range(m):
+            clash = keys[i] ^ group_keys
+            clash &= group_support2
+            clash &= support2[i]
+            j = owner[i] = (clash == 0).argmax()
+            group_keys[j] |= keys[i]
+            group_support2[j] |= support2[i]
 
+    groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(int(owner.max()) + 1)]
+    for (p, c), j in zip(terms, owner.tolist()):
+        groups[j].append((c, p))
     collections = tuple(Collection(members=tuple(members)) for members in groups)
     return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
 
@@ -137,6 +164,8 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
     Every entry gets at least one shot; the remainder goes to the
     largest fractional parts (deterministic tie-break by position).
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an int, got {shots!r}")
     weights = np.asarray(weights, dtype=np.float64)
     m = weights.size
     if not np.all(np.isfinite(weights)):

@@ -9,7 +9,8 @@ identical runs serialize to identical bytes.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,27 +22,29 @@ from .qestimate import QEstimate
 
 
 def _format_value(obj) -> str:
+    # one isinstance chain, the most frequent types of result documents first
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # what json.dumps does with a str
     if isinstance(obj, bool):
         return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {x} cannot be serialized")
+        if x == 0.0 and math.copysign(1.0, x) < 0.0:
+            return "-0.0"  # "-0" reads back as the integer 0
+        return f"{x:.17g}"
+    if isinstance(obj, dict):
+        items = ",".join(f"{encode_basestring_ascii(str(k))}:{_format_value(v)}"
+                         for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        return "[" + ",".join(map(_format_value, seq)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite value {x} cannot be serialized")
-        if x == 0.0 and np.signbit(x):
-            return "-0.0"  # "-0" reads back as the integer 0
-        return f"{x:.17g}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{_format_value(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ",".join(_format_value(v) for v in seq) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

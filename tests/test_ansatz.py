@@ -227,6 +227,18 @@ class TestLayout:
         with pytest.raises(ValueError, match="n must be an int in 1..32"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: AnsatzLayout(2, 0, (), -1),
+        lambda: AnsatzLayout(2, 0, (), True),
+        lambda: layout_from_dict({"n": 2, "depth": 0, "parameter_count": 0.0, "gates": []}),
+        lambda: layout_from_dict({"n": 2, "depth": 0, "parameter_count": "1", "gates": []}),
+    ], ids=["negative", "bool", "float", "str"])
+    def test_bad_parameter_count_rejected(self, build):
+        """A parameter count that is not an int >= 0 is refused, naming the
+        field, instead of yielding a layout that reports it."""
+        with pytest.raises(ValueError, match="parameter_count must be an int >= 0"):
+            build()
+
 
 class TestApplyAnsatz:
     def test_zero_angles_identity(self):

@@ -1,10 +1,13 @@
 """Grouping strategies, grouped norm, cost models, and the shot simulator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pauliforge.grouping as grouping_module
 from pauliforge.grouping import (
     COMMUTATION_KINDS,
     GroupingResult,
@@ -107,6 +110,36 @@ class TestSortedInsertion:
             strings = [p for _, p in col.members]
             assert all(compatible(a, b) for a in strings for b in strings)
 
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(), commutation=st.sampled_from(COMMUTATION_KINDS),
+           rows=st.integers(1, 7))
+    def test_matches_reference_across_block_boundaries(self, h, commutation, rows):
+        """With the parity block cut to ``rows`` candidates, a sum spans
+        several blocks, the last one often partial, and still groups as
+        the one-pair-at-a-time reference does."""
+        with mock.patch.object(grouping_module, "_BLOCK_ENTRIES", rows * len(h)):
+            assert sorted_insertion(h, commutation) == sorted_insertion_reference(h, commutation)
+
+    @pytest.mark.parametrize("commutation", COMMUTATION_KINDS)
+    def test_one_row_blocks_match_reference(self, commutation):
+        h = random_hamiltonian(5, 300, np.random.default_rng(8))
+        with mock.patch.object(grouping_module, "_BLOCK_ENTRIES", 1):
+            assert sorted_insertion(h, commutation) == sorted_insertion_reference(h, commutation)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.integers(1, 32), st.just(32)),
+           commutation=st.sampled_from(COMMUTATION_KINDS))
+    def test_packed_pair_test_matches_scalar_predicate(self, data, n, commutation):
+        """A two-term sum groups into one collection iff the pair is
+        compatible: the packed-key tests agree with the scalar algebra
+        at every width up to 32 qubits."""
+        masks = st.integers(0, (1 << n) - 1)
+        (ax, az), (bx, bz) = data.draw(st.lists(st.tuples(masks, masks), min_size=2,
+                                                max_size=2, unique=True))
+        a, b = PauliString(n, ax, az), PauliString(n, bx, bz)
+        g = sorted_insertion(Hamiltonian(n, {a: 2.0, b: -1.0}), commutation)
+        assert (g.collection_count == 1) == PREDICATES[commutation](a, b)
+
 
 class TestGroupedNorm:
     def test_golden_value(self):
@@ -177,6 +210,15 @@ class TestAllocateShots:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             allocate_shots([1.0, bad], 10)
+
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True, "10", None], ids=repr)
+    def test_non_int_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots must be an int"):
+            allocate_shots([1.0, 1.0], shots)
+
+    def test_numpy_int_shots_accepted(self):
+        assert allocate_shots([3.0, 1.0], np.int64(4000)).tolist() == allocate_shots(
+            [3.0, 1.0], 4000).tolist()
 
 
 class TestShotSimulator:

@@ -208,6 +208,41 @@ class TestStableJson:
         back = json.loads(stable_json({"x": -0.0}))["x"]
         assert back == 0.0 and np.signbit(back)
 
+    @pytest.mark.parametrize("value, text", [
+        (-0.0, "-0.0"),
+        (np.float64(-0.0), "-0.0"),
+        (0.0, "0"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.float64(1.0 / 3.0), "0.33333333333333331"),
+        (np.int64(-7), "-7"),
+        (2**70, "1180591620717411303424"),
+        (True, "true"),
+        (False, "false"),
+        (None, "null"),
+        ((1, 2.5, None), "[1,2.5,null]"),
+        (np.array([1.0, -0.0, 2.5]), "[1,-0.0,2.5]"),
+        ({1: "a", 2.5: True, None: []}, '{"1":"a","2.5":true,"None":[]}'),
+    ], ids=repr)
+    def test_exact_text(self, value, text):
+        assert stable_json(value) == text + "\n"
+
+    @pytest.mark.parametrize("s", ['say "hi"', "back\\slash", "new\nline\ttab\r",
+                                   "café ☃ \U0001f600", "\x00\x1f\x7f", ""])
+    def test_strings_match_json_dumps(self, s):
+        assert stable_json(s) == json.dumps(s) + "\n"
+        assert stable_json({s: s}) == "{" + json.dumps(s) + ":" + json.dumps(s) + "}\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float64("nan"), np.float32("inf")], ids=repr)
+    def test_non_finite_raises_value_error(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            stable_json([bad])
+
+    @pytest.mark.parametrize("bad", [np.bool_(True), object(), {1, 2}, b"bytes"], ids=repr)
+    def test_unsupported_type_raises_type_error(self, bad):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            stable_json({"x": bad})
+
     def test_digest_stable(self):
         assert input_digest("abc") == input_digest(b"abc")
         assert len(input_digest("abc")) == 64
