@@ -10,11 +10,22 @@ Both tests run on packed uint64 keys K = x << n | z, 2n <= 64 bits.
 
 General commutation: with the swapped key S = z << n | x, two terms
 anticommute iff popcount(K_i & S_p) is odd, the bit rule the ansatz
-engine uses for rotation axes.  That parity is computed for a block of
-candidates against every earlier term in one array op; the block holds
-at most ``_BLOCK_ENTRIES`` entries, so its temporary stays at 256 KiB.
-Each candidate then marks the collections owning a placed term it
-anticommutes with and joins the first unmarked one.
+engine uses for rotation axes.  First fit keeps a collection-conflict
+table: blocked[j, r] is true when open collection j holds a term that
+anticommutes with candidate r.  A candidate's collection is the first
+false entry of its column over the open rows and one unopened, all-false
+row, so "open a new collection" is the same lookup; then its parity row
+is ORed into its collection's row over the later candidates.  Parity
+rows come a block of candidates at a time, at most ``_BLOCK_ENTRIES``
+entries, so the uint64 temporary stays at 256 KiB, and one argmin per
+block finds every candidate's first free row; a candidate repeats it
+only when an earlier one of its block took that row and clashes.  The
+table covers a window of candidates, as wide as keeps it within
+``_TABLE_ENTRIES`` bools even if every candidate in it opens a
+collection; only the rows of opened collections are written.  At each
+later window the open rows are rebuilt from the placed terms: sorted by
+owner, tested against the window a block at a time and OR-reduced per
+owner with reduceat.  Sums of up to 2047 terms fit one window.
 
 Qubit-wise commutation: members of a collection agree on every qubit
 they share, so the OR of their keys GK and of their doubled supports
@@ -30,6 +41,7 @@ be checked empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +54,13 @@ from .paulis import DENSE_MAX_QUBITS, PauliString, commutes, pauli_product, qubi
 COMMUTATION_KINDS = ("general", "qubit_wise")
 
 # Entries of one block of the general test's parity matrix: 2**15 uint64
-# temporaries are 256 KiB, so a 2000-term sum tests 16 candidates at a time.
+# temporaries are 256 KiB.
 _BLOCK_ENTRIES = 1 << 15
+# Bound on the entries of the general test's collection-conflict table:
+# 4 MiB of bools, of which only the rows of opened collections are written.
+# The first window is 2047 candidates wide, so a 2000-term sum needs no
+# rebuild.
+_TABLE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -53,7 +70,7 @@ class Collection:
     members: tuple[tuple[float, PauliString], ...]
 
     def l2(self) -> float:
-        return float(np.sqrt(sum(c * c for c, _ in self.members)))
+        return math.sqrt(sum(c * c for c, _ in self.members))
 
 
 @dataclass(frozen=True)
@@ -91,35 +108,17 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
     width = np.uint64(h.n)
     keys = (x << width) | z
     owner = np.empty(m, dtype=np.intp)  # the collection each placed term joined
-
-    # Every mask spans all m slots, opened or not: an unopened collection is
-    # free, so argmax lands on the next new one when no open one fits.  Fixed
-    # sizes also let the allocator reuse each step's temporaries; masks that
-    # grow by one collection at a time raised the peak RSS of a 2000-term
-    # pass by ~0.5 MB.
     if commutation == "general":
-        swapped = (z << width) | x
-        rows = min(m, max(1, _BLOCK_ENTRIES // m))
-        # one block's buffers, reused: per-block temporaries that grow with the
-        # block's last column raised the peak RSS of a 2000-term pass by ~0.15 MB
-        pair_bits = np.empty((rows, m), dtype=np.uint64)
-        parity = np.empty((rows, m), dtype=np.uint8)
-        for start in range(0, m, rows):
-            stop = min(start + rows, m)
-            # parity of every candidate in the block against every earlier term
-            bits = np.bitwise_and(keys[start:stop, None], swapped[:stop],
-                                  out=pair_bits[:stop - start, :stop])
-            anti = np.bitwise_count(bits, out=parity[:stop - start, :stop])
-            anti &= 1  # in place, so the 0/1 counts view as a bool mask
-            anti = anti.view(bool)
-            for i in range(start, stop):
-                free = np.ones(m, dtype=bool)
-                free[owner[:i][anti[i - start, :i]]] = False
-                owner[i] = free.argmax()
+        _general_first_fit(keys, (z << width) | x, owner)
     else:
         support = x | z
         support2 = (support << width) | support
-        # per collection, the OR of its members' keys and doubled supports
+        # Per collection, the OR of its members' keys and doubled supports.
+        # Both span all m slots, opened or not: an unopened collection is
+        # free, so argmax lands on the next new one when no open one fits.
+        # Fixed sizes also let the allocator reuse each step's temporaries;
+        # arrays that grow by one collection at a time raised the peak RSS
+        # of a 2000-term pass by ~0.5 MB.
         group_keys = np.zeros(m, dtype=np.uint64)
         group_support2 = np.zeros(m, dtype=np.uint64)
         for i in range(m):
@@ -135,6 +134,87 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
         groups[j].append((c, p))
     collections = tuple(Collection(members=tuple(members)) for members in groups)
     return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
+
+
+def _anticommuting(rows: np.ndarray, cols: np.ndarray, bits: np.ndarray,
+                   parity: np.ndarray) -> np.ndarray:
+    """(len(rows), len(cols)) bool table of popcount(rows[:, None] & cols) & 1,
+    computed in a contiguous prefix of the flat uint64 ``bits`` and uint8
+    ``parity`` buffers (contiguous, popcount runs in one pass)."""
+    shape = (rows.size, cols.size)
+    bits = bits[:rows.size * cols.size].reshape(shape)
+    parity = parity[:bits.size].reshape(shape)
+    np.bitwise_and(rows[:, None], cols, out=bits)
+    np.bitwise_count(bits, out=parity)
+    parity &= 1  # in place, so the 0/1 counts view as a bool mask
+    return parity.view(bool)
+
+
+def _general_first_fit(keys: np.ndarray, swapped: np.ndarray, owner: np.ndarray) -> None:
+    """First fit under general commutation; fills ``owner`` in place.
+
+    Candidates are placed a window [w0, w1) at a time.  ``blocked[j, r]``
+    is true when open collection j holds a term anticommuting with
+    candidate w0 + r.  Candidate i joins the first open collection whose
+    entry in its column is false, found by an argmin over the open rows
+    and the all-false row below them, so a candidate that fits nowhere
+    opens a collection in the same call.  Its parity row against the
+    later candidates of the window is then ORed into its collection's
+    row.  A new window's open rows are rebuilt from the placed terms.
+    """
+    m = keys.size
+    # Buffers for every window, allocated once: a block never exceeds
+    # m * m entries, nor max(_BLOCK_ENTRIES, width), and a table never
+    # exceeds _TABLE_ENTRIES unless its window is one candidate wide.
+    cells = min(max(_BLOCK_ENTRIES, m), m * m)
+    bits = np.empty(cells, dtype=np.uint64)
+    parity = np.empty(cells, dtype=np.uint8)
+    # Rows of unopened collections are cleared only as they open, so the
+    # pages of rows that no collection reaches are never touched.
+    table = np.empty(max(min(_TABLE_ENTRIES, (m + 1) * m), m + 1), dtype=bool)
+    opened = 0
+    w0 = 0
+    while w0 < m:
+        # the widest window whose table stays within _TABLE_ENTRIES even if
+        # every candidate in it opens a collection: (opened + 1 + width) rows
+        free_row = opened + 1
+        width = (math.isqrt(free_row * free_row + 4 * _TABLE_ENTRIES) - free_row) // 2
+        width = max(1, min(m - w0, width))
+        w1 = w0 + width
+        rows = max(1, _BLOCK_ENTRIES // width)  # parity rows per block
+        blocked = table[:(free_row + width) * width].reshape(free_row + width, width)
+        blocked[:free_row] = False
+        if opened:
+            # rebuild: each open row is the OR of its members' parity rows
+            placed = np.argsort(owner[:w0], kind="stable")
+            for a in range(0, w0, rows):
+                chunk = placed[a:a + rows]
+                anti = _anticommuting(keys[chunk], swapped[w0:w1], bits, parity)
+                own = owner[chunk]
+                starts = np.flatnonzero(np.diff(own, prepend=-1))
+                # eight columns to a byte: reduceat costs about the same per
+                # entry whatever its dtype, and bool rows are 8x the entries
+                packed = np.bitwise_or.reduceat(np.packbits(anti, axis=1), starts, axis=0)
+                blocked[own[starts]] |= np.unpackbits(packed, axis=1, count=width).view(bool)
+        for b0 in range(w0, w1, rows):
+            b1 = min(b0 + rows, w1)
+            # every candidate of the block against the window from b0 on
+            anti = _anticommuting(keys[b0:b1], swapped[b0:w1], bits, parity)
+            # Each candidate's first free row as the block starts.  Rows only
+            # turn blocked, so it stays first unless an earlier candidate of
+            # the block joined that row and clashes; only then argmin again.
+            first = blocked[:opened + 1, b0 - w0:b1 - w0].argmin(axis=0).tolist()
+            for k, (j, row) in enumerate(zip(first, anti)):
+                r = b0 - w0 + k
+                if blocked[j, r]:
+                    j = int(blocked[:opened + 1, r].argmin())
+                owner[b0 + k] = j
+                if j == opened:
+                    opened += 1
+                    blocked[opened] = False
+                later = blocked[j, r + 1:]  # a view, so |= skips a setitem copy
+                later |= row[k + 1:]
+        w0 = w1
 
 
 def measurement_cost(h: Hamiltonian, epsilon: float, mode: str = "weighted_shots") -> float:

@@ -44,14 +44,18 @@ def _merge_raw(keys: np.ndarray, coeffs: np.ndarray):
 
 def _validated_merge(n: int, keys, coeffs):
     """The one validator behind both public constructors: a qubit count in
-    1..MAX_QUBITS, equal-length 1-D arrays and finite coefficients; then
-    sort, merge and drop exact zeros."""
+    1..MAX_QUBITS, equal-length 1-D arrays, keys below 4**n and finite
+    coefficients; then sort, merge and drop exact zeros."""
     _checked_width(n)
     keys = np.asarray(keys, dtype=np.uint64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if keys.ndim != 1 or keys.shape != coeffs.shape:
         raise ValueError(f"keys {keys.shape} and coefficients {coeffs.shape} "
                          "must be 1-D arrays of equal length")
+    if 2 * n < 64:  # at 32 qubits every uint64 is a key
+        wide = np.flatnonzero(keys >> np.uint64(2 * n))
+        if wide.size:
+            raise ValueError(f"key {int(keys[wide[0]])} out of range for {n} qubits")
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
         label = PauliString.from_key(int(keys[bad[0]]), n).label
@@ -113,7 +117,8 @@ class Hamiltonian:
 
     def _terms(self, order) -> list[tuple[PauliString, float]]:
         keys, coeffs = self._keys[order].tolist(), self._coeffs[order].tolist()
-        return [(PauliString.from_key(k, self.n), c) for k, c in zip(keys, coeffs)]
+        n, mask, build = self.n, (1 << self.n) - 1, PauliString._from_valid_key
+        return [(build(k, n, mask), c) for k, c in zip(keys, coeffs)]
 
     @property
     def terms(self) -> dict[PauliString, float]:

@@ -128,6 +128,16 @@ class PauliString:
         mask = (1 << n) - 1
         return cls(n, (key >> n) & mask, key & mask)
 
+    @classmethod
+    def _from_valid_key(cls, key: int, n: int, mask: int) -> "PauliString":
+        """``from_key`` without the width and mask checks, for the keys of a
+        container that validated them; ``mask`` is ``(1 << n) - 1``."""
+        p = object.__new__(cls)
+        p.n = n
+        p.x = key >> n
+        p.z = key & mask
+        return p
+
     def key(self) -> int:
         """Packed integer ``(x << n) | z``; unique per string at fixed n."""
         return (self.x << self.n) | self.z

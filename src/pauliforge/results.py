@@ -3,7 +3,8 @@
 All floats are printed with 17 significant digits (enough to round-trip
 float64 exactly; -0.0 is printed "-0.0", as "-0" reads back as the
 integer 0), keys keep insertion order, and no whitespace varies, so
-identical runs serialize to identical bytes.
+identical runs serialize to identical bytes.  NumPy scalars and arrays
+are written as their Python values, a 0-d array as its scalar.
 """
 
 from __future__ import annotations
@@ -21,36 +22,71 @@ from .paulis import digits_from_keys, labels_from_digits
 from .qestimate import QEstimate
 
 
-def _format_value(obj) -> str:
-    # one isinstance chain, the most frequent types of result documents first
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)  # what json.dumps does with a str
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value {x} cannot be serialized")
-        if x == 0.0 and math.copysign(1.0, x) < 0.0:
-            return "-0.0"  # "-0" reads back as the integer 0
-        return f"{x:.17g}"
-    if isinstance(obj, dict):
-        items = ",".join(f"{encode_basestring_ascii(str(k))}:{_format_value(v)}"
-                         for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ",".join(map(_format_value, seq)) + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _format_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x} cannot be serialized")
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"  # "-0" reads back as the integer 0
+    return f"{x:.17g}"
+
+
+def _format_value(obj, append) -> None:
+    """Pass the JSON text of ``obj`` to ``append`` piece by piece."""
+    # Exact types first, the float, str, dict and list of result documents.
+    kind = type(obj)
+    if kind is float:
+        append(_format_float(obj))
+    elif kind is str:
+        append(encode_basestring_ascii(obj))  # what json.dumps does with a str
+    elif kind is dict:
+        sep = "{"
+        for k, v in obj.items():
+            key = encode_basestring_ascii(k if type(k) is str else str(k))
+            # str and finite, nonzero float values are formatted inline, in
+            # one piece with their key: no call, and fewer pieces held
+            if type(v) is float and 0.0 < abs(v) < math.inf:
+                append(f"{sep}{key}:{v:.17g}")
+            elif type(v) is str:
+                append(f"{sep}{key}:{encode_basestring_ascii(v)}")
+            else:
+                append(f"{sep}{key}:")
+                _format_value(v, append)
+            sep = ","
+        append("}" if sep == "," else "{}")
+    elif kind is list or kind is tuple:
+        sep = "["
+        for v in obj:
+            append(sep)
+            _format_value(v, append)
+            sep = ","
+        append("]" if sep == "," else "[]")
+    # Then bool, None, ints, NumPy scalars and arrays, and subclasses.
+    elif isinstance(obj, str):
+        append(encode_basestring_ascii(obj))
+    elif isinstance(obj, bool):
+        append("true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
+        append(_format_float(float(obj)))
+    elif isinstance(obj, dict):
+        _format_value(dict(obj), append)
+    elif isinstance(obj, (list, tuple)):
+        _format_value(list(obj), append)
+    elif isinstance(obj, np.ndarray):
+        _format_value(obj.tolist(), append)  # a 0-d array gives its scalar
+    elif obj is None:
+        append("null")
+    elif isinstance(obj, (int, np.integer)):
+        append(str(int(obj)))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def stable_json(obj) -> str:
     """Deterministic JSON text with full float precision, one trailing newline."""
-    return _format_value(obj) + "\n"
+    out: list[str] = []
+    _format_value(obj, out.append)  # pieces joined once
+    out.append("\n")
+    return "".join(out)
 
 
 def input_digest(data: bytes | str) -> str:

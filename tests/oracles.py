@@ -8,10 +8,14 @@ and ``pauli_product`` and merges terms gate by gate with np.unique.
 Neither shares code with the compiled engine it checks.  The qDrift
 reference is the sampling code as first written, one copy per function;
 the sorted-insertion reference calls the public commutation predicate
-once per pair.  The restart reference at the end is the
+once per pair, and the serializer reference is the value formatter as
+one isinstance chain.  The restart reference at the end is the
 optimizer loop as it ran one restart at a time, before restarts ran in
 lockstep.
 """
+
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from hypothesis import strategies as st
@@ -479,6 +483,38 @@ def sorted_insertion_reference(h: Hamiltonian, commutation: str = "general") -> 
 
     collections = tuple(Collection(members=tuple(members)) for members in groups)
     return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
+
+
+# -- serializer reference -----------------------------------------------
+# The value formatter as one isinstance chain, before exact-type dispatch
+# (a 0-d array formats as its scalar, as NumPy scalars do).
+
+def format_value_reference(obj) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {x} cannot be serialized")
+        if x == 0.0 and math.copysign(1.0, x) < 0.0:
+            return "-0.0"
+        return f"{x:.17g}"
+    if isinstance(obj, dict):
+        items = ",".join(f"{encode_basestring_ascii(str(k))}:{format_value_reference(v)}"
+                         for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return format_value_reference(obj.item())
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        return "[" + ",".join(map(format_value_reference, seq)) + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 # -- one restart at a time ----------------------------------------------

@@ -1,5 +1,6 @@
 """Grouping strategies, grouped norm, cost models, and the shot simulator."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,19 +113,44 @@ class TestSortedInsertion:
 
     @settings(max_examples=60, deadline=None)
     @given(h=pauli_sums(), commutation=st.sampled_from(COMMUTATION_KINDS),
-           rows=st.integers(1, 7))
-    def test_matches_reference_across_block_boundaries(self, h, commutation, rows):
-        """With the parity block cut to ``rows`` candidates, a sum spans
-        several blocks, the last one often partial, and still groups as
-        the one-pair-at-a-time reference does."""
-        with mock.patch.object(grouping_module, "_BLOCK_ENTRIES", rows * len(h)):
+           rows=st.integers(1, 7), width=st.integers(1, 7))
+    def test_matches_reference_across_block_boundaries(self, h, commutation, rows, width):
+        """With the parity block cut to ``rows`` candidates and the conflict
+        table to windows of at most ``width``, a sum spans several blocks
+        and windows, the last ones often partial, every window after the
+        first rebuilt from the placed terms, and still groups as the
+        one-pair-at-a-time reference does."""
+        with mock.patch.object(grouping_module, "_BLOCK_ENTRIES", rows * len(h)), \
+                mock.patch.object(grouping_module, "_TABLE_ENTRIES", (1 + width) * width):
             assert sorted_insertion(h, commutation) == sorted_insertion_reference(h, commutation)
 
     @pytest.mark.parametrize("commutation", COMMUTATION_KINDS)
     def test_one_row_blocks_match_reference(self, commutation):
+        """One-row parity blocks, with the default table and with windows
+        of 1-7 candidates that narrow as collections open, down to one
+        candidate once the open rows alone fill the table."""
         h = random_hamiltonian(5, 300, np.random.default_rng(8))
+        expected = sorted_insertion_reference(h, commutation)
         with mock.patch.object(grouping_module, "_BLOCK_ENTRIES", 1):
-            assert sorted_insertion(h, commutation) == sorted_insertion_reference(h, commutation)
+            assert sorted_insertion(h, commutation) == expected
+            for width in range(1, 8):
+                with mock.patch.object(grouping_module, "_TABLE_ENTRIES", (1 + width) * width):
+                    assert sorted_insertion(h, commutation) == expected
+
+    def test_conflict_table_memory_is_bounded(self):
+        """General grouping of 6000 terms peaks far below the m**2 bytes
+        (36 MB) of a full candidate-by-candidate table: its conflict table
+        holds at most _TABLE_ENTRIES (4 Mi) bools."""
+        h = random_hamiltonian(10, 6000, np.random.default_rng(9), allow_identity=False)
+        assert len(h) == 6000
+        tracemalloc.start()
+        try:
+            g = sorted_insertion(h, "general")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.collection_count > 1
+        assert peak < len(h) ** 2 // 4
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.one_of(st.integers(1, 32), st.just(32)),

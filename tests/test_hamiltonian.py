@@ -57,6 +57,16 @@ class TestContainer:
         with pytest.raises(ValueError, match="equal length"):
             Hamiltonian.from_arrays(2, [1, 2], [1.0])
 
+    @pytest.mark.parametrize("n, key", [(2, 16), (2, 100), (1, 4), (31, 1 << 62),
+                                        (16, 1 << 40)])
+    def test_from_arrays_rejects_key_past_4_to_the_n(self, n, key):
+        with pytest.raises(ValueError, match=f"key {key} out of range for {n} qubits"):
+            Hamiltonian.from_arrays(n, [0, key], [1.0, 2.0])
+
+    def test_from_arrays_takes_every_key_at_32_qubits(self):
+        h = Hamiltonian.from_arrays(32, [(1 << 64) - 1], [1.0])
+        assert [p.label for p in h.terms] == ["Y" * 32]
+
     def test_scalar_multiply_and_add(self):
         h = Hamiltonian(2, {"XI": 3.0, "ZZ": 2.0})
         g = 2.0 * h + Hamiltonian(2, {"XI": -6.0})
@@ -226,3 +236,14 @@ class TestTensorAndEmbed:
         h = Hamiltonian(2, {"XZ": 1.0})
         e = embed(h, (2, 0), 3)
         assert e.terms == {PauliString.from_label("ZIX"): 1.0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums())
+def test_terms_are_the_strings_from_key_builds(h):
+    # _terms skips from_key's checks for keys the container validated
+    expected = [(PauliString.from_key(int(k), h.n), float(c)) for k, c in zip(h.keys, h.coeffs)]
+    got = list(h)
+    assert got == expected
+    for (p, _), (q, _) in zip(got, expected):
+        assert type(p) is PauliString and (p.n, p.x, p.z) == (q.n, q.x, q.z)

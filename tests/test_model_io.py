@@ -22,7 +22,7 @@ from pauliforge.results import (
     stable_json,
 )
 
-from oracles import random_hamiltonian
+from oracles import format_value_reference, random_hamiltonian
 
 
 class TestIsingNeighbor:
@@ -174,6 +174,33 @@ json_documents = st.recursive(
     max_leaves=20,
 )
 
+# The scalars above and any str (non-ASCII included), plus what else result
+# documents may carry: np.int64 and np.float64 scalars, 0-d and 1-d arrays,
+# tuples and int dict keys.
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308]),
+)
+int64s = st.integers(-(2**63), 2**63 - 1)
+numpy_scalars = st.one_of(
+    int64s.map(np.int64), finite_floats.map(np.float64),
+    st.one_of(finite_floats, int64s, st.booleans()).map(np.array),
+    st.lists(finite_floats, max_size=4).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(int64s, max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+)
+mixed_documents = st.recursive(
+    st.one_of(json_scalars, st.text(), numpy_scalars),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers()), inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+def _wrapped(doc, bad, where):
+    """``bad`` placed after ``doc`` in a list, a tuple or a dict value."""
+    return ([doc, bad], (doc, [bad]), {"doc": doc, 7: {"x": bad}})[where]
+
 
 class TestStableJson:
     def test_float_precision_round_trips(self):
@@ -238,10 +265,51 @@ class TestStableJson:
         with pytest.raises(ValueError, match="non-finite"):
             stable_json([bad])
 
-    @pytest.mark.parametrize("bad", [np.bool_(True), object(), {1, 2}, b"bytes"], ids=repr)
+    # A bare object's repr holds its address, so it gets a fixed id.
+    @pytest.mark.parametrize("bad", [np.bool_(True), pytest.param(object(), id="object()"),
+                                     {1, 2}, b"bytes"], ids=repr)
     def test_unsupported_type_raises_type_error(self, bad):
         with pytest.raises(TypeError, match="cannot serialize"):
             stable_json({"x": bad})
+
+    @pytest.mark.parametrize("value, text", [
+        (np.array(1.5), "1.5"),
+        (np.array(-0.0), "-0.0"),
+        (np.array(np.float32(0.1)), "0.10000000149011612"),
+        (np.array(-7), "-7"),
+        (np.array(True), "true"),
+        (np.array(False), "false"),
+        ({"x": [np.array(2.0)]}, '{"x":[2]}'),
+    ], ids=repr)
+    def test_zero_d_array_is_its_scalar(self, value, text):
+        assert stable_json(value) == text + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=mixed_documents)
+    def test_matches_isinstance_chain_reference(self, doc):
+        assert stable_json(doc) == format_value_reference(doc) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=mixed_documents, where=st.integers(0, 2),
+           bad=st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                                np.float32("-inf"), np.array(np.inf), np.array([1.0, np.nan])]))
+    def test_non_finite_raises_value_error_like_reference(self, doc, where, bad):
+        doc = _wrapped(doc, bad, where)
+        with pytest.raises(ValueError, match="non-finite"):
+            stable_json(doc)
+        with pytest.raises(ValueError, match="non-finite"):
+            format_value_reference(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=mixed_documents, where=st.integers(0, 2),
+           bad=st.sampled_from([object(), {1, 2}, b"bytes", np.bool_(True), 1 + 2j,
+                                np.complex128(1.0)]))
+    def test_unknown_type_raises_type_error_like_reference(self, doc, where, bad):
+        doc = _wrapped(doc, bad, where)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            stable_json(doc)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            format_value_reference(doc)
 
     def test_digest_stable(self):
         assert input_digest("abc") == input_digest(b"abc")
