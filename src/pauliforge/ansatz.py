@@ -17,16 +17,19 @@ The induced linear map on coefficient space is real orthogonal;
 
 One engine, :class:`CompiledAnsatz`, runs every propagation.  For a
 fixed input key set the support after each gate does not depend on the
-angles, so each gate is compiled once: for every entry of its sorted
-output support, the (at most two) input entries it reads and their +/-1
-phase signs.  Applying the circuit is then a few array operations per
-gate.  Pruning
-at ``PRUNE_TOL`` sets entries to zero in place instead of dropping keys,
-so the plans stay valid for every angle, theta = 0 and Clifford angles
-included; nonzeros are compacted only where a Hamiltonian, a cost or a
-dot product is formed.  Every output entry is a sum of at most two
-products, so the engine matches gate-by-gate sort-and-merge bit for bit.
-The gradient's reverse pass runs through the transposed plans on the
+angles, so each gate is compiled once, from one sort of the keys that
+leave it: ``np.unique`` with its inverse places every input key and
+every partner on the sorted output support.  Those positions give the
+gate's gather (for every output entry, the at most two input entries it
+reads and their +/-1 phase signs) and, together with it, the transposed
+gather back onto the input keys.  Applying the circuit is then a few
+array operations per gate.  Pruning at ``PRUNE_TOL`` sets entries to
+zero in place instead of dropping keys, so the plans stay valid for
+every angle, theta = 0 and Clifford angles included; nonzeros are
+compacted only where a Hamiltonian, a cost or a dot product is formed.
+Every output entry is a sum of at most two products, so the engine
+matches gate-by-gate sort-and-merge bit for bit.
+The gradient's reverse pass runs through the transposed gathers on the
 forward supports only (:meth:`CompiledAnsatz.pullback`).
 
 The same plans carry a stack of angle vectors, shape ``(b, P)``, as
@@ -40,7 +43,6 @@ optimizer runs its restarts in lockstep through one pass per gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -208,18 +210,11 @@ def _partner_signs(targets: np.ndarray, axis: np.uint64, n: int) -> np.ndarray:
     return 1.0 - (k & 2)
 
 
-def _locate(keys: np.ndarray, queries: np.ndarray):
-    """Positions of ``queries`` in the sorted ``keys`` and whether each is there."""
-    at = np.searchsorted(keys, queries)
-    found = keys[np.minimum(at, keys.size - 1)] == queries
-    return at, found
-
-
 class _RotationGather:
     """A rotation's map from entries on ``source`` keys to ``target`` keys.
 
     Target entry o reads the source entry at its own key and, when o
-    anticommutes with the axis A (``anti``), the one at A*o:
+    anticommutes with the axis A, the one at A*o:
 
         y[o] = (keep[o] + cos(t)*own[o]) * x[src1[o]] + sin(t)*sign[o] * x[src2[o]]
 
@@ -228,26 +223,15 @@ class _RotationGather:
     points at a valid entry with weight 0.  Each entry is a sum of at
     most two products, so the result does not depend on summation order.
     ``x`` may be a (b, m) stack with c and s as (b, 1) columns.
-    Built from the input onto the output keys this is the gate; built
-    from the output onto the input keys and run at -t it is the transpose
-    of the gate restricted to those keys.
+    From the input onto the output keys this is the gate; from the output
+    onto the input keys and run at -t it is the transpose of the gate
+    restricted to those keys.
     """
 
     __slots__ = ("src1", "src2", "keep", "own", "sign")
 
-    def __init__(self, source, target, anti, axis, n):
-        own_at, own_in = _locate(source, target)
-        at = np.flatnonzero(anti)
-        partner_at, partner_in = _locate(source, target[at] ^ axis)
-        at, partner_at = at[partner_in], partner_at[partner_in]  # partners present
-        self.src2 = own_at.copy()
-        self.src2[at] = partner_at
-        # a target absent from the source is the partner of a source key
-        self.src1 = np.where(own_in, own_at, self.src2)
-        self.keep = (own_in & ~anti).astype(np.float64)
-        self.own = (own_in & anti).astype(np.float64)
-        self.sign = np.zeros(target.size)
-        self.sign[at] = _partner_signs(target[at], axis, n)
+    def __init__(self, src1, src2, keep, own, sign):
+        self.src1, self.src2, self.keep, self.own, self.sign = src1, src2, keep, own, sign
 
     def __call__(self, x, c, s):
         return ((self.keep + c * self.own) * x.take(self.src1, axis=-1)
@@ -271,61 +255,69 @@ def _cz_bits(keys: np.ndarray, n: int, q1: int, q2: int):
 
 
 class _CZGather:
-    """CZ's signed permutation from ``source`` entries onto ``target`` keys.
-
-    CZ is an involution and keeps each string's sign bit, so the same
-    construction gives the gate and its transpose.
-    """
+    """CZ's signed permutation: target entry j is ``sign[j] * x[src[j]]``."""
 
     __slots__ = ("src", "sign")
 
-    def __init__(self, source, target, n, q1, q2):
-        flip, neg = _cz_bits(target, n, q1, q2)
-        self.src = np.searchsorted(source, target ^ flip)
-        self.sign = np.where(neg, -1.0, 1.0)
+    def __init__(self, src, sign):
+        self.src, self.sign = src, sign
 
     def __call__(self, x):
         return self.sign * x.take(self.src, axis=-1)
 
 
-def _rotated_keys(keys: np.ndarray, anti: np.ndarray, axis: np.uint64) -> np.ndarray:
-    """Sorted support leaving a rotation when ``keys`` enter it, before
-    pruning: the keys and the partners of those anticommuting with it."""
-    # Sort and drop repeats by hand: np.union1d's hash-based np.unique
-    # costs about 1.5 MB of resident memory on first use.
-    merged = np.sort(np.concatenate([keys, keys[anti] ^ axis]))
-    first = np.ones(merged.size, dtype=bool)
-    first[1:] = merged[1:] != merged[:-1]
-    return merged[first]
-
-
 class _Step:
-    """One gate compiled on the key set that enters it; ``axis`` is the
-    rotation's axis key, None for a CZ."""
+    """One gate compiled on the key set that enters it: the sorted
+    support ``keys`` that leaves it, the ``gather`` onto those keys and
+    its transpose ``back`` onto the input keys.  ``axis`` is the
+    rotation's axis key, None for a CZ.
 
-    __slots__ = ("param", "keys", "gather", "_back", "_compile_back")
+    One ``np.unique`` of the keys that leave the gate, with its inverse,
+    places every input key and every partner, and both gathers are
+    filled from those positions.
+    """
+
+    __slots__ = ("param", "keys", "gather", "back")
 
     def __init__(self, gate: Gate, axis, keys_in: np.ndarray, n: int):
         self.param = gate.param
-        self._back = None
+        m = keys_in.size
         if axis is None:
-            flip, _ = _cz_bits(keys_in, n, *gate.qubits)
-            self.keys = np.sort(keys_in ^ flip)
-            self.gather = _CZGather(keys_in, self.keys, n, *gate.qubits)
-            self._compile_back = partial(_CZGather, self.keys, keys_in, n, *gate.qubits)
-        else:
-            anti = _anticommuting(keys_in, axis, n)  # also the back gather's
-            self.keys = _rotated_keys(keys_in, anti, axis)
-            self.gather = _RotationGather(keys_in, self.keys,
-                                          _anticommuting(self.keys, axis, n), axis, n)
-            self._compile_back = partial(_RotationGather, self.keys, keys_in, anti, axis, n)
-
-    def back(self):
-        """The transposed gather, from the output keys onto the input keys,
-        compiled on first use (only gradients need it)."""
-        if self._back is None:
-            self._back = self._compile_back()
-        return self._back
+            # CZ permutes the strings, and a string and its image share
+            # their sign bit, so the keys have no repeats and one sign
+            # vector serves both directions.
+            flip, neg = _cz_bits(keys_in, n, *gate.qubits)
+            self.keys, inv = np.unique(keys_in ^ flip, return_inverse=True)
+            sign = np.where(neg, -1.0, 1.0)
+            src = np.empty(m, dtype=np.intp)
+            src[inv] = np.arange(m)
+            self.gather = _CZGather(src, sign[src])
+            self.back = _CZGather(inv, sign)
+            return
+        anti = _anticommuting(keys_in, axis, n)
+        at = np.flatnonzero(anti)
+        self.keys, inv = np.unique(np.concatenate([keys_in, keys_in[at] ^ axis]),
+                                   return_inverse=True)
+        own_slot, partner_slot = inv[:m], inv[m:]
+        signs = _partner_signs(keys_in[at], axis, n)  # the partners': sigma(A*o) = -sigma(o)
+        size = self.keys.size
+        rows = np.arange(m)
+        src2 = np.empty(size, dtype=np.intp)
+        src2[own_slot] = rows
+        src2[partner_slot] = at
+        src1 = src2.copy()
+        src1[own_slot] = rows  # a key absent from the input reads its partner
+        keep, own, sign = np.zeros(size), np.zeros(size), np.zeros(size)
+        keep[own_slot] = ~anti
+        own[own_slot] = anti
+        sign[partner_slot] = -signs
+        self.gather = _RotationGather(src1, src2, keep, own, sign)
+        back_src2 = own_slot.copy()
+        back_src2[at] = partner_slot
+        back_sign = np.zeros(m)
+        back_sign[at] = signs
+        self.back = _RotationGather(own_slot, back_src2, (~anti).astype(np.float64),
+                                    anti.astype(np.float64), back_sign)
 
 
 def _angle_columns(theta):
@@ -364,9 +356,10 @@ def _hit_dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 class CompiledAnsatz:
     """A layout's gates compiled against one Hamiltonian's key set.
 
-    Compiling walks the gates once and records, per gate, the support
-    that enters it and the gather with signs onto the sorted support
-    that leaves it.  For a fixed input those supports do not depend on
+    Compiling walks the gates once and records, per gate, the sorted
+    support that leaves it, the gather with signs onto that support and
+    the transposed gather back onto the support that enters it.  For a
+    fixed input those supports do not depend on
     the angles, so one compilation serves every angle vector.
     Coefficients below ``PRUNE_TOL`` are set to zero in place after each
     gate rather than dropped, which keeps the plans valid for every
@@ -465,12 +458,12 @@ class CompiledAnsatz:
             p = step.param
             if p is None:
                 if j:
-                    g = step.back()(g)
+                    g = step.back(g)
                 continue
             d = step.gather.derivative(states[j], cos[p], sin[p])
             grad[..., p] = _hit_dots(g, d)
             if j:
-                g = step.back()(g, cos_back[p], sin_back[p])
+                g = step.back(g, cos_back[p], sin_back[p])
         return grad
 
 

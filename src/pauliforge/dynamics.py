@@ -187,9 +187,12 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
     Each sampled step is exp(-i*tau*sign(h_j)*P_j) = cos(tau) I
     - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.  A plan drawn
     for another Hamiltonian (a different gamma, or an index past h's
-    terms) is rejected.
+    terms) is rejected, as is one whose indices are not one per gate.
     """
     q = _QDrift(h, plan.gate_count)
+    if plan.indices.shape != (plan.gate_count,):
+        raise ValueError(f"plan has indices of shape {plan.indices.shape}, "
+                         f"expected ({plan.gate_count},) for its gate count")
     if plan.gamma != q.gamma:
         raise ValueError(f"plan was drawn for gamma={plan.gamma}, Hamiltonian has {q.gamma}")
     if np.any((plan.indices < 0) | (plan.indices >= len(h))):

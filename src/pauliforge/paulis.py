@@ -124,9 +124,12 @@ class PauliString:
 
     @classmethod
     def from_key(cls, key: int, n: int) -> "PauliString":
-        """Build from the packed integer key ``(x << n) | z``."""
-        mask = (1 << n) - 1
-        return cls(n, (key >> n) & mask, key & mask)
+        """Build from the packed integer key ``(x << n) | z``, one of
+        0..4**n - 1; any other key raises a ValueError."""
+        mask = (1 << _checked_width(n)) - 1
+        if not 0 <= key >> n <= mask:
+            raise ValueError(f"key {key} out of range for {n} qubits")
+        return cls(n, key >> n, key & mask)
 
     @classmethod
     def _from_valid_key(cls, key: int, n: int, mask: int) -> "PauliString":

@@ -90,6 +90,8 @@ def q_circuit_marginal(psi: np.ndarray) -> float:
 
 def q_full_circuit(psi: np.ndarray, shots: int, seed: int = 0) -> QEstimate:
     """Sample the circuit's ancilla ``shots`` times and estimate Q."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1; use q_analytic for the exact value")
     p_plus = q_circuit_marginal(psi)

@@ -166,6 +166,16 @@ class TestQDriftSample:
             with pytest.raises(ValueError, match="outside"):
                 qdrift_apply(h, bad, np.eye(16, dtype=complex))
 
+    def test_plan_indices_not_one_per_gate_rejected(self):
+        """A plan applies exactly gate_count steps: fewer indices, more,
+        or a 2-D array are refused instead of applied or broadcast."""
+        h = Hamiltonian(2, GOLDEN_2Q)
+        plan = qdrift_sample(h, 1.0, 5, seed=0)
+        for indices in ([0, 1], [0] * 6, [[0, 1, 2, 0, 1]], [[0], [1], [2], [0], [1]]):
+            bad = QDriftPlan(plan.gamma, plan.tau, 5, np.array(indices), 0)
+            with pytest.raises(ValueError, match=r"indices of shape .*expected \(5,\)"):
+                qdrift_apply(h, bad, np.eye(4, dtype=complex))
+
 
 class TestQDriftError:
     def test_t_zero(self):

@@ -6,7 +6,8 @@ gradient, including at theta = 0 and at Clifford angles where terms
 cancel and plans keep zeros in place, on hardware-efficient layouts and
 on layouts with rotations about Pauli axes of weight up to 3.  The bit
 rule the engine applies to packed keys is pinned against the scalar
-Pauli algebra on its own.
+Pauli algebra on its own, and so is one compiled gate: its support, its
+gather, and its back gather as the gather's exact transpose.
 """
 
 import numpy as np
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 
 from pauliforge.ansatz import (
     CompiledAnsatz,
+    Gate,
     _anticommuting,
     _partner_signs,
     apply_ansatz,
     apply_ansatz_inverse,
     hardware_efficient_layout,
+    layout_from_gates,
 )
 from pauliforge.hamiltonian import Hamiltonian, l2_norm
 from pauliforge.optimize import (
@@ -35,8 +38,11 @@ from pauliforge.paulis import PauliString, commutes, pauli_product
 
 from oracles import (
     circuits,
+    cz_raw_reference,
+    merge_reference,
     pauli_axis_layouts,
     propagate_reference,
+    rotation_raw_reference,
     value_and_grad_reference,
 )
 
@@ -115,6 +121,51 @@ def test_bit_rule_matches_pauli_algebra(case):
         product = pauli_product(a, partner)
         assert product.string == PauliString.from_key(o, n)
         assert -1j * product.phase == sign
+
+
+@st.composite
+def keys_and_gate(draw):
+    """A sum with distinct random keys (possibly none) on n = 2..4 qubits,
+    one gate of RX, RY, RZ, RXZ or CZ, and an angle."""
+    n = draw(st.integers(2, 4))  # dense key sets reorder under CZ
+    keys = sorted(draw(st.sets(st.integers(0, 4**n - 1), max_size=24)))
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0).filter(bool), min_size=len(keys),
+                           max_size=len(keys)))
+    h = Hamiltonian.from_arrays(n, np.array(keys, dtype=np.uint64), np.array(coeffs))
+    kind = draw(st.sampled_from(["RX", "RY", "RZ", "RXZ", "CZ"]))
+    width = 1 if kind in ("RX", "RY", "RZ") else 2
+    qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=width, max_size=width,
+                                 unique=True)))
+    gate = Gate(kind, qubits, None if kind == "CZ" else 0)
+    t = draw(st.one_of(st.floats(-7.0, 7.0), st.sampled_from([0.0, np.pi / 2, np.pi])))
+    return h, gate, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys_and_gate())
+def test_step_compiles_its_support_and_both_gathers(case):
+    """One compiled gate: its keys are the sorted set of the input keys
+    and their partners (a CZ's images), its gather gives the merged
+    reference there with exact zeros kept, and its back gather at -t is
+    exactly the transpose of the gather at t as dense matrices."""
+    h, gate, t = case
+    [step] = CompiledAnsatz(h, layout_from_gates(h.n, [gate])).steps
+    if gate.kind == "CZ":
+        raw = cz_raw_reference(h.keys, h.coeffs, h.n, *gate.qubits)
+        args, back_args = (), ()
+    else:
+        raw = rotation_raw_reference(h.keys, h.coeffs, h.n, gate, t)
+        args, back_args = (np.cos(t), np.sin(t)), (np.cos(-t), np.sin(-t))
+    assert step.keys.dtype == np.uint64
+    assert np.array_equal(step.keys, np.unique(raw[0]))
+    ref_keys, ref_coeffs = merge_reference(raw[0], raw[1], 0.0)
+    expected = np.zeros(step.keys.size)
+    expected[np.searchsorted(step.keys, ref_keys)] = ref_coeffs
+    assert np.array_equal(step.gather(h.coeffs, *args), expected)
+    forward = step.gather(np.eye(h.keys.size), *args)  # row i: the image of entry i
+    back = step.back(np.eye(step.keys.size), *back_args)
+    assert back.shape == forward.T.shape
+    assert np.array_equal(back, forward.T)
 
 
 @settings(max_examples=60, deadline=None)

@@ -64,6 +64,24 @@ class TestRepresentation:
                 p = PauliString.from_index(i, n)
                 assert PauliString.from_key(p.key(), n) == p
 
+    @pytest.mark.parametrize("key, n", [(100, 2), (16, 2), (-1, 2), (-16, 2), (4, 1),
+                                        (1 << 64, 32), (-(1 << 70), 3)])
+    def test_from_key_rejects_key_outside_4_to_the_n(self, key, n):
+        """A key below 0 or of 4**n and above is refused, not masked to
+        its low 2n bits (100 at n = 2 once read as XI, -1 as YY)."""
+        with pytest.raises(ValueError, match=f"key {key} out of range for {n} qubits"):
+            PauliString.from_key(key, n)
+
+    def test_from_key_takes_every_key_up_to_4_to_the_n(self):
+        assert PauliString.from_key(15, 2).label == "YY"
+        assert PauliString.from_key(0, 2).label == "II"
+        assert PauliString.from_key((1 << 64) - 1, 32).label == "Y" * 32
+
+    def test_from_key_checks_the_width_first(self):
+        for n in (0, 33):
+            with pytest.raises(ValueError, match="qubit count must be in"):
+                PauliString.from_key(0, n)
+
     def test_restrict(self):
         p = PauliString.from_label("XIZYIX")
         assert p.restrict((0, 1, 2)).label == "XIZ"

@@ -113,6 +113,16 @@ class TestFullCircuit:
         with pytest.raises(ValueError):
             q_full_circuit(np.array([1.0, 0.0]), shots=0)
 
+    @pytest.mark.parametrize("shots", [2.5, 10.0, np.float64(10.0), True, False, "10", None],
+                             ids=repr)
+    def test_shots_not_an_int_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots must be an int"):
+            q_full_circuit(np.array([1.0, 0.0]), shots=shots)
+
+    def test_numpy_int_shots_accepted(self):
+        psi = np.array([0.6, 0.8])
+        assert q_full_circuit(psi, np.int64(50), seed=3) == q_full_circuit(psi, 50, seed=3)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         psi = haar_like_state(8, rng)
