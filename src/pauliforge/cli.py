@@ -1,16 +1,20 @@
 """Command-line frontend: reproducible runs with machine-readable output.
 
 Every run is fully determined by its flags (seeds default to 0 and are
-echoed in the output), JSON goes to stdout or --output, and diagnostics
-go to stderr.  Exit codes: 0 on success, 2 for input problems (missing
-or malformed files, bad flags or builder sizes), 1 for runtime failures,
-capacity caps on valid input included.
+echoed in the output), and diagnostics go to stderr.  Each ``cmd_*``
+returns its document text, JSON or CSV, and ``main`` alone writes it to
+stdout or --output.  Exit codes: 0 on success, 2 for input problems
+(malformed files, bad flags or builder sizes, and any path that cannot
+be read or written, output paths being checked before any work), 1 for
+runtime failures, capacity caps on valid input included.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 import time
 
@@ -111,14 +115,6 @@ def _load_state(path) -> tuple[np.ndarray, str]:
     return np.asarray(values, dtype=complex), digest
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _envelope(command: str, digest: str, seed: int, results, seconds: float) -> str:
     return stable_json({
         "command": command,
@@ -129,7 +125,7 @@ def _envelope(command: str, digest: str, seed: int, results, seconds: float) -> 
     })
 
 
-def cmd_engineer(args) -> int:
+def cmd_engineer(args) -> str:
     h, digest = _load_input(args)
     layout = hardware_efficient_layout(h.n, args.depth)
     t0 = time.perf_counter()
@@ -141,12 +137,11 @@ def cmd_engineer(args) -> int:
         f"pauli norm: original {res.original_norm:.12g} -> engineered {res.engineered_norm:.12g}",
         file=sys.stderr,
     )
-    _emit(args, _envelope("engineer", digest, args.seed,
-                          engineered_result_to_dict(res, layout), seconds))
-    return 0
+    return _envelope("engineer", digest, args.seed,
+                     engineered_result_to_dict(res, layout), seconds)
 
 
-def cmd_group(args) -> int:
+def cmd_group(args) -> str:
     h, digest = _load_input(args)
     commutation = {"sorted": "general", "gc-sorted": "general", "qwc": "qubit_wise"}[args.strategy]
     t0 = time.perf_counter()
@@ -154,11 +149,10 @@ def cmd_group(args) -> int:
     seconds = time.perf_counter() - t0
     doc = grouping_result_to_dict(g)
     doc["pauli_norm"] = pauli_norm(h)
-    _emit(args, _envelope("group", digest, args.seed, doc, seconds))
-    return 0
+    return _envelope("group", digest, args.seed, doc, seconds)
 
 
-def cmd_qdrift(args) -> int:
+def cmd_qdrift(args) -> str:
     h, digest = _load_input(args)
     gamma = pauli_norm(h)
     t0 = time.perf_counter()
@@ -175,11 +169,10 @@ def cmd_qdrift(args) -> int:
         })
     seconds = time.perf_counter() - t0
     results = {"gamma": gamma, "time": args.time, "trials": args.trials, "rows": rows}
-    _emit(args, _envelope("qdrift", digest, args.seed, results, seconds))
-    return 0
+    return _envelope("qdrift", digest, args.seed, results, seconds)
 
 
-def cmd_estimate_q(args) -> int:
+def cmd_estimate_q(args) -> str:
     if args.ham or args.input:
         h, digest = _load_input(args)
         psi = vectorize(h).to_dense()
@@ -195,8 +188,7 @@ def cmd_estimate_q(args) -> int:
     else:
         est = q_full_circuit(psi, shots=args.shots, seed=args.seed)
     seconds = time.perf_counter() - t0
-    _emit(args, _envelope("estimate-q", digest, args.seed, qestimate_to_dict(est), seconds))
-    return 0
+    return _envelope("estimate-q", digest, args.seed, qestimate_to_dict(est), seconds)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -213,7 +205,7 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     if args.family not in _BUILDERS:
         raise _InputError(f"unknown family {args.family!r}")
     sizes = _parse_sizes(args.sizes)
@@ -235,8 +227,7 @@ def cmd_compare(args) -> int:
         lines.append(",".join(row))
         print(f"size {size}: norm {res.original_norm:.6g} -> {res.engineered_norm:.6g}",
               file=sys.stderr)
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _add_input_flags(p: argparse.ArgumentParser, with_state: bool = False) -> None:
@@ -310,10 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(path) -> None:
+    """Refuse, by stat alone, an output path that is a directory or whose
+    parent directory is missing: nothing is created or truncated."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _check_flags(args) -> None:
-    """Reject flag values no command can run with, before any work; parse
-    --gates, and build the optimizer config, whose validator holds the
-    rules for the optimizer flags."""
+    """Reject flag values no command can run with, and output paths that
+    cannot be written, before any work; parse --gates, and build the
+    optimizer config, whose validator holds the rules for the optimizer
+    flags."""
     if args.seed < 0:
         raise _InputError(f"--seed must be >= 0, got {args.seed}")
     depth = getattr(args, "depth", None)
@@ -339,6 +343,9 @@ def _check_flags(args) -> None:
     shots = getattr(args, "shots", None)
     if shots is not None and shots < 0:
         raise _InputError(f"--shots must be >= 0, got {shots}")
+    for path in (args.output, getattr(args, "engineered_out", None)):
+        if path:
+            _check_output_path(path)
     if hasattr(args, "restarts"):
         try:
             args.config = OptimizerConfig(
@@ -364,9 +371,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _check_flags(args)
-        return args.func(args)
-    except FileNotFoundError as err:
-        print(f"error: file not found: {err.filename}", file=sys.stderr)
+        text = args.func(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
+    except OSError as err:
+        if err.filename is None:
+            raise
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except (PauliSumParseError, _InputError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,7 +20,10 @@ searching one cdf table (Generator.choice's own, so the draws are
 choice's bit for bit), then applies the plans of a chunk of trials
 together, one gather per step; chunks hold at most
 ``_CHUNK_AMPLITUDES`` output amplitudes whatever ``trials`` is, and the
-state errors are reduced a chunk at a time.  The outputs and their
+state errors are reduced a chunk at a time.  A chunk's plans are drawn
+and applied a segment of gates at a time, so the table of draws holds
+at most ``_CHUNK_DRAWS`` entries whatever G is; a generator's uniforms
+drawn in pieces are those of one call.  The outputs and their
 reductions, in trial order, are those of one dense product per trial
 bit for bit.
 
@@ -48,6 +51,9 @@ _PANEL_SIZE = 20
 # Output amplitudes per chunk of trials in an error run: 256 KiB per
 # array, whatever the trial count and the qubit count.
 _CHUNK_AMPLITUDES = 1 << 14
+# Plan entries (trials x gates) drawn at once in an error run: 1 MiB of
+# uniforms and 1 MiB of indices, whatever the gate count.
+_CHUNK_DRAWS = 1 << 17
 
 
 def exact_evolution(h: Hamiltonian, t: float) -> np.ndarray:
@@ -134,19 +140,20 @@ class _QDrift:
     def tau(self, t: float) -> float:
         return t * self.gamma / self.gate_count
 
-    def draw(self, rngs: list[np.random.Generator]) -> np.ndarray:
-        """(len(rngs), G) term indices; row r is what
-        rngs[r].choice(terms, size=G, p=p) would return."""
-        uniforms = np.stack([rng.random(self.gate_count) for rng in rngs])
+    def draw(self, rngs: list[np.random.Generator], size: int) -> np.ndarray:
+        """(len(rngs), size) term indices; row r is what
+        rngs[r].choice(terms, size=size, p=p) would return."""
+        uniforms = np.stack([rng.random(size) for rng in rngs])
         return self._cdf.searchsorted(uniforms, side="right")
 
     def sample(self, t: float, rng: np.random.Generator, seed: int) -> QDriftPlan:
         return QDriftPlan(gamma=self.gamma, tau=self.tau(t), gate_count=self.gate_count,
-                          indices=self.draw([rng])[0], seed=seed)
+                          indices=self.draw([rng], self.gate_count)[0], seed=seed)
 
-    def apply(self, tau: float, indices: np.ndarray, panel: np.ndarray) -> np.ndarray:
-        """Apply each row of ``indices`` (trials x G) to the (2^n, k) panel;
-        returns the (trials, 2^n, k) outputs.
+    def apply(self, tau: float, indices: np.ndarray, out: np.ndarray) -> None:
+        """Apply row r of ``indices`` (trials x steps) to the (2^n, k)
+        panel out[r], in place; ``out`` is a C-contiguous complex
+        (trials, 2^n, k) stack.
 
         Step by step this is the dense update c*out - rot_j*(P_j @ out).
         rot_j = i*sign(h_j)*sin(tau) and the phases are +-1 or +-i, so
@@ -161,10 +168,9 @@ class _QDrift:
         c, s = np.cos(tau), np.sin(tau)
         rot = np.array([1j * sign * s for sign in self._signs])
         src, phase = self._rows
-        trials, (dim, k) = len(indices), panel.shape
+        trials, dim, k = out.shape
         width = k if rot.size * dim * k <= _CHUNK_AMPLITUDES else 1
         coef = np.repeat((rot[:, None] * phase)[:, :, None], width, axis=2)
-        out = np.repeat(panel.astype(complex)[None], trials, axis=0)
         flat = out.reshape(trials * dim, k)
         first_row = np.arange(0, trials * dim, dim)[:, None]
         for js in indices.T:
@@ -172,7 +178,6 @@ class _QDrift:
             np.multiply(coef.take(js, axis=0), moved, out=moved)
             np.multiply(c, out, out=out)
             np.subtract(out, moved, out=out)
-        return out
 
 
 def qdrift_sample(h: Hamiltonian, t: float, gate_count: int, seed: int = 0) -> QDriftPlan:
@@ -201,7 +206,8 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
     dim = 1 << h.n
     if states.ndim not in (1, 2) or states.shape[0] != dim:
         raise ValueError(f"states must have shape ({dim},) or ({dim}, k), got {states.shape}")
-    out = q.apply(plan.tau, plan.indices[None], states.reshape(dim, -1))
+    out = np.array(states.reshape(1, dim, -1), dtype=complex, order="C")
+    q.apply(plan.tau, plan.indices[None], out)
     return out.reshape(states.shape)
 
 
@@ -210,8 +216,9 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
     """Exact outputs on the seeded Haar panel, and a lazy stream of the
     (b, 2^n, k) panel outputs of ``trials`` plans, one per child of
     ``root``, in trial order.  Plans are drawn and applied in chunks of
-    at most _CHUNK_AMPLITUDES output amplitudes, so memory does not grow
-    with ``trials``."""
+    at most _CHUNK_AMPLITUDES output amplitudes, and a chunk's plans a
+    segment of at most _CHUNK_DRAWS draws at a time, so memory grows with
+    neither ``trials`` nor ``gate_count``."""
     if h.n > QDRIFT_MAX_QUBITS:
         raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
     if trials < 2:
@@ -222,9 +229,16 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
     exact = exact_evolution(h, t) @ panel
     tau, seqs = q.tau(t), root.spawn(trials)
     chunk = max(1, _CHUNK_AMPLITUDES // panel.size)
-    chunks = (q.apply(tau, q.draw([np.random.default_rng(s) for s in seqs[i:i + chunk]]), panel)
-              for i in range(0, trials, chunk))
-    return exact, chunks
+    steps = max(1, _CHUNK_DRAWS // chunk)
+
+    def outputs(chunk_seqs):
+        rngs = [np.random.default_rng(s) for s in chunk_seqs]
+        out = np.repeat(panel[None], len(rngs), axis=0)
+        for start in range(0, gate_count, steps):
+            q.apply(tau, q.draw(rngs, min(steps, gate_count - start)), out)
+        return out
+
+    return exact, (outputs(seqs[i:i + chunk]) for i in range(0, trials, chunk))
 
 
 def qdrift_error(h: Hamiltonian, t: float, gate_count: int,

@@ -263,6 +263,15 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
     return base + 1
 
 
+def _counts_per_term(counts, m: int) -> np.ndarray:
+    """Explicit shot counts as int64, refused unless they are one int >= 1
+    for each of the m terms."""
+    arr = np.asarray(counts)
+    if arr.shape != (m,) or (m and arr.dtype.kind not in "iu") or np.any(arr < 1):
+        raise ValueError(f"need one int shot count >= 1 per term ({m} terms)")
+    return arr.astype(np.int64)
+
+
 def _shared_eigenbasis(members, rng):
     """Orthonormal basis diagonalizing every member of a commuting family."""
     mats = [pauli_matrix(p) for _, p in members]
@@ -325,9 +334,7 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
             raise ValueError(f"unknown allocation {allocation!r}")
         counts = allocate_shots(weights, shots)
     else:
-        counts = np.asarray(allocation, dtype=np.int64)
-        if counts.shape != (len(terms),) or np.any(counts < 1):
-            raise ValueError("explicit allocation needs a positive count per term")
+        counts = _counts_per_term(allocation, len(terms))
 
     estimate = 0.0
     for (p, c), s_i in zip(terms, counts):
@@ -340,10 +347,8 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
 
 def shot_error_prediction(h: Hamiltonian, state: np.ndarray, counts) -> float:
     """Predicted RMS error sqrt(sum_i h_i^2 Var[P_i] / S_i) at the given state."""
-    counts = np.asarray(counts, dtype=np.int64)
     terms = h.terms_by_index()
-    if counts.shape != (len(terms),):
-        raise ValueError("need one shot count per term")
+    counts = _counts_per_term(counts, len(terms))
     total = 0.0
     for (p, c), s_i in zip(terms, counts):
         ev = pauli_expectation(p, state)
@@ -359,6 +364,8 @@ def covariance_zero_check(p1: PauliString, p2: PauliString,
     For commuting, non-identical Pauli strings the expectation over the
     uniform state distribution vanishes; returns (mean, standard error).
     """
+    if samples < 2:
+        raise ValueError(f"need >= 2 samples, got {samples}")
     if p1 == p2:
         raise ValueError("strings must be non-identical")
     if not commutes(p1, p2):

@@ -42,12 +42,32 @@ def _merge_raw(keys: np.ndarray, coeffs: np.ndarray):
     return uniq[keep], summed[keep]
 
 
+def _uint64_keys(keys, n: int) -> np.ndarray:
+    """Keys as uint64, refused first if one is not an integer or is
+    negative: the cast would truncate a float key and wrap a negative one."""
+    if isinstance(keys, np.ndarray):
+        if keys.size and keys.dtype.kind not in "iu":
+            raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
+        if keys.size and keys.dtype.kind == "i" and keys.min() < 0:
+            raise ValueError(f"key {int(keys.min())} out of range for {n} qubits")
+        return keys.astype(np.uint64, copy=False)
+    # key by key: NumPy reads a list that mixes ints past 2**63 with
+    # smaller ones as float64
+    keys = list(keys)
+    for k in keys:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"keys must be integers, got {k!r}")
+        if not 0 <= k < 1 << 64:
+            raise ValueError(f"key {k} out of range for {n} qubits")
+    return np.array(keys, dtype=np.uint64)
+
+
 def _validated_merge(n: int, keys, coeffs):
     """The one validator behind both public constructors: a qubit count in
-    1..MAX_QUBITS, equal-length 1-D arrays, keys below 4**n and finite
-    coefficients; then sort, merge and drop exact zeros."""
+    1..MAX_QUBITS, equal-length 1-D arrays, integer keys below 4**n and
+    finite coefficients; then sort, merge and drop exact zeros."""
     _checked_width(n)
-    keys = np.asarray(keys, dtype=np.uint64)
+    keys = _uint64_keys(keys, n)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if keys.ndim != 1 or keys.shape != coeffs.shape:
         raise ValueError(f"keys {keys.shape} and coefficients {coeffs.shape} "

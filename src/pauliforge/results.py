@@ -5,21 +5,31 @@ float64 exactly; -0.0 is printed "-0.0", as "-0" reads back as the
 integer 0), keys keep insertion order, and no whitespace varies, so
 identical runs serialize to identical bytes.  NumPy scalars and arrays
 are written as their Python values, a 0-d array as its scalar.
+
+A document is ``stable_json`` of the dict that a record's builder
+returns (``engineered_result_to_dict``, ``grouping_result_to_dict``,
+``qestimate_to_dict``).  The record types are imported for annotations
+only, so loading this module runs none of the modules that make them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ansatz import AnsatzLayout, layout_to_dict
-from .grouping import GroupingResult
-from .optimize import EngineeredResult
+from .ansatz import layout_to_dict
 from .paulis import digits_from_keys, labels_from_digits
-from .qestimate import QEstimate
+
+if TYPE_CHECKING:  # the record types, for annotations only
+    from .ansatz import AnsatzLayout
+    from .grouping import GroupingResult
+    from .optimize import EngineeredResult
+    from .qestimate import QEstimate
 
 
 def _format_float(x: float) -> str:
@@ -100,8 +110,8 @@ def _terms_list(h) -> list[dict]:
     return [{"label": label, "coefficient": c} for label, c in zip(labels, coeffs.tolist())]
 
 
-def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout | None = None) -> dict:
-    doc = {
+def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout) -> dict:
+    return {
         "cost_kind": res.cost_kind,
         "restart_index": res.restart_index,
         "original_norm": res.original_norm,
@@ -109,10 +119,8 @@ def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout | None
         "theta_star": list(map(float, res.theta_star)),
         "cost_trace": list(map(float, res.cost_trace)),
         "engineered_terms": _terms_list(res.engineered),
+        "layout": layout_to_dict(layout),
     }
-    if layout is not None:
-        doc["layout"] = layout_to_dict(layout)
-    return doc
 
 
 def grouping_result_to_dict(g: GroupingResult) -> dict:
@@ -132,20 +140,4 @@ def grouping_result_to_dict(g: GroupingResult) -> dict:
 
 
 def qestimate_to_dict(est: QEstimate) -> dict:
-    return {
-        "p_plus": est.p_plus,
-        "q_value": est.q_value,
-        "shots": est.shots,
-        "stderr": est.stderr,
-    }
-
-
-def serialize_result(obj, layout: AnsatzLayout | None = None) -> str:
-    """JSON text for any of the result record types (or a plain dict/list)."""
-    if isinstance(obj, EngineeredResult):
-        return stable_json(engineered_result_to_dict(obj, layout))
-    if isinstance(obj, GroupingResult):
-        return stable_json(grouping_result_to_dict(obj))
-    if isinstance(obj, QEstimate):
-        return stable_json(qestimate_to_dict(obj))
-    return stable_json(obj)
+    return asdict(est)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, reproducibility."""
 
+import errno
 import json
 import os
 import subprocess
@@ -274,6 +275,41 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: {src}: not UTF-8 text\n"
+
+
+class TestPathErrors:
+    """A path that cannot be read or written exits 2 with the path and the
+    system's reason, and output paths are refused before any work."""
+
+    ENGINEER = ("engineer", "--ham", "ising-neighbor:4", "--restarts", "3", "--iterations", "40")
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("group", "--input", "{dir}"), errno.EISDIR),
+        (("estimate-q", "--state", "{dir}"), errno.EISDIR),
+        (("group", "--ham", "ising-neighbor:3", "--output", "{dir}"), errno.EISDIR),
+        (ENGINEER + ("--engineered-out", "{dir}"), errno.EISDIR),
+        (ENGINEER + ("--output", "{dir}/nonexist/o.json"), errno.ENOENT),
+    ], ids=["input_dir", "state_dir", "output_dir", "engineered_out_dir", "output_parent_missing"])
+    def test_exit_2_with_path_and_reason(self, capsys, tmp_path, argv, reason):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        path = argv[-1]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {os.strerror(reason)}\n"
+        assert "pauli norm:" not in err
+
+    def test_output_check_creates_and_truncates_nothing(self, capsys, tmp_path):
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.txt"
+        kept.write_text("keep")
+        code, out, _ = run_cli(capsys, *self.ENGINEER, "--output", str(kept),
+                               "--engineered-out", str(tmp_path))
+        assert (code, out) == (2, "")
+        code, out, _ = run_cli(capsys, *self.ENGINEER, "--output", str(tmp_path),
+                               "--engineered-out", str(fresh))
+        assert (code, out) == (2, "")
+        assert kept.read_text() == "keep"
+        assert not fresh.exists()
 
 
 class TestReproducibility:

@@ -1,5 +1,7 @@
 """Exact evolution, product formulas, qDrift sampling, and the sandwich identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -241,12 +243,17 @@ class TestDrawMatchesChoice:
         expected = [np.random.default_rng(seed).choice(len(p), size=gates, p=p) for seed in seeds]
         q = dynamics._QDrift(h, gates)
         for seed, want in zip(seeds, expected):
-            single = q.draw([np.random.default_rng(seed)])
+            single = q.draw([np.random.default_rng(seed)], gates)
             assert single.dtype == want.dtype and single.shape == (1, gates)
             assert np.array_equal(single[0], want)
-        chunk = q.draw([np.random.default_rng(seed) for seed in seeds])
+        chunk = q.draw([np.random.default_rng(seed) for seed in seeds], gates)
         assert chunk.dtype == expected[0].dtype
         assert np.array_equal(chunk, np.stack(expected))
+        # the same generators drawn a segment at a time give the same table
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        cut = data.draw(st.integers(0, gates))
+        pieces = np.hstack([q.draw(rngs, cut), q.draw(rngs, gates - cut)])
+        assert np.array_equal(pieces, np.stack(expected))
 
 
 class TestQDriftAgainstReference:
@@ -296,9 +303,10 @@ class TestBatchedAgainstReference:
     @given(h=qdrift_hamiltonians(),
            t=st.one_of(st.just(0.0), st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
            gates=st.integers(1, 12), trials=st.integers(2, 7),
-           chunk_trials=st.integers(1, 8), seed=st.integers(0, 2**16),
-           vector=st.booleans())
-    def test_matches_reference(self, h, t, gates, trials, chunk_trials, seed, vector):
+           chunk_trials=st.integers(1, 8), chunk_draws=st.integers(1, 30),
+           seed=st.integers(0, 2**16), vector=st.booleans())
+    def test_matches_reference(self, h, t, gates, trials, chunk_trials, chunk_draws, seed,
+                               vector):
         plan = qdrift_sample(h, t, gates, seed=seed)
         shape = (1 << h.n,) if vector else (1 << h.n, 3)
         states = np.random.default_rng(seed).normal(size=shape) + 0j
@@ -306,6 +314,7 @@ class TestBatchedAgainstReference:
                               qdrift_apply_reference(h, plan, states))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_CHUNK_AMPLITUDES", chunk_trials * (_PANEL_SIZE << h.n))
+            mp.setattr(dynamics, "_CHUNK_DRAWS", chunk_draws)
             assert (qdrift_error(h, t, gates, trials=trials, seed=seed)
                     == qdrift_error_reference(h, t, gates, trials=trials, seed=seed))
             assert (qdrift_channel_error(h, t, gates, trials=trials, seed=seed)
@@ -318,6 +327,54 @@ class TestBatchedAgainstReference:
                 == qdrift_error_reference(h, 0.6, 3, trials=trials, seed=9))
         assert (qdrift_channel_error(h, -0.6, 3, trials=trials, seed=9)
                 == qdrift_channel_error_reference(h, -0.6, 3, trials=trials, seed=9))
+
+
+class TestPlanTableBound:
+    """An error run draws its plans a segment of gates at a time, so the
+    table of uniforms and indices stays within _CHUNK_DRAWS entries
+    whatever G is, and the outputs do not change."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        shapes = []
+        draw = dynamics._QDrift.draw
+
+        def spy(self, *args):
+            table = draw(self, *args)
+            shapes.append(table.shape)
+            return table
+
+        monkeypatch.setattr(dynamics._QDrift, "draw", spy)
+        return shapes
+
+    def test_table_held_to_the_bound(self, tables, monkeypatch):
+        # one 200 x 2000 table (400 000 entries) if G were not cut
+        h = Hamiltonian(2, GOLDEN_2Q)
+        got = qdrift_error(h, 0.5, 2000, trials=200, seed=3)
+        assert max(rows * cols for rows, cols in tables) <= dynamics._CHUNK_DRAWS
+        assert {rows for rows, _ in tables} == {200}
+        assert sum(cols for _, cols in tables) == 2000
+        monkeypatch.setattr(dynamics, "_CHUNK_DRAWS", 1 << 30)
+        assert qdrift_error(h, 0.5, 2000, trials=200, seed=3) == got
+
+    def test_peak_memory_does_not_grow_with_gates(self):
+        # the uncut table peaks at about 3.2 KB per gate here (16 MB)
+        h = Hamiltonian(2, GOLDEN_2Q)
+        tracemalloc.start()
+        try:
+            qdrift_error(h, 0.5, 5000, trials=200, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("h, gates, trials, shapes", [
+        (Hamiltonian(2, GOLDEN_2Q), 640, 200, [(200, 640)]),
+        (ising_neighbor(6), 160, 50, [(12, 160)] * 4 + [(2, 160)]),
+    ])
+    def test_benchmark_sizes_draw_whole_plans(self, tables, h, gates, trials, shapes):
+        qdrift_error(h, 0.5, gates, trials=trials, seed=1)
+        assert tables == shapes
 
 
 class TestSandwich:

@@ -319,6 +319,37 @@ class TestShotSimulator:
             shot_simulator(h, psi, twice, shots=100)
 
 
+class TestExplicitCounts:
+    """Explicit per-term shot counts are refused, by one check with one
+    message, unless they are one int >= 1 for each term."""
+
+    BAD = [[0, 1], [-1, 1], [1.5, 1], [1.0, 1.0], [True, True], [1], [1, 1, 1], [[1, 1]]]
+
+    @staticmethod
+    def _zero_state():
+        psi = np.zeros(2, dtype=complex)
+        psi[0] = 1.0
+        return psi
+
+    @pytest.mark.parametrize("counts", BAD, ids=str)
+    def test_prediction_rejects(self, counts):
+        h = Hamiltonian(1, {"X": 1.0, "Z": 1.0})
+        with pytest.raises(ValueError, match=r"need one int shot count >= 1 per term \(2 terms\)"):
+            shot_error_prediction(h, self._zero_state(), counts)
+
+    @pytest.mark.parametrize("counts", BAD, ids=str)
+    def test_simulator_rejects(self, counts):
+        h = Hamiltonian(1, {"X": 1.0, "Z": 1.0})
+        with pytest.raises(ValueError, match=r"need one int shot count >= 1 per term \(2 terms\)"):
+            shot_simulator(h, self._zero_state(), counts)
+
+    @pytest.mark.parametrize("counts", [[1, 1], np.array([4, 1], dtype=np.uint8), (2, 3)])
+    def test_int_counts_accepted(self, counts):
+        h = Hamiltonian(1, {"X": 1.0, "Z": 1.0})
+        # Var[X] = 1 and Var[Z] = 0 at |0>
+        assert shot_error_prediction(h, self._zero_state(), counts) == np.sqrt(1.0 / counts[0])
+
+
 def _counts_in_index_order(h, counts):
     # allocate_shots is fed |coeffs| in key order inside shot_simulator for
     # "weighted"; tests that need predictions must use the index ordering
@@ -361,6 +392,17 @@ class TestCovarianceZero:
         p = PauliString.from_label("XX")
         with pytest.raises(ValueError):
             covariance_zero_check(p, p, samples=10, seed=0)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match=f"need >= 2 samples, got {samples}"):
+            covariance_zero_check(PauliString.from_label("ZI"), PauliString.from_label("IZ"),
+                                  samples=samples, seed=0)
+
+    def test_two_samples_accepted(self):
+        mean, stderr = covariance_zero_check(PauliString.from_label("ZI"),
+                                             PauliString.from_label("IZ"), samples=2, seed=0)
+        assert np.isfinite(mean) and np.isfinite(stderr)
 
     def test_noncommuting_rejected(self):
         with pytest.raises(ValueError):

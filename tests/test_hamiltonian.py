@@ -63,6 +63,37 @@ class TestContainer:
         with pytest.raises(ValueError, match=f"key {key} out of range for {n} qubits"):
             Hamiltonian.from_arrays(n, [0, key], [1.0, 2.0])
 
+    @pytest.mark.parametrize("keys", [[1.7, 2.2], np.array([1.0, 2.0]), [1, 2.0],
+                                      np.array([True, False]), [True], ["1"]],
+                             ids=["float_list", "float_array", "mixed_list", "bool_array",
+                                  "bool_list", "str_list"])
+    def test_from_arrays_rejects_keys_that_are_not_ints(self, keys):
+        with pytest.raises(ValueError, match="keys must be integers"):
+            Hamiltonian.from_arrays(3, keys, [1.0] * len(keys))
+
+    @pytest.mark.parametrize("n", [3, 32])
+    @pytest.mark.parametrize("keys", [np.array([-1], dtype=np.int64), np.array([2, -5]),
+                                      [-1], [3, -(1 << 70)]],
+                             ids=["int64", "int_array", "list", "huge_list"])
+    def test_from_arrays_rejects_negative_keys(self, n, keys):
+        low = min(int(k) for k in keys)
+        with pytest.raises(ValueError, match=f"key {low} out of range for {n} qubits"):
+            Hamiltonian.from_arrays(n, keys, [1.0] * len(keys))
+
+    def test_from_arrays_rejects_list_key_past_64_bits(self):
+        with pytest.raises(ValueError, match=f"key {1 << 64} out of range for 32 qubits"):
+            Hamiltonian.from_arrays(32, [1, 1 << 64], [1.0, 1.0])
+
+    @pytest.mark.parametrize("keys", [[], np.array([], dtype=np.float64), ()])
+    def test_from_arrays_accepts_no_keys(self, keys):
+        assert len(Hamiltonian.from_arrays(3, keys, [])) == 0
+
+    def test_from_arrays_takes_mixed_int_kinds_at_32_qubits(self):
+        # NumPy alone reads [1, 2**64 - 1] as float64, which would round the key
+        keys = [1, (1 << 64) - 1, np.uint64(5), np.int8(2)]
+        h = Hamiltonian.from_arrays(32, keys, [1.0, 2.0, 3.0, 4.0])
+        assert sorted(h.keys.tolist()) == [1, 2, 5, (1 << 64) - 1]
+
     def test_from_arrays_takes_every_key_at_32_qubits(self):
         h = Hamiltonian.from_arrays(32, [(1 << 64) - 1], [1.0])
         assert [p.label for p in h.terms] == ["Y" * 32]

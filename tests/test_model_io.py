@@ -1,6 +1,11 @@
 """Ising builders, pauli-sum text format, and result serialization."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +21,13 @@ from pauliforge.model_io import (
     serialize_pauli_sum,
 )
 from pauliforge.paulis import PauliString
+import pauliforge
+from pauliforge.qestimate import QEstimate
 from pauliforge.results import (
+    engineered_result_to_dict,
+    grouping_result_to_dict,
     input_digest,
-    serialize_result,
+    qestimate_to_dict,
     stable_json,
 )
 
@@ -324,7 +333,7 @@ class TestSerializeResult:
         h = Hamiltonian(2, {"XZ": 2.0})
         layout = hardware_efficient_layout(2, 1)
         res = optimize(h, layout, OptimizerConfig(restarts=1, max_iterations=5, seed=0))
-        doc = json.loads(serialize_result(res, layout))
+        doc = json.loads(stable_json(engineered_result_to_dict(res, layout)))
         assert doc["engineered_norm"] == doc["original_norm"] == 2.0
         assert doc["layout"]["n"] == 2
 
@@ -332,7 +341,7 @@ class TestSerializeResult:
         from pauliforge.grouping import sorted_insertion
 
         g = sorted_insertion(Hamiltonian(2, {"XI": 3.0, "YY": -1.0, "ZZ": 2.0}))
-        doc = json.loads(serialize_result(g))
+        doc = json.loads(stable_json(grouping_result_to_dict(g)))
         assert np.isclose(doc["grouped_norm"], 5.2360679, atol=1e-6)
         assert doc["collection_count"] == 2
 
@@ -344,5 +353,26 @@ class TestSerializeResult:
         h = random_hamiltonian(2, 5, rng)
         layout = hardware_efficient_layout(2, 1)
         res = optimize(h, layout, OptimizerConfig(restarts=1, max_iterations=10, seed=4))
-        doc = json.loads(serialize_result(res, layout))
+        doc = json.loads(stable_json(engineered_result_to_dict(res, layout)))
         assert np.array_equal(np.asarray(doc["theta_star"]), res.theta_star)
+
+    def test_qestimate_document_is_the_record_fields(self):
+        est = QEstimate(p_plus=0.7, q_value=0.4, shots=1000, stderr=0.015)
+        assert qestimate_to_dict(est) == dataclasses.asdict(est)
+        assert stable_json(qestimate_to_dict(est)) == (
+            '{"p_plus":0.69999999999999996,"q_value":0.40000000000000002,'
+            '"shots":1000,"stderr":0.014999999999999999}\n')
+
+
+def test_results_import_loads_no_module_whose_records_it_formats():
+    """Loading the document layer in a fresh interpreter runs none of the
+    modules that make the records: it names their types for annotations
+    only."""
+    code = "import sys, pauliforge.results; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(pauliforge.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "pauliforge.results" in loaded
+    record_modules = {f"pauliforge.{m}" for m in ("grouping", "optimize", "qestimate",
+                                                   "dense", "dynamics")}
+    assert record_modules.isdisjoint(loaded)
