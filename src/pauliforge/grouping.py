@@ -30,8 +30,19 @@ owner with reduceat.  Sums of up to 2047 terms fit one window.
 Qubit-wise commutation: members of a collection agree on every qubit
 they share, so the OR of their keys GK and of their doubled supports
 GS2 (s << n | s, s = x | z) summarize it exactly.  A candidate fits iff
-(K_i ^ GK) & GS2 & S2_i == 0, S2_i being its own doubled support: one
-test over all collections at once.
+(K_i ^ GK) & GS2 & S2_i == 0, S2_i being its own doubled support.  First
+fit places a block of at most 64 candidates, and at most
+``_BLOCK_ENTRIES`` test entries, at a time.  One array pass tests the
+block against the summaries of the collections open as it starts, and a
+second tests it against itself, so each candidate's clashes within the
+block are one int bit mask.  The block is then placed in order on those
+masks: a candidate keeps its first fit unless a member of its block
+joined that collection and clashes, and then takes the next fit in its
+row; failing that it joins the first collection opened in the block that
+holds no clashing member, or opens one.  The block's keys and supports
+are then ORed into the summaries.  This is exact: a fit with a
+collection is a fit with its summary, and summaries only ever add
+constraints, so a misfit at the block's start stays one.
 
 The shot simulator draws measurement outcomes per term, or per
 collection after numerically diagonalizing the commuting family in a
@@ -112,22 +123,7 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
         _general_first_fit(keys, (z << width) | x, owner)
     else:
         support = x | z
-        support2 = (support << width) | support
-        # Per collection, the OR of its members' keys and doubled supports.
-        # Both span all m slots, opened or not: an unopened collection is
-        # free, so argmax lands on the next new one when no open one fits.
-        # Fixed sizes also let the allocator reuse each step's temporaries;
-        # arrays that grow by one collection at a time raised the peak RSS
-        # of a 2000-term pass by ~0.5 MB.
-        group_keys = np.zeros(m, dtype=np.uint64)
-        group_support2 = np.zeros(m, dtype=np.uint64)
-        for i in range(m):
-            clash = keys[i] ^ group_keys
-            clash &= group_support2
-            clash &= support2[i]
-            j = owner[i] = (clash == 0).argmax()
-            group_keys[j] |= keys[i]
-            group_support2[j] |= support2[i]
+        _qubit_wise_first_fit(keys, (support << width) | support, owner)
 
     groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(int(owner.max()) + 1)]
     for (p, c), j in zip(terms, owner.tolist()):
@@ -217,6 +213,67 @@ def _general_first_fit(keys: np.ndarray, swapped: np.ndarray, owner: np.ndarray)
         w0 = w1
 
 
+def _qubit_wise_first_fit(keys: np.ndarray, support2: np.ndarray, owner: np.ndarray) -> None:
+    """First fit under qubit-wise commutation, a block of candidates at a
+    time (see the module docstring); fills ``owner`` in place.
+
+    The block is tested against the open collections' summaries and the
+    unopened, all-zero slot after them, which every candidate fits, so
+    an argmin gives each candidate's first fit as the block starts.
+    """
+    m = keys.size
+    # Per collection, the OR of its members' keys and doubled supports.
+    group_keys = np.zeros(m + 1, dtype=np.uint64)
+    group_support2 = np.zeros(m + 1, dtype=np.uint64)
+    # A block tests at most _BLOCK_ENTRIES entries unless it is one
+    # candidate wide, and has at most 64 candidates, one bit each.
+    bits = np.empty(min(max(_BLOCK_ENTRIES, m + 1), 64 * (m + 1)), dtype=np.uint64)
+    powers = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    opened = 0
+    b0 = 0
+    while b0 < m:
+        start = opened
+        slots = start + 1
+        b1 = min(m, b0 + max(1, min(64, _BLOCK_ENTRIES // slots)))
+        block_keys, block_support2 = keys[b0:b1, None], support2[b0:b1, None]
+        clash = bits[:(b1 - b0) * slots].reshape(b1 - b0, slots)
+        np.bitwise_xor(block_keys, group_keys[:slots], out=clash)
+        clash &= group_support2[:slots]
+        clash &= block_support2
+        first = clash.argmin(axis=1).tolist()  # the first zero: slot ``start`` is one
+        inner = block_keys ^ block_keys.T
+        inner &= block_support2.T
+        inner &= block_support2
+        masks = ((inner != 0) @ powers[:b1 - b0]).tolist()  # bit k: clashes with b0 + k
+        joined: dict[int, int] = {}  # collection -> mask of the block's members in it
+        fresh = 0  # mask of the block's members in collections it opened
+        placed: list[int] = []
+        for k, (j, mask) in enumerate(zip(first, masks)):
+            if j < start and joined.get(j, 0) & mask:
+                # a member of the block joined j and clashes: the next fit
+                later = np.flatnonzero(clash[k, j + 1:start] == 0) + (j + 1)
+                j = next((r for r in later.tolist() if not joined.get(r, 0) & mask), start)
+            if j == start:
+                # No collection open at the block's start fits.  Only one
+                # opened in the block and holding a member that does not
+                # clash can: the first of those without a clashing member.
+                j = opened
+                free = fresh & ~mask
+                while free:
+                    r = placed[(free & -free).bit_length() - 1]
+                    if not joined[r] & mask:
+                        j = min(j, r)
+                    free &= ~joined[r]
+                opened += j == opened
+                fresh |= 1 << k
+            joined[j] = joined.get(j, 0) | 1 << k
+            placed.append(j)
+        owner[b0:b1] = placed
+        np.bitwise_or.at(group_keys, owner[b0:b1], keys[b0:b1])
+        np.bitwise_or.at(group_support2, owner[b0:b1], support2[b0:b1])
+        b0 = b1
+
+
 def measurement_cost(h: Hamiltonian, epsilon: float, mode: str = "weighted_shots") -> float:
     """Model shot counts for accuracy epsilon, with term variances bounded by 1.
 
@@ -265,9 +322,11 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
 
 def _counts_per_term(counts, m: int) -> np.ndarray:
     """Explicit shot counts as int64, refused unless they are one int >= 1
-    for each of the m terms."""
+    for each of the m terms.  NumPy reads a list mixing bools with ints
+    as int64, so bool elements are refused one by one."""
     arr = np.asarray(counts)
-    if arr.shape != (m,) or (m and arr.dtype.kind not in "iu") or np.any(arr < 1):
+    if (arr.shape != (m,) or (m and arr.dtype.kind not in "iu") or np.any(arr < 1)
+            or any(isinstance(c, (bool, np.bool_)) for c in counts)):
         raise ValueError(f"need one int shot count >= 1 per term ({m} terms)")
     return arr.astype(np.int64)
 
@@ -364,6 +423,8 @@ def covariance_zero_check(p1: PauliString, p2: PauliString,
     For commuting, non-identical Pauli strings the expectation over the
     uniform state distribution vanishes; returns (mean, standard error).
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an int, got {samples!r}")
     if samples < 2:
         raise ValueError(f"need >= 2 samples, got {samples}")
     if p1 == p2:

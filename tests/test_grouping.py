@@ -152,6 +152,20 @@ class TestSortedInsertion:
         assert g.collection_count > 1
         assert peak < len(h) ** 2 // 4
 
+    def test_qubit_wise_block_memory_is_bounded(self):
+        """Qubit-wise grouping of 6000 terms (about 2600 collections) peaks
+        below the 64 * m uint64 entries (3 MB) of one 64-candidate test
+        over every slot: each block's test holds at most _BLOCK_ENTRIES."""
+        h = random_hamiltonian(10, 6000, np.random.default_rng(9), allow_identity=False)
+        tracemalloc.start()
+        try:
+            g = sorted_insertion(h, "qubit_wise")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.collection_count > 2000
+        assert peak < 64 * len(h) * 8
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.one_of(st.integers(1, 32), st.just(32)),
            commutation=st.sampled_from(COMMUTATION_KINDS))
@@ -165,6 +179,77 @@ class TestSortedInsertion:
         a, b = PauliString(n, ax, az), PauliString(n, bx, bz)
         g = sorted_insertion(Hamiltonian(n, {a: 2.0, b: -1.0}), commutation)
         assert (g.collection_count == 1) == PREDICATES[commutation](a, b)
+
+
+class TestQubitWiseBlocks:
+    """Qubit-wise first fit places up to 64 candidates a block: each is
+    tested against the collections open at the block's start, and its
+    clashes within the block are resolved on bit masks."""
+
+    @staticmethod
+    def _grouped(h):
+        g = sorted_insertion(h, "qubit_wise")
+        assert g == sorted_insertion_reference(h, "qubit_wise")
+        return [[p for _, p in col.members] for col in g.collections]
+
+    def test_pairwise_incompatible_terms_each_open_a_collection(self):
+        """All 128 X/Z strings on 7 qubits clash pairwise, so every
+        collection opens inside a block, two blocks of 64."""
+        h = Hamiltonian(7, {PauliString(7, x, x ^ 127): 1.0 + x / 128 for x in range(128)})
+        assert len(self._grouped(h)) == 128
+
+    def test_all_diagonal_terms_share_one_collection(self):
+        """200 Z strings: every block after the first joins the collection
+        the first one opened, and the first block's later members join it
+        on their masks."""
+        rng = np.random.default_rng(12)
+        zs = rng.choice(np.arange(1, 1 << 10), size=200, replace=False)
+        h = Hamiltonian(10, {PauliString(10, 0, int(z)): float(rng.uniform(0.5, 2.0))
+                             for z in zs})
+        assert len(self._grouped(h)) == 1
+
+    def test_member_joined_in_the_block_sends_a_clash_to_the_next_fit(self):
+        """The first block (64 candidates) opens collection 0 of Z strings
+        on qubits 0-6 and collection 1 of X on qubit 0.  In the second, X
+        on qubit 7 joins collection 0 first; Y on qubit 7 fitted it as the
+        block started, but clashes with that member and takes collection 1."""
+        n = 8
+        def on(qubit, letter):
+            label = ["I"] * n
+            label[qubit] = letter
+            return PauliString.from_label("".join(label))
+        z0 = on(0, "Z")
+        terms = {}
+        for pattern in range(63):
+            z = z0.z
+            for q in range(6):
+                if pattern >> q & 1:
+                    z |= on(q + 1, "Z").z
+            terms[PauliString(n, 0, z)] = 10.0 - pattern / 64
+        terms[on(0, "X")] = 5.0
+        terms[on(7, "X")] = 2.0
+        terms[on(7, "Y")] = 1.0
+        groups = self._grouped(Hamiltonian(n, terms))
+        assert len(groups) == 2
+        assert groups[0][-1] == on(7, "X")
+        assert groups[1] == [on(0, "X"), on(7, "Y")]
+
+    def test_keys_with_bit_63_across_blocks(self):
+        """A 32-qubit sum whose packed keys x << 32 | z often set bit 63,
+        grouped over several blocks."""
+        rng = np.random.default_rng(13)
+        terms = {}
+        while len(terms) < 400:
+            window = 1 << 31  # x bit 31 is key bit 63; about four more qubits
+            window |= int(rng.integers(0, 1 << 32)) & int(rng.integers(0, 1 << 32)) \
+                & int(rng.integers(0, 1 << 32))
+            x = int(rng.integers(0, 1 << 32)) & window
+            z = int(rng.integers(0, 1 << 32)) & window
+            if x | z:
+                terms[PauliString(32, x, z)] = float(rng.uniform(-2.0, 2.0))
+        assert sum(p.x >> 31 for p in terms) > 100
+        groups = self._grouped(Hamiltonian(32, terms))
+        assert 1 < len(groups) < len(terms)
 
 
 class TestGroupedNorm:
@@ -323,7 +408,8 @@ class TestExplicitCounts:
     """Explicit per-term shot counts are refused, by one check with one
     message, unless they are one int >= 1 for each term."""
 
-    BAD = [[0, 1], [-1, 1], [1.5, 1], [1.0, 1.0], [True, True], [1], [1, 1, 1], [[1, 1]]]
+    BAD = [[0, 1], [-1, 1], [1.5, 1], [1.0, 1.0], [True, True], [True, 1], [1, True],
+           [1], [1, 1, 1], [[1, 1]]]
 
     @staticmethod
     def _zero_state():
@@ -343,7 +429,8 @@ class TestExplicitCounts:
         with pytest.raises(ValueError, match=r"need one int shot count >= 1 per term \(2 terms\)"):
             shot_simulator(h, self._zero_state(), counts)
 
-    @pytest.mark.parametrize("counts", [[1, 1], np.array([4, 1], dtype=np.uint8), (2, 3)])
+    @pytest.mark.parametrize("counts", [[1, 1], np.array([4, 1], dtype=np.uint8), (2, 3),
+                                        (np.int64(2), 3)])
     def test_int_counts_accepted(self, counts):
         h = Hamiltonian(1, {"X": 1.0, "Z": 1.0})
         # Var[X] = 1 and Var[Z] = 0 at |0>
@@ -399,10 +486,22 @@ class TestCovarianceZero:
             covariance_zero_check(PauliString.from_label("ZI"), PauliString.from_label("IZ"),
                                   samples=samples, seed=0)
 
+    @pytest.mark.parametrize("samples", [2.5, np.float64(4.0), "3", None, True], ids=repr)
+    def test_samples_that_are_not_ints_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            covariance_zero_check(PauliString.from_label("ZI"), PauliString.from_label("IZ"),
+                                  samples=samples, seed=0)
+
     def test_two_samples_accepted(self):
         mean, stderr = covariance_zero_check(PauliString.from_label("ZI"),
                                              PauliString.from_label("IZ"), samples=2, seed=0)
         assert np.isfinite(mean) and np.isfinite(stderr)
+
+    def test_numpy_int_samples_accepted(self):
+        assert covariance_zero_check(PauliString.from_label("ZI"), PauliString.from_label("IZ"),
+                                     samples=np.int64(2), seed=0) == \
+            covariance_zero_check(PauliString.from_label("ZI"), PauliString.from_label("IZ"),
+                                  samples=2, seed=0)
 
     def test_noncommuting_rejected(self):
         with pytest.raises(ValueError):
