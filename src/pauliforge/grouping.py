@@ -6,7 +6,21 @@ candidate (general commutation) or qubit-wise commute with it.  The
 grouped Pauli norm sum_i sqrt(sum_j h_ij^2) then bounds the shot budget
 the same way the plain Pauli norm does for term-by-term estimation.
 
-Both tests run on packed uint64 keys K = x << n | z, 2n <= 64 bits.
+Both tests run on packed uint64 keys K = x << n | z, 2n <= 64 bits, and
+the result keeps them: a ``GroupingResult`` holds the terms' keys and
+coefficients in collection order, within a collection in candidate
+order, and the CSR offsets ``starts`` of the collections.  Sorted
+insertion fills it with one lexsort by (-|c|, base-4 index), first fit
+on the keys, one stable argsort of the owners and a bincount, and the
+result document labels every member in one codec call, so no object is
+built per term from input to output.  ``collections`` is a view of
+(coefficient, PauliString) members built on demand, for the shot
+simulator; callers that hold objects build a result with
+``GroupingResult.from_collections``.  The grouped norm comes from the
+arrays and equals the sum over collection objects bit for bit: each
+collection's squares are added member by member in order (bincount adds
+its weights in input order, where add.reduceat sums pairwise past 8
+members), then the roots in collection order.
 
 General commutation: with the swapped key S = z << n | x, two terms
 anticommute iff popcount(K_i & S_p) is odd, the bit rule the ansatz
@@ -53,12 +67,12 @@ be checked empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dense import haar_state, hamiltonian_expectation, pauli_expectation, pauli_matrix
-from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
+from .hamiltonian import Hamiltonian, _magnitude_order, pauli_norm
 # Both predicates stay bound here: perfbench/tracing.py wraps them by name.
 from .paulis import DENSE_MAX_QUBITS, PauliString, commutes, pauli_product, qubit_wise_commutes
 
@@ -80,23 +94,94 @@ class Collection:
 
     members: tuple[tuple[float, PauliString], ...]
 
-    def l2(self) -> float:
-        return math.sqrt(sum(c * c for c, _ in self.members))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupingResult:
+    """A grouping held as arrays: the packed ``keys`` and ``coeffs`` of its
+    terms in collection order, and within a collection in candidate order,
+    with ``starts`` the CSR offsets of the collections (collection j holds
+    entries starts[j]:starts[j + 1]).  The arrays are read-only copies;
+    results compare and hash by value over all fields."""
+
     strategy: str
-    collections: tuple[Collection, ...]
+    n: int
+    keys: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        keys = np.array(self.keys, dtype=np.uint64)
+        coeffs = np.array(self.coeffs, dtype=np.float64)
+        starts = np.array(self.starts, dtype=np.intp)
+        if (keys.ndim != 1 or keys.shape != coeffs.shape or starts.ndim != 1
+                or starts.size < 2 or starts[0] != 0 or starts[-1] != keys.size):
+            raise ValueError("need 1-D keys and coefficients of equal length, and "
+                             "offsets from 0 to their length over at least one collection")
+        empty = np.flatnonzero(starts[1:] <= starts[:-1])
+        if empty.size:
+            raise ValueError(f"collection {int(empty[0])} is empty")
+        for name, arr in (("keys", keys), ("coeffs", coeffs), ("starts", starts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_collections(cls, strategy: str,
+                         collections: tuple[Collection, ...]) -> "GroupingResult":
+        """The result holding these collections of (coefficient, string)
+        members, in order.  Refuses an empty collection, and one holding
+        a string on another qubit count than the first string's."""
+        sizes = [len(col.members) for col in collections]
+        if 0 in sizes:
+            raise ValueError(f"collection {sizes.index(0)} is empty")
+        if not sizes:
+            raise ValueError("a grouping needs at least one collection")
+        n = collections[0].members[0][1].n
+        for j, col in enumerate(collections):
+            if any(p.n != n for _, p in col.members):
+                raise ValueError(f"collection {j} holds a string not on {n} qubits")
+        members = [m for col in collections for m in col.members]
+        return cls(strategy, n, [p.key() for _, p in members], [c for c, _ in members],
+                   np.concatenate(([0], np.cumsum(sizes))))
+
+    def _fields(self) -> tuple:
+        return (self.strategy, self.n, self.keys.tobytes(), self.coeffs.tobytes(),
+                self.starts.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupingResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
-    def grouped_norm(self) -> float:
-        """Sum over collections of the root-sum-square of member coefficients."""
-        return float(sum(col.l2() for col in self.collections))
+    def collections(self) -> tuple[Collection, ...]:
+        """The collections as (coefficient, PauliString) members, built on
+        each call: a view for callers that work on objects."""
+        n, mask = self.n, (1 << self.n) - 1
+        members = [(c, PauliString._from_valid_key(k, n, mask))
+                   for k, c in zip(self.keys.tolist(), self.coeffs.tolist())]
+        bounds = self.starts.tolist()
+        return tuple(Collection(members=tuple(members[a:b]))
+                     for a, b in zip(bounds, bounds[1:]))
 
     @property
     def collection_count(self) -> int:
-        return len(self.collections)
+        return self.starts.size - 1
+
+    def l2_norms(self) -> np.ndarray:
+        """Each collection's root-sum-square of member coefficients.  The
+        squares are added in member order: bincount adds its weights in
+        input order, where add.reduceat would sum pairwise past 8 members."""
+        owner = np.repeat(np.arange(self.collection_count), np.diff(self.starts))
+        return np.sqrt(np.bincount(owner, weights=self.coeffs * self.coeffs))
+
+    @property
+    def grouped_norm(self) -> float:
+        """Sum over collections of the root-sum-square of member
+        coefficients, added in collection order (cumsum adds in order)."""
+        return float(np.cumsum(self.l2_norms())[-1])
 
 
 def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingResult:
@@ -111,25 +196,21 @@ def sorted_insertion(h: Hamiltonian, commutation: str = "general") -> GroupingRe
         raise ValueError(f"commutation must be one of {COMMUTATION_KINDS}")
     if len(h) == 0:
         raise ValueError("cannot group the zero Hamiltonian")
-    terms = _terms_by_magnitude(h)
-    m = len(terms)
+    order = _magnitude_order(h)
     # n <= MAX_QUBITS = 32, so the 2n-bit keys fit uint64 exactly.
-    x = np.array([p.x for p, _ in terms], dtype=np.uint64)
-    z = np.array([p.z for p, _ in terms], dtype=np.uint64)
+    keys, coeffs = h.keys[order], h.coeffs[order]
     width = np.uint64(h.n)
-    keys = (x << width) | z
-    owner = np.empty(m, dtype=np.intp)  # the collection each placed term joined
+    x, z = keys >> width, keys & np.uint64((1 << h.n) - 1)
+    owner = np.empty(keys.size, dtype=np.intp)  # the collection each placed term joined
     if commutation == "general":
         _general_first_fit(keys, (z << width) | x, owner)
     else:
         support = x | z
         _qubit_wise_first_fit(keys, (support << width) | support, owner)
-
-    groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(int(owner.max()) + 1)]
-    for (p, c), j in zip(terms, owner.tolist()):
-        groups[j].append((c, p))
-    collections = tuple(Collection(members=tuple(members)) for members in groups)
-    return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
+    members = np.argsort(owner, kind="stable")  # collection order, candidates in order
+    starts = np.concatenate(([0], np.bincount(owner).cumsum()))
+    return GroupingResult(f"sorted_insertion/{commutation}", h.n, keys[members],
+                          coeffs[members], starts)
 
 
 def _anticommuting(rows: np.ndarray, cols: np.ndarray, bits: np.ndarray,
@@ -331,6 +412,23 @@ def _counts_per_term(counts, m: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_grouping(h: Hamiltonian, g: GroupingResult) -> None:
+    """Refuse a grouping that does not hold each of h's terms once with its
+    coefficient, or whose collection holds an anticommuting pair: the
+    packed-key parity rule popcount(K_i & S_p) odd, S = z << n | x."""
+    order = np.argsort(g.keys)
+    if (g.n != h.n or g.keys.size != len(h) or not np.array_equal(g.keys[order], h.keys)
+            or not np.array_equal(g.coeffs[order], h.coeffs)):
+        raise ValueError("grouping must hold each of the Hamiltonian's terms once, "
+                         "with its coefficient")
+    width = np.uint64(h.n)
+    swapped = ((g.keys & np.uint64((1 << h.n) - 1)) << width) | (g.keys >> width)
+    bounds = g.starts.tolist()
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if (np.bitwise_count(g.keys[a:b, None] & swapped[a:b]) & 1).any():
+            raise ValueError(f"collection {j} holds anticommuting members")
+
+
 def _shared_eigenbasis(members, rng):
     """Orthonormal basis diagonalizing every member of a commuting family."""
     mats = [pauli_matrix(p) for _, p in members]
@@ -350,7 +448,9 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
     ``allocation`` is "uniform" or "weighted" (per-term shot counts, the
     latter proportional to |h_i|), an explicit integer array per term,
     or a :class:`GroupingResult` (per-collection measurement in a shared
-    eigenbasis, shots proportional to each collection's l2 weight).
+    eigenbasis, shots proportional to each collection's l2 weight); a
+    grouping is refused before any sampling unless it holds each term of
+    ``h`` once and its collections commute.
     Returns (estimate, |estimate - exact|).
     """
     if len(h) == 0:
@@ -362,16 +462,13 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({dim},)")
+    if isinstance(allocation, GroupingResult):
+        _check_grouping(h, allocation)  # before any sampling or dense work
     rng = np.random.default_rng(seed)
     exact = hamiltonian_expectation(h, state)
 
     if isinstance(allocation, GroupingResult):
-        members = [m for col in allocation.collections for m in col.members]
-        if len(members) != len(h) or {p: c for c, p in members} != h.terms:
-            raise ValueError("grouping must hold each of the Hamiltonian's terms once, "
-                             "with its coefficient")
-        weights = [col.l2() for col in allocation.collections]
-        counts = allocate_shots(weights, shots)
+        counts = allocate_shots(allocation.l2_norms(), shots)
         estimate = 0.0
         for col, s_i in zip(allocation.collections, counts):
             w, diags = _shared_eigenbasis(col.members, rng)

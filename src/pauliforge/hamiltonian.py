@@ -250,11 +250,17 @@ class CoefficientVector:
         return out
 
 
+def _magnitude_order(h: Hamiltonian) -> np.ndarray:
+    """Positions of the stored terms in descending |coefficient|, ties
+    broken on the text label; the fixed order of sorted insertion and the
+    product formulas.  Labels of one length sort as their base-4 indices
+    do, so no label is built."""
+    return np.lexsort((h.indices(), -np.abs(h.coeffs)))
+
+
 def _terms_by_magnitude(h: Hamiltonian) -> list[tuple[PauliString, float]]:
-    """Terms in descending |coefficient|, ties broken on the text label;
-    the fixed order of sorted insertion and the product formulas.  Labels
-    of one length sort as their base-4 indices do, so no label is built."""
-    return h._terms(np.lexsort((h.indices(), -np.abs(h.coeffs))))
+    """Terms in :func:`_magnitude_order`."""
+    return h._terms(_magnitude_order(h))
 
 
 def pauli_norm(h: Hamiltonian) -> float:

@@ -124,18 +124,14 @@ def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout) -> di
 
 
 def grouping_result_to_dict(g: GroupingResult) -> dict:
-    members = [p for col in g.collections for _, p in col.members]
-    n = members[0].n if members else 1
-    keys = np.array([p.key() for p in members], dtype=np.uint64)
-    labels = iter(labels_from_digits(digits_from_keys(keys, n)))
+    labels = labels_from_digits(digits_from_keys(g.keys, g.n))
+    members = [{"label": label, "coefficient": c} for label, c in zip(labels, g.coeffs.tolist())]
+    bounds = g.starts.tolist()
     return {
         "strategy": g.strategy,
         "collection_count": g.collection_count,
         "grouped_norm": g.grouped_norm,
-        "collections": [
-            [{"label": next(labels), "coefficient": c} for c, _ in col.members]
-            for col in g.collections
-        ],
+        "collections": [members[a:b] for a, b in zip(bounds, bounds[1:])],
     }
 
 

@@ -8,10 +8,11 @@ and ``pauli_product`` and merges terms gate by gate with np.unique.
 Neither shares code with the compiled engine it checks.  The qDrift
 reference is the sampling code as first written, one copy per function;
 the sorted-insertion reference calls the public commutation predicate
-once per pair, and the serializer reference is the value formatter as
-one isinstance chain.  The restart reference at the end is the
-optimizer loop as it ran one restart at a time, before restarts ran in
-lockstep.
+once per pair, the grouped-norm and grouping-document references work
+on collection objects, and the serializer reference is the value
+formatter as one isinstance chain.  The restart reference at the end is
+the optimizer loop as it ran one restart at a time, before restarts ran
+in lockstep.
 """
 
 import math
@@ -23,7 +24,14 @@ from hypothesis import strategies as st
 from pauliforge.ansatz import CompiledAnsatz, Gate, hardware_efficient_layout, layout_from_gates
 from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
-from pauliforge.paulis import PauliString, commutes, pauli_product, qubit_wise_commutes
+from pauliforge.paulis import (
+    PauliString,
+    commutes,
+    digits_from_keys,
+    labels_from_digits,
+    pauli_product,
+    qubit_wise_commutes,
+)
 from pauliforge.dense import haar_state
 from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
 from pauliforge.optimize import (
@@ -482,7 +490,38 @@ def sorted_insertion_reference(h: Hamiltonian, commutation: str = "general") -> 
             groups.append([(c, p)])
 
     collections = tuple(Collection(members=tuple(members)) for members in groups)
-    return GroupingResult(strategy=f"sorted_insertion/{commutation}", collections=collections)
+    return GroupingResult.from_collections(f"sorted_insertion/{commutation}", collections)
+
+
+# -- grouped-norm and grouping-document references -----------------------
+# The grouped norm as a sum over collection objects, each collection's sum
+# of squares added left to right (as ``sum`` adds floats before Python
+# 3.12), and the document built from the collection objects, one ``key()``
+# per member.
+
+def grouped_norm_reference(g: GroupingResult) -> float:
+    total = 0.0
+    for col in g.collections:
+        squares = 0.0
+        for c, _ in col.members:
+            squares += c * c
+        total += math.sqrt(squares)
+    return total
+
+
+def grouping_result_to_dict_reference(g: GroupingResult) -> dict:
+    members = [p for col in g.collections for _, p in col.members]
+    keys = np.array([p.key() for p in members], dtype=np.uint64)
+    labels = iter(labels_from_digits(digits_from_keys(keys, g.n)))
+    return {
+        "strategy": g.strategy,
+        "collection_count": len(g.collections),
+        "grouped_norm": grouped_norm_reference(g),
+        "collections": [
+            [{"label": next(labels), "coefficient": c} for c, _ in col.members]
+            for col in g.collections
+        ],
+    }
 
 
 # -- serializer reference -----------------------------------------------

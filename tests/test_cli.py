@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,6 +104,31 @@ class TestGroup:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["strategy"] == "sorted_insertion/qubit_wise"
+
+
+    @pytest.mark.parametrize("strategy", ["sorted", "qwc"])
+    def test_group_builds_no_object_per_term(self, capsys, tmp_path, strategy):
+        """From parsed input to document, grouping runs on packed keys: no
+        PauliString is made, so a per-term object round trip cannot come
+        back unnoticed."""
+        from pauliforge.grouping import sorted_insertion
+        from pauliforge.model_io import save_pauli_sum
+        from pauliforge.paulis import PauliString
+        from pauliforge.results import stable_json
+        from oracles import grouping_result_to_dict_reference, random_hamiltonian
+
+        h = random_hamiltonian(5, 60, np.random.default_rng(16))
+        src = tmp_path / "sum.txt"
+        save_pauli_sum(h, src)
+        made = AssertionError("a PauliString was made")
+        with mock.patch.object(PauliString, "_from_valid_key", side_effect=made), \
+                mock.patch.object(PauliString, "__init__", side_effect=made):
+            code, out, _ = run_cli(capsys, "group", "--input", str(src), "--strategy", strategy)
+        assert code == 0
+        results = json.loads(out)["results"]
+        del results["pauli_norm"]
+        g = sorted_insertion(h, {"sorted": "general", "qwc": "qubit_wise"}[strategy])
+        assert stable_json(results) == stable_json(grouping_result_to_dict_reference(g))
 
 
 class TestQDrift:

@@ -1,5 +1,6 @@
 """Grouping strategies, grouped norm, cost models, and the shot simulator."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import pauliforge.grouping as grouping_module
 from pauliforge.grouping import (
     COMMUTATION_KINDS,
+    Collection,
     GroupingResult,
     allocate_shots,
     covariance_zero_check,
@@ -23,7 +25,12 @@ from pauliforge.dense import hamiltonian_expectation, haar_state
 from pauliforge.hamiltonian import Hamiltonian, l2_norm, pauli_norm
 from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
 
-from oracles import pauli_sums, random_hamiltonian, sorted_insertion_reference
+from oracles import (
+    grouped_norm_reference,
+    pauli_sums,
+    random_hamiltonian,
+    sorted_insertion_reference,
+)
 
 GOLDEN_2Q = {"XI": 3.0, "YY": -1.0, "ZZ": 2.0}
 PREDICATES = {"general": commutes, "qubit_wise": qubit_wise_commutes}
@@ -260,10 +267,8 @@ class TestGroupedNorm:
     def test_degenerate_grouping_equals_pauli_norm(self):
         rng = np.random.default_rng(5)
         h = random_hamiltonian(2, 8, rng)
-        from pauliforge.grouping import Collection
-
         cols = tuple(Collection(members=((c, p),)) for p, c in h.terms_by_index())
-        g = GroupingResult("singletons", cols)
+        g = GroupingResult.from_collections("singletons", cols)
         assert np.isclose(g.grouped_norm, pauli_norm(h), atol=1e-12)
 
     def test_sandwich_bounds(self):
@@ -274,6 +279,63 @@ class TestGroupedNorm:
                 g = sorted_insertion(h, commutation)
                 gp = g.grouped_norm
                 assert l2_norm(h) - 1e-12 <= gp <= pauli_norm(h) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(), commutation=st.sampled_from(COMMUTATION_KINDS))
+    def test_bit_equal_to_the_sum_over_collection_objects(self, h, commutation):
+        g = sorted_insertion(h, commutation)
+        assert g.grouped_norm == grouped_norm_reference(g)
+
+    def test_forty_members_summed_in_order(self):
+        """One collection of 40 Z strings: its squares are added one member
+        at a time, where NumPy's pairwise sum of the same squares gives
+        other bits."""
+        rng = np.random.default_rng(15)
+        zs = rng.choice(np.arange(1, 1 << 6), size=40, replace=False)
+        h = Hamiltonian(6, {PauliString(6, 0, int(z)): float(rng.uniform(-2.0, 2.0))
+                            for z in zs})
+        g = sorted_insertion(h)
+        assert g.collection_count == 1 and g.starts.tolist() == [0, 40]
+        assert g.grouped_norm == grouped_norm_reference(g)
+        assert g.grouped_norm != math.sqrt(float(np.add.reduceat(g.coeffs**2, [0])[0]))
+
+
+class TestGroupingResult:
+    """A grouping is held as packed keys, coefficients and CSR offsets;
+    ``collections`` is a view of them as objects."""
+
+    def test_collections_view_round_trips(self):
+        h = random_hamiltonian(4, 30, np.random.default_rng(15))
+        for commutation in COMMUTATION_KINDS:
+            g = sorted_insertion(h, commutation)
+            again = GroupingResult.from_collections(g.strategy, g.collections)
+            assert again == g and hash(again) == hash(g)
+            assert again != GroupingResult.from_collections("other", g.collections)
+
+    def test_arrays_are_read_only_copies(self):
+        keys = np.array([1, 2], dtype=np.uint64)
+        g = GroupingResult("s", 1, keys, [1.0, 2.0], [0, 2])
+        keys[0] = 3
+        assert g.keys.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            g.coeffs[0] = 5.0
+
+    def test_empty_collection_refused_with_its_index(self):
+        g = sorted_insertion(Hamiltonian(2, GOLDEN_2Q))
+        with pytest.raises(ValueError, match="collection 2 is empty"):
+            GroupingResult.from_collections(g.strategy, (*g.collections, Collection(())))
+        with pytest.raises(ValueError, match="collection 0 is empty"):
+            GroupingResult.from_collections(g.strategy, (Collection(()), *g.collections))
+        with pytest.raises(ValueError, match="collection 1 is empty"):
+            GroupingResult("s", 2, g.keys, g.coeffs, [0, 1, 1, 3])
+        with pytest.raises(ValueError, match="at least one collection"):
+            GroupingResult.from_collections("s", ())
+
+    def test_other_qubit_count_refused_with_its_index(self):
+        two = Collection(((1.0, PauliString.from_label("XI")),))
+        one = Collection(((2.0, PauliString.from_label("Z")),))
+        with pytest.raises(ValueError, match="collection 1 holds a string not on 2 qubits"):
+            GroupingResult.from_collections("s", (two, one))
 
 
 class TestMeasurementCost:
@@ -392,12 +454,30 @@ class TestShotSimulator:
         with pytest.raises(ValueError, match="grouping must hold"):
             shot_simulator(h, psi, sorted_insertion(Hamiltonian(2, other)), shots=100)
 
+    def test_anticommuting_members_rejected_before_dense_work(self):
+        """XI and ZI anticommute, so collection 1 has no shared eigenbasis:
+        the packed-key parity test refuses it before the exact value or
+        any Pauli matrix is formed."""
+        h = Hamiltonian(2, {"IZ": 2.0, "XI": 1.0, "ZI": 0.5})
+        g = GroupingResult.from_collections("s", (
+            Collection(((2.0, PauliString.from_label("IZ")),)),
+            Collection(((1.0, PauliString.from_label("XI")),
+                        (0.5, PauliString.from_label("ZI")))),
+        ))
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        dense = AssertionError("dense work started")
+        with mock.patch.object(grouping_module, "hamiltonian_expectation", side_effect=dense), \
+                mock.patch.object(grouping_module, "pauli_matrix", side_effect=dense), \
+                pytest.raises(ValueError, match="collection 1 holds anticommuting members"):
+            shot_simulator(h, psi, g, shots=100)
+
     def test_grouping_repeating_a_term_rejected(self):
         """Every term once plus a second copy of one: the terms and their
         coefficients match h, but the copy would be measured twice."""
         h = Hamiltonian(2, GOLDEN_2Q)
         g = sorted_insertion(h)
-        twice = GroupingResult(g.strategy, (*g.collections, g.collections[0]))
+        twice = GroupingResult.from_collections(g.strategy, (*g.collections, g.collections[0]))
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         with pytest.raises(ValueError, match="grouping must hold"):

@@ -31,7 +31,12 @@ from pauliforge.results import (
     stable_json,
 )
 
-from oracles import format_value_reference, random_hamiltonian
+from oracles import (
+    format_value_reference,
+    grouping_result_to_dict_reference,
+    pauli_sums,
+    random_hamiltonian,
+)
 
 
 class TestIsingNeighbor:
@@ -344,6 +349,17 @@ class TestSerializeResult:
         doc = json.loads(stable_json(grouping_result_to_dict(g)))
         assert np.isclose(doc["grouped_norm"], 5.2360679, atol=1e-6)
         assert doc["collection_count"] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(), commutation=st.sampled_from(("general", "qubit_wise")))
+    def test_grouping_document_bytes_match_the_object_reference(self, h, commutation):
+        """The array-backed document is byte for byte the one built from
+        collection objects, one key() per member."""
+        from pauliforge.grouping import sorted_insertion
+
+        g = sorted_insertion(h, commutation)
+        assert stable_json(grouping_result_to_dict(g)) == \
+            stable_json(grouping_result_to_dict_reference(g))
 
     def test_theta_round_trip_bits(self):
         from pauliforge.ansatz import hardware_efficient_layout
