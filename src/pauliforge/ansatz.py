@@ -268,8 +268,9 @@ class _CZGather:
 
 class _Step:
     """One gate compiled on the key set that enters it: the sorted
-    support ``keys`` that leaves it, the ``gather`` onto those keys and
-    its transpose ``back`` onto the input keys.  ``axis`` is the
+    support ``keys`` that leaves it (None once :class:`CompiledAnsatz`
+    has compiled the next gate on it), the ``gather`` onto those keys
+    and its transpose ``back`` onto the input keys.  ``axis`` is the
     rotation's axis key, None for a CZ.
 
     One ``np.unique`` of the keys that leave the gate, with its inverse,
@@ -298,7 +299,7 @@ class _Step:
         at = np.flatnonzero(anti)
         self.keys, inv = np.unique(np.concatenate([keys_in, keys_in[at] ^ axis]),
                                    return_inverse=True)
-        own_slot, partner_slot = inv[:m], inv[m:]
+        own_slot, partner_slot = inv[:m].copy(), inv[m:]  # a view would keep all of inv
         signs = _partner_signs(keys_in[at], axis, n)  # the partners': sigma(A*o) = -sigma(o)
         size = self.keys.size
         rows = np.arange(m)
@@ -356,11 +357,12 @@ def _hit_dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 class CompiledAnsatz:
     """A layout's gates compiled against one Hamiltonian's key set.
 
-    Compiling walks the gates once and records, per gate, the sorted
-    support that leaves it, the gather with signs onto that support and
-    the transposed gather back onto the support that enters it.  For a
-    fixed input those supports do not depend on
-    the angles, so one compilation serves every angle vector.
+    Compiling walks the gates once and records, per gate, the gather
+    with signs onto the sorted support that leaves it and the transposed
+    gather back onto the support that enters it; of the supports only
+    the last, ``keys``, is kept.  For a fixed input those supports do
+    not depend on the angles, so one compilation serves every angle
+    vector.
     Coefficients below ``PRUNE_TOL`` are set to zero in place after each
     gate rather than dropped, which keeps the plans valid for every
     angle, Clifford angles and theta = 0 included; nonzeros are compacted
@@ -390,17 +392,17 @@ class CompiledAnsatz:
         axes = iter(keys_from_digits(digits_from_labels(rotations, h.n)) if rotations else ())
         steps = []
         keys = h.keys
+        stored = 0
         for gate, label in zip(layout.gates, labels):
+            if steps:
+                steps[-1].keys = None  # only the final support is kept
+            stored += keys.size if label else 0
             steps.append(_Step(gate, label and next(axes), keys, h.n))
             keys = steps[-1].keys
         self.steps = tuple(steps)
         self.keys = keys
-
-    @property
-    def entries(self) -> int:
-        """Entries of one angle vector's stored states: the input and
-        every gate's output support."""
-        return self.h.keys.size + sum(step.keys.size for step in self.steps)
+        #: Entries of one angle vector's :meth:`stored_states`.
+        self.entries = stored + keys.size
 
     def propagate(self, theta):
         """Yield the input coefficients, then the coefficients on each
@@ -423,6 +425,12 @@ class CompiledAnsatz:
                 pruned = True
             yield x
 
+    def stored_states(self, theta) -> list:
+        """``propagate(theta)`` as a list of what :meth:`pullback` reads:
+        each rotation's input and the output; a CZ's input is None."""
+        reads = [step.param is not None for step in self.steps] + [True]
+        return [x if read else None for read, x in zip(reads, self.propagate(theta))]
+
     def coefficients(self, theta) -> np.ndarray:
         """Output coefficients on ``self.keys`` (pruned entries are 0),
         one row per angle vector of a stack."""
@@ -441,8 +449,10 @@ class CompiledAnsatz:
 
     def pullback(self, theta, states, cotangent: np.ndarray) -> np.ndarray:
         """Angle gradient of a cost whose gradient in the output
-        coefficients is ``cotangent``; ``states`` lists ``propagate(theta)``.
-        On a stack, row r of the result is the gradient of row r.
+        coefficients is ``cotangent``; ``states`` lists ``propagate(theta)``,
+        of which only the inputs of rotation gates are read
+        (:meth:`stored_states`).  On a stack, row r of the result is the
+        gradient of row r.
 
         The cotangent runs back through the transposed plans on the
         forward supports only.  Gate j's derivative lives on the support

@@ -155,8 +155,17 @@ class Hamiltonian:
         return 0.0
 
     def indices(self) -> np.ndarray:
-        """Base-4 uint64 indices of the stored terms (same order as ``keys``)."""
-        return indices_from_digits(digits_from_keys(self._keys, self.n))
+        """Base-4 uint64 indices of the stored terms (same order as ``keys``):
+        per qubit the digit 2z + (x xor z), qubit 0 the most significant."""
+        one, two = np.uint64(1), np.uint64(2)
+        z = self._keys & np.uint64((1 << self.n) - 1)
+        low = (self._keys >> np.uint64(self.n)) ^ z
+        high = z << one
+        out = np.zeros_like(z)
+        for q in map(np.uint64, range(self.n)):
+            out <<= two
+            out |= ((high >> q) & two) | ((low >> q) & one)
+        return out
 
     def labeled_terms(self) -> tuple[list[str], np.ndarray]:
         """Labels and coefficients in base-4 index order, the order of the

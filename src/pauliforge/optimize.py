@@ -28,16 +28,17 @@ differences' 2P shifted vectors run as batched forward passes.  A run
 that stops leaves the active rows, and every row's values are taken as
 on that row alone, so each restart's angles and trace equal its run
 alone bit for bit.  A batch's stored states hold at most
-``_BATCH_ENTRIES`` entries: shallow circuits batch many restarts, while a
-deep one whose supports fill the bound runs one restart at a time.
+``_BATCH_ENTRIES`` entries: shallow circuits batch all their restarts,
+and the depth-3 8-qubit chain up to four.
 
-An analytic gradient is one forward pass that keeps each gate's
-coefficients, then one reverse pass of the cost's cotangent through the
-transposed plans, restricted to the forward supports: gate j's
-derivative lives on the support after gate j, so nothing outside those
-supports can reach a gradient entry.  Costs and gradient dot products
-are taken over the compacted nonzeros in key order, which makes every
-value identical to gate-by-gate sort-and-merge propagation.
+An analytic gradient is one forward pass that keeps the coefficients
+entering each rotation gate and the output, then one reverse pass of the
+cost's cotangent through the transposed plans, restricted to the forward
+supports: gate j's derivative lives on the support after gate j, so
+nothing outside those supports can reach a gradient entry.  Costs and
+gradient dot products are taken over the compacted nonzeros in key
+order, which makes every value identical to gate-by-gate sort-and-merge
+propagation.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ _STALL_PATIENCE = 20
 _FD_STEP = 1e-5
 
 # Restarts run as rows of one angle stack through the compiled engine.
-# A batch's stored states (rows x CompiledAnsatz.entries) hold at most
-# this many entries, which bounds the memory batching adds.
-_BATCH_ENTRIES = 1 << 17
+# A batch's stored states (rows x CompiledAnsatz.entries: each rotation's
+# input and the output) hold at most this many entries, 2 MiB of float64,
+# which bounds the memory batching adds.
+_BATCH_ENTRIES = 1 << 18
 
 
 def cost_q(v: CoefficientVector) -> float:
@@ -177,7 +179,7 @@ def _forward_cost(engine: CompiledAnsatz, theta, lam, kind):
 
 
 def _value_and_grad_analytic(engine: CompiledAnsatz, theta, lam, kind):
-    states = list(engine.propagate(theta))
+    states = engine.stored_states(theta)
     x = states[-1]
     return _cost_values(x, lam, kind), engine.pullback(theta, states, _cost_grad(x, lam, kind))
 

@@ -7,8 +7,12 @@ cancel and plans keep zeros in place, on hardware-efficient layouts and
 on layouts with rotations about Pauli axes of weight up to 3.  The bit
 rule the engine applies to packed keys is pinned against the scalar
 Pauli algebra on its own, and so is one compiled gate: its support, its
-gather, and its back gather as the gather's exact transpose.
+gather, and its back gather as the gather's exact transpose.  The
+compiled plan keeps only what later runs read, and the gradient only the
+states its reverse pass reads; both are pinned in size.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from pauliforge.ansatz import (
     layout_from_gates,
 )
 from pauliforge.hamiltonian import Hamiltonian, l2_norm
+from pauliforge.model_io import ising_neighbor
 from pauliforge.optimize import (
     OptimizerConfig,
     _cost_grad,
@@ -217,6 +222,80 @@ def test_plans_are_reused_across_angles():
                   np.zeros(layout.parameter_count),
                   rng.integers(0, 4, layout.parameter_count) * (np.pi / 2)):
         assert_same(engine.hamiltonians(theta)[0], propagate_reference(h, layout, theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(rows=3), st.sampled_from(["l1", "q"]))
+def test_entries_count_the_states_the_gradient_keeps(case, kind):
+    """``entries`` is the per-row size of the states the analytic gradient
+    hands to the pullback: the input of every rotation and the output; a
+    CZ's input is dropped."""
+    h, layout, theta = case
+    engine = CompiledAnsatz(h, layout)
+    kept = []
+    pullback = engine.pullback
+
+    def spy(theta, states, cotangent):
+        kept.append(states)
+        return pullback(theta, states, cotangent)
+
+    engine.pullback = spy
+    _value_and_grad_analytic(engine, theta, l2_norm(h), kind)
+    [states] = kept
+    assert len(states) == len(layout.gates) + 1
+    assert [x is None for x in states] == [g.param is None for g in layout.gates] + [False]
+    assert engine.entries == sum(x.shape[-1] for x in states if x is not None)
+
+
+@pytest.mark.parametrize("gates", [
+    [],
+    [Gate("CZ", (0, 1))],
+    [Gate("CZ", (0, 2)), Gate("CZ", (1, 2)), Gate("CZ", (2, 0))],
+], ids=["depth-0", "one-cz", "cz-only"])
+def test_layouts_without_rotations_compile_and_run(gates):
+    """A layout with no gate or only CZs compiles; its coefficients,
+    Hamiltonians, costs and (empty) gradient match the reference."""
+    h = Hamiltonian(3, {"XXI": 1.0, "IYZ": -0.5, "ZIX": 2.0, "YYY": 0.25})
+    layout = layout_from_gates(3, gates)
+    engine = CompiledAnsatz(h, layout)
+    theta = np.zeros(0)
+    ref_keys, ref_coeffs = propagate_reference(h, layout, theta)
+    assert np.array_equal(engine.keys, ref_keys)
+    assert engine.entries == ref_keys.size
+    assert np.array_equal(engine.coefficients(theta), ref_coeffs)
+    assert np.array_equal(engine.coefficients(np.zeros((2, 0))), [ref_coeffs] * 2)
+    for ham in engine.hamiltonians(np.zeros((2, 0))) + engine.hamiltonians(theta):
+        assert_same(ham, (ref_keys, ref_coeffs))
+    states = list(engine.propagate(theta))
+    assert engine.pullback(theta, states, states[-1]).shape == (0,)
+    check_costs_and_gradient((h, layout, theta), "l1")
+
+
+def test_deep_plan_and_optimize_memory_is_bounded():
+    """On the 8-qubit depth-3 chain the compiled plan holds under 5.5 MiB
+    (keeping every gate's support and each rotation's whole inverse takes
+    it to 6.1 MiB), and three restarts of four iterations, run as one
+    batch, peak under 8.5 MiB."""
+    h = ising_neighbor(8)
+    layout = hardware_efficient_layout(8, 3)
+    tracemalloc.start()
+    try:
+        engine = CompiledAnsatz(h, layout)
+        plan, _ = tracemalloc.get_traced_memory()
+        del engine
+        tracemalloc.reset_peak()
+        optimize(h, layout, OptimizerConfig(restarts=3, max_iterations=4, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan < 5.5 * 2**20
+    assert peak < 8.5 * 2**20
+    engine = CompiledAnsatz(h, layout)
+    assert [step.keys is None for step in engine.steps[:-1]] == [True] * (len(layout.gates) - 1)
+    assert engine.steps[-1].keys is engine.keys
+    # a rotation's back gather owns its own-slot index rather than viewing
+    # the whole np.unique inverse
+    assert all(step.back.src1.base is None for step in engine.steps if step.param is not None)
 
 
 @pytest.mark.parametrize("call", [

@@ -15,7 +15,7 @@ from pauliforge.hamiltonian import (
     tensor,
     vectorize,
 )
-from pauliforge.paulis import PauliString
+from pauliforge.paulis import PauliString, digits_from_keys, indices_from_digits
 
 from oracles import dense_hamiltonian, pauli_sums, random_hamiltonian
 
@@ -116,6 +116,14 @@ class TestContainer:
         by_key = [PauliString.from_key(int(k), 32).index for k in h.keys]
         assert [int(i) for i in h.indices()] == by_key
         assert [p.label for p, _ in h.terms_by_index()] == [labels[0], labels[2], labels[1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauli_sums())
+    def test_indices_match_the_digit_route(self, h):
+        """The shift-and-OR indices equal those built from per-qubit digits."""
+        expected = indices_from_digits(digits_from_keys(h.keys, h.n))
+        assert h.indices().dtype == np.uint64
+        assert np.array_equal(h.indices(), expected)
 
     def test_equality(self):
         a = Hamiltonian(2, {"XI": 1.0, "ZZ": -2.0})

@@ -271,8 +271,9 @@ class TestLockstepRestarts:
         assert got.engineered == want.engineered
 
     def test_batch_size_follows_the_compiled_supports(self):
-        """Deep circuits keep one restart per batch; shallow ones batch."""
-        for n, depth, rows in ((8, 3, 1), (8, 2, 3), (4, 2, 3)):
+        """The depth-3 8-qubit chain's three restarts fit one batch, as do
+        shallow circuits'."""
+        for n, depth, rows in ((8, 3, 3), (8, 2, 3), (4, 2, 3)):
             engine = CompiledAnsatz(ising_neighbor(n), hardware_efficient_layout(n, depth))
             stack = np.zeros((3, engine.layout.parameter_count))
             assert [len(np.atleast_2d(angles)) for _, angles in _batches(engine, stack)] \
