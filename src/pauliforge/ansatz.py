@@ -32,11 +32,11 @@ matches gate-by-gate sort-and-merge bit for bit.
 The gradient's reverse pass runs through the transposed gathers on the
 forward supports only (:meth:`CompiledAnsatz.pullback`).
 
-The same plans carry a stack of angle vectors, shape ``(b, P)``, as
+Angles come only as a stack of vectors, shape ``(b, P)``, carried as
 ``(b, m)`` states, one row per vector: every gather takes along the last
 axis, the cos/sin weights broadcast per row, pruning is elementwise and
 each row's gradient entry is a dot over that row's compacted nonzeros.
-Each row therefore equals its single-vector run bit for bit, so the
+Each row therefore equals its run as a one-row stack bit for bit, so the
 optimizer runs its restarts in lockstep through one pass per gate.
 """
 
@@ -322,13 +322,10 @@ class _Step:
 
 
 def _angle_columns(theta):
-    """cos and sin of every angle, indexed by slot: a scalar per slot for
-    one vector, a (b, 1) column per slot for a (b, P) stack, so they
-    broadcast against the states row by row."""
-    c, s = np.cos(theta), np.sin(theta)
-    if theta.ndim == 2:
-        return c.T[:, :, None], s.T[:, :, None]
-    return c, s
+    """cos and sin of every angle of a (b, P) stack, indexed by slot: a
+    (b, 1) column per slot, so they broadcast against the states row by
+    row."""
+    return np.cos(theta).T[:, :, None], np.sin(theta).T[:, :, None]
 
 
 def _row_slices(mask: np.ndarray) -> list[slice]:
@@ -349,8 +346,6 @@ def _hit_dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     equal to the one taken on that row alone."""
     hit = (g != 0.0) & (d != 0.0)
     gv, dv = g[hit], d[hit]
-    if hit.size == hit.shape[-1]:  # one row: its hits are all of them
-        return np.dot(gv, dv)
     return np.array([np.dot(gv[k], dv[k]) for k in _row_slices(hit)])
 
 
@@ -369,8 +364,8 @@ class CompiledAnsatz:
     only where a Hamiltonian is formed.  Values match gate-by-gate
     merging bit for bit, since adding an exact zero changes no sum.
 
-    Angles come as one vector of shape ``(P,)`` or as a stack of shape
-    ``(b, P)``.  A stack's states are ``(b, m)`` arrays, one row per angle
+    Angles come as a stack of shape ``(b, P)``, one vector as a one-row
+    stack, and the states are ``(b, m)`` arrays, one row per angle
     vector: the gathers take along the last axis, the weights broadcast
     per row and pruning is elementwise, so each row equals the run of its
     angle vector alone bit for bit.  :attr:`entries` bounds the rows a
@@ -406,11 +401,9 @@ class CompiledAnsatz:
 
     def propagate(self, theta):
         """Yield the input coefficients, then the coefficients on each
-        gate's output support, for validated angles of shape (P,) or a
-        (b, P) stack."""
-        x = self.h.coeffs
-        if theta.ndim == 2:
-            x = np.broadcast_to(x, (theta.shape[0], x.size))
+        gate's output support, as (b, m) states for a validated (b, P)
+        angle stack."""
+        x = np.broadcast_to(self.h.coeffs, (len(theta), self.h.coeffs.size))
         cos, sin = _angle_columns(theta)
         yield x
         pruned = False
@@ -433,15 +426,15 @@ class CompiledAnsatz:
 
     def coefficients(self, theta) -> np.ndarray:
         """Output coefficients on ``self.keys`` (pruned entries are 0),
-        one row per angle vector of a stack."""
+        one row per angle vector of the stack."""
         for x in self.propagate(theta):
             pass
         return x
 
     def hamiltonians(self, theta) -> list[Hamiltonian]:
-        """The conjugated Hamiltonian for validated angles of shape (P,),
-        or for each row of a (b, P) stack from one batched pass."""
-        return [self._output(x) for x in np.atleast_2d(self.coefficients(theta))]
+        """The conjugated Hamiltonian for each row of a validated (b, P)
+        angle stack, from one batched pass."""
+        return [self._output(x) for x in self.coefficients(theta)]
 
     def _output(self, x: np.ndarray) -> Hamiltonian:
         nonzero = x != 0.0
@@ -451,8 +444,8 @@ class CompiledAnsatz:
         """Angle gradient of a cost whose gradient in the output
         coefficients is ``cotangent``; ``states`` lists ``propagate(theta)``,
         of which only the inputs of rotation gates are read
-        (:meth:`stored_states`).  On a stack, row r of the result is the
-        gradient of row r.
+        (:meth:`stored_states`).  Row r of the result is the gradient of
+        row r of the stack.
 
         The cotangent runs back through the transposed plans on the
         forward supports only.  Gate j's derivative lives on the support
@@ -490,12 +483,12 @@ def conjugate_cz(h: Hamiltonian, q1: int, q2: int) -> Hamiltonian:
 def apply_ansatz(h: Hamiltonian, layout: AnsatzLayout, theta) -> Hamiltonian:
     """U(theta) H U(theta)^dag with gates applied in circuit order."""
     theta = as_parameter_vector(theta, layout.parameter_count)
-    return CompiledAnsatz(h, layout).hamiltonians(theta)[0]
+    return CompiledAnsatz(h, layout).hamiltonians(theta[None])[0]
 
 
 def apply_ansatz_inverse(h: Hamiltonian, layout: AnsatzLayout, theta) -> Hamiltonian:
     """U(theta)^dag H U(theta): reversed gate order, negated angles."""
     theta = as_parameter_vector(theta, layout.parameter_count)
     reverse = AnsatzLayout(layout.n, layout.depth, layout.gates[::-1], layout.parameter_count)
-    return CompiledAnsatz(h, reverse).hamiltonians(-theta)[0]
+    return CompiledAnsatz(h, reverse).hamiltonians(-theta[None])[0]
 

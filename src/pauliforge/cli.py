@@ -155,6 +155,8 @@ def cmd_group(args) -> str:
 def cmd_qdrift(args) -> str:
     h, digest = _load_input(args)
     gamma = pauli_norm(h)
+    if not np.isfinite(args.time * gamma):
+        raise _InputError(f"--time {args.time} times the Pauli norm {gamma} is not finite")
     t0 = time.perf_counter()
     rows = []
     for g in args.gates:

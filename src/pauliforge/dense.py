@@ -25,6 +25,7 @@ def _check_capacity(n: int) -> None:
 
 
 def _check_state(psi: np.ndarray, n: int) -> None:
+    _check_capacity(n)
     if psi.shape != (1 << n,):
         raise ValueError(f"state has dimension {psi.shape}, expected ({1 << n},)")
 
@@ -38,6 +39,7 @@ def _pauli_rows(keys, n: int) -> tuple[np.ndarray, np.ndarray]:
     i ^ x, the Z part flips the sign where the source row has an odd
     number of bits in z.  The row masks are read off the codec's digits.
     """
+    _check_capacity(n)
     digits = digits_from_keys(keys, n)
     z = digits >> 1
     x = (digits & 1) ^ z
@@ -59,7 +61,6 @@ def _term_rows(h: Hamiltonian):
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli string: its row table scattered."""
-    _check_capacity(p.n)
     src, phase = _pauli_rows(p.key(), p.n)
     out = np.zeros((src.size, src.size), dtype=complex)
     out[np.arange(src.size), src] = phase

@@ -58,9 +58,7 @@ _CHUNK_DRAWS = 1 << 17
 
 def exact_evolution(h: Hamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) via dense eigendecomposition."""
-    if h.n > DENSE_MAX_QUBITS:
-        raise ValueError(f"exact evolution capped at {DENSE_MAX_QUBITS} qubits, got {h.n}")
-    m = hamiltonian_matrix(h)
+    m = hamiltonian_matrix(h)  # refuses n past DENSE_MAX_QUBITS before allocating
     evals, evecs = np.linalg.eigh(m)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
@@ -138,7 +136,10 @@ class _QDrift:
         return _pauli_rows(self._keys, self._n)
 
     def tau(self, t: float) -> float:
-        return t * self.gamma / self.gate_count
+        tau = float(t) * self.gamma / self.gate_count  # a float overflows to inf, unwarned
+        if not np.isfinite(tau):
+            raise ValueError(f"qdrift step t*gamma/G = {tau} is not finite for t = {t}")
+        return tau
 
     def draw(self, rngs: list[np.random.Generator], size: int) -> np.ndarray:
         """(len(rngs), size) term indices; row r is what
@@ -224,10 +225,10 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
     if trials < 2:
         raise ValueError(f"need >= 2 trials, got {trials}")
     q = _QDrift(h, gate_count)
+    tau, seqs = q.tau(t), root.spawn(trials)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9E3779B9)))
     panel = np.column_stack([haar_state(1 << h.n, rng) for _ in range(_PANEL_SIZE)])
     exact = exact_evolution(h, t) @ panel
-    tau, seqs = q.tau(t), root.spawn(trials)
     chunk = max(1, _CHUNK_AMPLITUDES // panel.size)
     steps = max(1, _CHUNK_DRAWS // chunk)
 

@@ -20,16 +20,16 @@ the plain method meets a zero gradient or a failed line search.  The
 best restart is kept; when its norm exceeds the original, the identity
 circuit (restart -1) is returned instead.
 
-The restarts run in lockstep as the rows of one ``(b, P)`` angle stack
-(:func:`_run_restarts`): each iteration is one batched forward and
-reverse pass for all active rows, the Adam update is elementwise on the
-stack, and the plain method's halving rounds and the central
-differences' 2P shifted vectors run as batched forward passes.  A run
-that stops leaves the active rows, and every row's values are taken as
-on that row alone, so each restart's angles and trace equal its run
-alone bit for bit.  A batch's stored states hold at most
-``_BATCH_ENTRIES`` entries: shallow circuits batch all their restarts,
-and the depth-3 8-qubit chain up to four.
+The engine takes only ``(b, P)`` angle stacks, and the restarts run in
+lockstep as the rows of one (:func:`_run_restarts`): each iteration is
+one batched forward and reverse pass for all active rows, the Adam
+update is elementwise on the stack, and the plain method's halving
+rounds and the central differences' 2P shifted vectors run as batched
+forward passes.  A run that stops leaves the active rows, and every
+row's values are taken as on that row alone, so each restart's angles
+and trace equal its run alone, a one-row stack, bit for bit.  A batch's
+stored states hold at most ``_BATCH_ENTRIES`` entries: shallow circuits
+batch all their restarts, and the depth-3 8-qubit chain up to four.
 
 An analytic gradient is one forward pass that keeps the coefficients
 entering each rotation gate and the output, then one reverse pass of the
@@ -142,15 +142,13 @@ class EngineeredResult:
 
 
 def _batches(engine: CompiledAnsatz, stack: np.ndarray):
-    """Yield (row slice, angles) per batch of a (k, P) stack whose stored
-    states hold at most ``_BATCH_ENTRIES`` entries (at least one row).  A
-    batch of one row comes as its (P,) vector, which skips broadcasting
-    a one-row stack."""
+    """Yield (row slice, angle stack) per batch of a (k, P) stack whose
+    stored states hold at most ``_BATCH_ENTRIES`` entries (at least one
+    row); a batch of one row is a one-row stack."""
     size = max(1, _BATCH_ENTRIES // max(engine.entries, 1))
     for start in range(0, len(stack), size):
         rows = slice(start, start + size)
-        angles = stack[rows]
-        yield rows, angles[0] if len(angles) == 1 else angles
+        yield rows, stack[rows]
 
 
 def _cost_values(x: np.ndarray, lam: float, kind: str) -> np.ndarray:

@@ -46,7 +46,7 @@ def pruned_mass(engine, theta):
     """The l1 mass the engine's pruning drops over the whole circuit."""
     cos, sin = np.cos(theta), np.sin(theta)
     total = 0.0
-    for step, x in zip(engine.steps, engine.propagate(theta)):
+    for step, x in zip(engine.steps, engine.propagate(theta[None])):
         y = step.gather(x) if step.param is None else step.gather(x, cos[step.param],
                                                                    sin[step.param])
         total += np.abs(y[np.abs(y) < PRUNE_TOL]).sum()

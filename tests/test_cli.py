@@ -277,6 +277,8 @@ class TestExitCodes:
          "builder size in 'ising-neighbor:33' must be in 2..32, got 33"),
         (("compare", "--family", "ising-neighbor", "--sizes", "2,33"), 2,
          "sizes must be in 2..32, got '2,33'"),
+        (("qdrift", "--ham", "ising-neighbor:2", "--time", "1e308", "--gates", "1",
+          "--trials", "2"), 2, "--time 1e+308 times the Pauli norm 3.0 is not finite"),
     ])
     def test_code_and_message(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, *argv)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pauliforge import dynamics
 from pauliforge.ansatz import hardware_efficient_layout
-from pauliforge.dense import pauli_matrix
+from pauliforge.dense import apply_pauli, hamiltonian_expectation, pauli_expectation, pauli_matrix
 from pauliforge.dynamics import (
     _CHUNK_AMPLITUDES,
     _PANEL_SIZE,
@@ -24,7 +24,7 @@ from pauliforge.dynamics import (
     sandwich_check,
     trotter_first_order,
 )
-from pauliforge.grouping import shot_simulator
+from pauliforge.grouping import covariance_zero_check, shot_simulator
 from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
 from pauliforge.model_io import ising_neighbor
 
@@ -167,6 +167,18 @@ class TestQDriftSample:
         for bad in (plan, negative):
             with pytest.raises(ValueError, match="outside"):
                 qdrift_apply(h, bad, np.eye(16, dtype=complex))
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, np.float64(1e308)],
+                             ids=["float", "negative", "float64"])
+    def test_overflowing_step_refused(self, t):
+        """t*gamma past the float range is refused, not sampled as an
+        infinite step, and raises no overflow warning on the way."""
+        h = Hamiltonian(2, GOLDEN_2Q)
+        for call in (lambda: qdrift_sample(h, t, 1),
+                     lambda: qdrift_error(h, t, 1, trials=2),
+                     lambda: qdrift_channel_error(h, t, 1, trials=2)):
+            with pytest.raises(ValueError, match="not finite"):
+                call()
 
     def test_plan_indices_not_one_per_gate_rejected(self):
         """A plan applies exactly gate_count steps: fewer indices, more,
@@ -444,10 +456,25 @@ class TestEngineeredQDriftCost:
             engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), 1.0, epsilon)
 
 
+def _state(h):
+    return np.eye(1 << h.n, 1, dtype=complex)[:, 0]
+
+
+def _one_step_plan(h):
+    return QDriftPlan(pauli_norm(h), 0.1, 1, np.array([0]), 0)
+
+
 # The caps listed under "Numerical scope" in the README: dense operators
-# <= 10 qubits, repeated-trial qDrift runs <= 8, sandwich checks <= 6.
+# and states <= 10 qubits, repeated-trial qDrift runs <= 8, sandwich
+# checks <= 6.
 @pytest.mark.parametrize("cap, call", [
     (10, lambda h: pauli_matrix(next(iter(h))[0])),
+    (10, lambda h: apply_pauli(next(iter(h))[0], _state(h))),
+    (10, lambda h: pauli_expectation(next(iter(h))[0], _state(h))),
+    (10, lambda h: hamiltonian_expectation(h, _state(h))),
+    (10, lambda h: hamiltonian_expectation(0 * h, _state(h))),
+    (10, lambda h: qdrift_apply(h, _one_step_plan(h), _state(h))),
+    (10, lambda h: covariance_zero_check(*[p for p, _ in h.terms_by_index()[:2]])),
     (10, lambda h: exact_evolution(h, 1.0)),
     (10, lambda h: trotter_first_order(h, 1.0, 1)),
     (10, lambda h: shot_simulator(h, np.zeros(2))),
@@ -455,8 +482,20 @@ class TestEngineeredQDriftCost:
     (8, lambda h: qdrift_error(h, 1.0, 1, trials=2)),
     (8, lambda h: qdrift_channel_error(h, 1.0, 1, trials=2)),
     (6, lambda h: sandwich_check(h, hardware_efficient_layout(h.n, 0), [], 1.0)),
-], ids=["pauli_matrix", "exact_evolution", "trotter_first_order", "shot_simulator",
-        "to_dense", "qdrift_error", "qdrift_channel_error", "sandwich_check"])
+], ids=["pauli_matrix", "apply_pauli", "pauli_expectation", "hamiltonian_expectation",
+        "expectation_of_zero_sum", "qdrift_apply", "covariance_zero_check", "exact_evolution",
+        "trotter_first_order", "shot_simulator", "to_dense", "qdrift_error",
+        "qdrift_channel_error", "sandwich_check"])
 def test_dense_cap_refused_one_qubit_above(cap, call):
-    with pytest.raises(ValueError, match=f"capped at {cap} qubits, got {cap + 1}"):
-        call(ising_neighbor(cap + 1))
+    """Refused before any dense array is built: one past the cap, a
+    dense matrix would take 64 MiB and the row tables of the input's
+    terms 1 MiB or more; the call peaks under 256 KiB."""
+    h = ising_neighbor(cap + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"capped at {cap} qubits, got {cap + 1}"):
+            call(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10

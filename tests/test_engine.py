@@ -70,7 +70,7 @@ def check_costs_and_gradient(case, kind):
     lam = l2_norm(h)
     engine = CompiledAnsatz(h, layout)
     assert _forward_cost(engine, theta[None], lam, kind)[0] == ref_value
-    value, grad = _value_and_grad_analytic(engine, theta, lam, kind)
+    [value], [grad] = _value_and_grad_analytic(engine, theta[None], lam, kind)
     assert value == ref_value
     assert np.array_equal(grad, ref_grad)
     assert np.array_equal(cost_gradient(h, layout, theta, OptimizerConfig(cost_kind=kind)),
@@ -187,7 +187,8 @@ def test_inverse_undoes_forward(case):
 @given(circuits(rows=5), st.sampled_from(["l1", "q"]))
 def test_angle_stack_rows_match_single_vectors(case, kind):
     """A (b, P) stack through propagate, pullback, the costs and the
-    conjugated Hamiltonians gives each row's single-vector run exactly."""
+    conjugated Hamiltonians gives each row's run as a one-row stack
+    exactly."""
     h, layout, theta = case
     lam = l2_norm(h)
     engine = CompiledAnsatz(h, layout)
@@ -196,16 +197,18 @@ def test_angle_stack_rows_match_single_vectors(case, kind):
     values, grads = _value_and_grad_analytic(engine, theta, lam, kind)
     costs = _forward_cost(engine, theta, lam, kind)
     hams = engine.hamiltonians(theta)
-    for r, row in enumerate(theta):
+    for r in range(len(theta)):
+        row = theta[r:r + 1]
         alone = list(engine.propagate(row))
         assert len(alone) == len(states)
         for stacked, single in zip(states, alone):
-            assert stacked.shape == (len(theta), single.size)
-            assert np.array_equal(stacked[r], single)
-        row_grad = engine.pullback(row, alone, _cost_grad(alone[-1], lam, kind))
+            assert single.shape == (1, stacked.shape[-1])
+            assert stacked.shape == (len(theta), single.shape[-1])
+            assert np.array_equal(stacked[r], single[0])
+        [row_grad] = engine.pullback(row, alone, _cost_grad(alone[-1], lam, kind))
         assert np.array_equal(grad[r], row_grad)
-        value, row_grad = _value_and_grad_analytic(engine, row, lam, kind)
-        assert values[r] == value == costs[r] == _forward_cost(engine, row[None], lam, kind)[0]
+        [value], [row_grad] = _value_and_grad_analytic(engine, row, lam, kind)
+        assert values[r] == value == costs[r] == _forward_cost(engine, row, lam, kind)[0]
         assert np.array_equal(grads[r], row_grad)
         [single_h] = engine.hamiltonians(row)
         assert np.array_equal(hams[r].keys, single_h.keys)
@@ -221,7 +224,7 @@ def test_plans_are_reused_across_angles():
     for theta in (rng.uniform(0, 2 * np.pi, layout.parameter_count),
                   np.zeros(layout.parameter_count),
                   rng.integers(0, 4, layout.parameter_count) * (np.pi / 2)):
-        assert_same(engine.hamiltonians(theta)[0], propagate_reference(h, layout, theta))
+        assert_same(engine.hamiltonians(theta[None])[0], propagate_reference(h, layout, theta))
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,12 +265,12 @@ def test_layouts_without_rotations_compile_and_run(gates):
     ref_keys, ref_coeffs = propagate_reference(h, layout, theta)
     assert np.array_equal(engine.keys, ref_keys)
     assert engine.entries == ref_keys.size
-    assert np.array_equal(engine.coefficients(theta), ref_coeffs)
+    assert np.array_equal(engine.coefficients(theta[None]), [ref_coeffs])
     assert np.array_equal(engine.coefficients(np.zeros((2, 0))), [ref_coeffs] * 2)
-    for ham in engine.hamiltonians(np.zeros((2, 0))) + engine.hamiltonians(theta):
+    for ham in engine.hamiltonians(np.zeros((2, 0))) + engine.hamiltonians(theta[None]):
         assert_same(ham, (ref_keys, ref_coeffs))
-    states = list(engine.propagate(theta))
-    assert engine.pullback(theta, states, states[-1]).shape == (0,)
+    states = list(engine.propagate(theta[None]))
+    assert engine.pullback(theta[None], states, states[-1]).shape == (1, 0)
     check_costs_and_gradient((h, layout, theta), "l1")
 
 

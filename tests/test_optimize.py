@@ -276,7 +276,7 @@ class TestLockstepRestarts:
         for n, depth, rows in ((8, 3, 3), (8, 2, 3), (4, 2, 3)):
             engine = CompiledAnsatz(ising_neighbor(n), hardware_efficient_layout(n, depth))
             stack = np.zeros((3, engine.layout.parameter_count))
-            assert [len(np.atleast_2d(angles)) for _, angles in _batches(engine, stack)] \
+            assert [len(angles) for _, angles in _batches(engine, stack)] \
                 == [rows] * (3 // rows)
 
 
