@@ -211,10 +211,15 @@ def cmd_compare(args) -> str:
     if args.family not in _BUILDERS:
         raise _InputError(f"unknown family {args.family!r}")
     sizes = _parse_sizes(args.sizes)
+    hams = [_BUILDERS[args.family](size) for size in sizes]
+    for size, h in zip(sizes, hams):
+        gamma_t = pauli_norm(h) * args.time  # a Python float: inf, not an error, on overflow
+        if not np.isfinite(gamma_t * gamma_t / args.epsilon):
+            raise _InputError(f"--time {args.time} and --epsilon {args.epsilon} give a qDrift "
+                              f"gate count that is not finite at size {size}")
     lines = ["family,size,terms,norm_p,norm_p_engineered,norm_gp,norm_gp_engineered,"
              "qdrift_g,qdrift_g_engineered"]
-    for size in sizes:
-        h = _BUILDERS[args.family](size)
+    for size, h in zip(sizes, hams):
         layout = hardware_efficient_layout(h.n, args.depth)
         res = optimize(h, layout, args.config)
         gp = sorted_insertion(h).grouped_norm

@@ -35,6 +35,7 @@ of ``SeedSequence((seed, G)).spawn(trials)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -218,28 +219,32 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
     (b, 2^n, k) panel outputs of ``trials`` plans, one per child of
     ``root``, in trial order.  Plans are drawn and applied in chunks of
     at most _CHUNK_AMPLITUDES output amplitudes, and a chunk's plans a
-    segment of at most _CHUNK_DRAWS draws at a time, so memory grows with
-    neither ``trials`` nor ``gate_count``."""
+    segment of at most _CHUNK_DRAWS draws at a time, and each chunk's
+    children are spawned as the chunk starts, so the stream's memory grows
+    with neither ``trials`` nor ``gate_count``; :func:`qdrift_error` then
+    keeps one float per trial, its error."""
     if h.n > QDRIFT_MAX_QUBITS:
         raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
     if trials < 2:
         raise ValueError(f"need >= 2 trials, got {trials}")
     q = _QDrift(h, gate_count)
-    tau, seqs = q.tau(t), root.spawn(trials)
+    tau = q.tau(t)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9E3779B9)))
     panel = np.column_stack([haar_state(1 << h.n, rng) for _ in range(_PANEL_SIZE)])
     exact = exact_evolution(h, t) @ panel
     chunk = max(1, _CHUNK_AMPLITUDES // panel.size)
     steps = max(1, _CHUNK_DRAWS // chunk)
 
-    def outputs(chunk_seqs):
-        rngs = [np.random.default_rng(s) for s in chunk_seqs]
+    def outputs(size):
+        # spawn carries on from the last child, so the children are those
+        # of one root.spawn(trials)
+        rngs = [np.random.default_rng(s) for s in root.spawn(size)]
         out = np.repeat(panel[None], len(rngs), axis=0)
         for start in range(0, gate_count, steps):
             q.apply(tau, q.draw(rngs, min(steps, gate_count - start)), out)
         return out
 
-    return exact, (outputs(seqs[i:i + chunk]) for i in range(0, trials, chunk))
+    return exact, (outputs(min(chunk, trials - i)) for i in range(0, trials, chunk))
 
 
 def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
@@ -298,13 +303,18 @@ class QDriftCostModel:
 def engineered_qdrift_cost(h: Hamiltonian, layout: AnsatzLayout, theta,
                            t: float, epsilon: float) -> QDriftCostModel:
     """Gate-count model for simulating H directly versus sandwiching the
-    engineered H'; the fixed ansatz gate count is reported separately."""
+    engineered H'; the fixed ansatz gate count is reported separately.
+    Counts that are not finite (a huge t or a tiny epsilon) are refused
+    with a ValueError."""
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     gamma = pauli_norm(h)
     gamma_eng = pauli_norm(apply_ansatz(h, layout, theta))
-    return QDriftCostModel(
-        g_original=(gamma * t) ** 2 / epsilon,
-        g_engineered=(gamma_eng * t) ** 2 / epsilon,
-        ansatz_gate_count=len(layout.gates),
-    )
+    t, epsilon = float(t), float(epsilon)  # Python floats overflow by raising, not warning
+    try:
+        counts = [(g * t) ** 2 / epsilon for g in (gamma, gamma_eng)]
+    except OverflowError:
+        counts = [math.inf]
+    if not all(math.isfinite(g) for g in counts):
+        raise ValueError(f"t {t} and epsilon {epsilon} give a gate count that is not finite")
+    return QDriftCostModel(*counts, ansatz_gate_count=len(layout.gates))

@@ -362,19 +362,29 @@ def measurement_cost(h: Hamiltonian, epsilon: float, mode: str = "weighted_shots
     uniform_shots:   L^2 * h_max^2 / eps^2
     weighted_shots:  (sum |h_i|)^2 / eps^2
     grouped:         (grouped Pauli norm / eps)^2 under sorted insertion
+
+    A count that is not finite (a tiny eps) is refused with a ValueError.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if len(h) == 0:
         raise ValueError("cannot cost the zero Hamiltonian")
-    if mode == "uniform_shots":
-        hmax = float(np.max(np.abs(h.coeffs)))
-        return len(h) ** 2 * hmax**2 / epsilon**2
-    if mode == "weighted_shots":
-        return pauli_norm(h) ** 2 / epsilon**2
-    if mode == "grouped":
-        return (sorted_insertion(h).grouped_norm / epsilon) ** 2
-    raise ValueError(f"unknown mode {mode!r}")
+    epsilon = float(epsilon)  # Python floats overflow by raising, not warning
+    try:
+        if mode == "uniform_shots":
+            hmax = float(np.max(np.abs(h.coeffs)))
+            count = len(h) ** 2 * hmax**2 / epsilon**2
+        elif mode == "weighted_shots":
+            count = pauli_norm(h) ** 2 / epsilon**2
+        elif mode == "grouped":
+            count = (sorted_insertion(h).grouped_norm / epsilon) ** 2
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+    except (ZeroDivisionError, OverflowError):  # eps**2 underflows to 0, or a square overflows
+        count = math.inf
+    if not math.isfinite(count):
+        raise ValueError(f"epsilon {epsilon} gives a shot count that is not finite")
+    return count
 
 
 def allocate_shots(weights, shots: int) -> np.ndarray:

@@ -17,8 +17,9 @@ from one function, which dispatches on ``gradient_mode`` and rejects
 non-finite values.  A run stops after ``max_iterations``, after 20
 consecutive iterations that move the cost by less than 1e-10, or when
 the plain method meets a zero gradient or a failed line search.  The
-best restart is kept; when its norm exceeds the original, the identity
-circuit (restart -1) is returned instead.
+zero-angle circuit (restart -1) is priced with the restarts' best angles
+and the first smallest norm wins, so ``engineered`` is always
+U(theta*) H U(theta*)^dag.
 
 The engine takes only ``(b, P)`` angle stacks, and the restarts run in
 lockstep as the rows of one (:func:`_run_restarts`): each iteration is
@@ -126,7 +127,8 @@ class EngineeredResult:
 
     cost_trace holds the winning restart's cost per iteration (state l1
     or Q, per cost_kind) with the returned angles' cost appended last;
-    the identity fallback (restart_index -1) records a single entry.
+    the zero-angle circuit (restart_index -1) records its single cost.
+    engineered is U(theta_star) H U(theta_star)^dag in every case.
     """
 
     theta_star: np.ndarray
@@ -295,11 +297,16 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
     Runs ``restarts`` independent gradient optimizations from angles
     drawn uniformly in [0, 2pi), each with its own RNG stream derived
     from (seed, restart index), and keeps the run with the lowest
-    engineered Pauli norm.  The identity circuit is always an implicit
-    candidate (reported as restart_index -1), so the engineered norm
-    never exceeds the original.  The restarts run in lockstep through
-    one compiled engine, in batches whose stored states stay within
-    ``_BATCH_ENTRIES`` entries; each gives the same result as run alone.
+    engineered Pauli norm.  The zero-angle circuit, where only the CZs
+    act, is always a candidate (restart_index -1), priced in the final
+    pass with the restarts' best angles; it wins only on a strictly
+    smaller norm.  Its norm is the original's up to summation order and,
+    in a layout with any gate, the coefficients below ``PRUNE_TOL`` that
+    drop from it as from any row; so the engineered norm never exceeds
+    the original up to summation order.  The restarts run in lockstep
+    through one compiled engine, in batches whose stored states stay
+    within ``_BATCH_ENTRIES`` entries; each gives the same result as run
+    alone.
     """
     config = config or OptimizerConfig()
     if len(h) == 0:
@@ -313,25 +320,19 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
         for r in range(config.restarts)
     ])
     thetas, traces = _run_restarts(engine, theta0, config, lam)
-    best = None  # (norm, restart, theta, engineered, trace)
-    for rows, angles in _batches(engine, thetas):
-        for r, engineered in zip(range(config.restarts)[rows], engine.hamiltonians(angles)):
-            norm = pauli_norm(engineered)
-            if best is None or norm < best[0]:
-                best = (norm, r, thetas[r], engineered, traces[r])
-
-    if best[0] > original_norm:
-        theta = np.zeros(layout.parameter_count)
-        best = (original_norm, -1, theta, h,
-                [float(_forward_cost(engine, theta[None], lam, config.cost_kind)[0])])
-    norm, r, theta, engineered, trace = best
+    thetas = np.vstack([thetas, np.zeros(layout.parameter_count)])  # the zero-angle row
+    candidates = ((pauli_norm(e), r, e) for rows, angles in _batches(engine, thetas)
+                  for r, e in zip(range(len(thetas))[rows], engine.hamiltonians(angles)))
+    norm, r, engineered = min(candidates, key=lambda c: c[0])  # the first smallest norm
+    if r == config.restarts:  # the zero row's one cost, from the same pass
+        traces.append([float(_cost_values(engineered.coeffs[None], lam, config.cost_kind)[0])])
     return EngineeredResult(
-        theta_star=theta,
+        theta_star=thetas[r],
         engineered=engineered,
         original_norm=original_norm,
         engineered_norm=norm,
-        cost_trace=trace,
-        restart_index=r,
+        cost_trace=traces[r],
+        restart_index=-1 if r == config.restarts else r,
         cost_kind=config.cost_kind,
     )
 

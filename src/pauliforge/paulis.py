@@ -170,10 +170,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return (self.x | self.z).bit_count()
-
     def restrict(self, qubits: tuple[int, ...]) -> "PauliString":
         """The factor on a subset of qubits, reindexed to 0..len-1."""
         x = z = 0

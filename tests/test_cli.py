@@ -279,6 +279,10 @@ class TestExitCodes:
          "sizes must be in 2..32, got '2,33'"),
         (("qdrift", "--ham", "ising-neighbor:2", "--time", "1e308", "--gates", "1",
           "--trials", "2"), 2, "--time 1e+308 times the Pauli norm 3.0 is not finite"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2", "--time", "1e200"), 2,
+         "--time 1e+200 and --epsilon 0.01 give a qDrift gate count that is not finite at size 2"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2,3", "--epsilon", "1e-320"), 2,
+         "--time 1.0 and --epsilon 1e-320 give a qDrift gate count that is not finite at size 2"),
     ])
     def test_code_and_message(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, *argv)

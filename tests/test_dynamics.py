@@ -1,5 +1,6 @@
 """Exact evolution, product formulas, qDrift sampling, and the sandwich identity."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -380,6 +381,17 @@ class TestPlanTableBound:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # spawning every trial's seed up front peaks at about 9 MiB here
+        h = Hamiltonian(2, GOLDEN_2Q)
+        tracemalloc.start()
+        try:
+            qdrift_error(h, 0.5, 1, trials=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize("h, gates, trials, shapes", [
         (Hamiltonian(2, GOLDEN_2Q), 640, 200, [(200, 640)]),
         (ising_neighbor(6), 160, 50, [(12, 160)] * 4 + [(2, 160)]),
@@ -454,6 +466,19 @@ class TestEngineeredQDriftCost:
         layout = hardware_efficient_layout(2, 1)
         with pytest.raises(ValueError, match="finite"):
             engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), 1.0, epsilon)
+
+    @pytest.mark.parametrize("t, epsilon", [
+        (1e200, 0.01),  # (gamma*t)**2 overflows
+        (np.float64(1e200), 0.01),
+        (1.0, 1e-320),  # the counts are inf
+        (np.nan, 0.01),
+    ], ids=["t-1e200", "float64-t-1e200", "eps-1e-320", "t-nan"])
+    def test_count_that_is_not_finite_refused(self, t, epsilon):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        layout = hardware_efficient_layout(2, 1)
+        message = f"t {float(t)} and epsilon {epsilon} give a gate count that is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), t, epsilon)
 
 
 def _state(h):

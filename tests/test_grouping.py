@@ -1,6 +1,7 @@
 """Grouping strategies, grouped norm, cost models, and the shot simulator."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -362,6 +363,16 @@ class TestMeasurementCost:
     @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
     def test_non_finite_epsilon_rejected(self, epsilon, mode):
         with pytest.raises(ValueError, match="finite"):
+            measurement_cost(Hamiltonian(2, GOLDEN_2Q), epsilon, mode)
+
+    @pytest.mark.parametrize("mode", ["uniform_shots", "weighted_shots", "grouped"])
+    @pytest.mark.parametrize("epsilon", [1e-200, 1e-320, np.float64(1e-200)],
+                             ids=["1e-200", "1e-320", "float64-1e-200"])
+    def test_count_that_is_not_finite_refused(self, epsilon, mode):
+        # eps**2 underflows to 0 and (norm/eps)**2 overflows at 1e-200;
+        # norm/eps is already inf at 1e-320
+        message = f"epsilon {float(epsilon)} gives a shot count that is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
             measurement_cost(Hamiltonian(2, GOLDEN_2Q), epsilon, mode)
 
 

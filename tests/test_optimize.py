@@ -16,6 +16,7 @@ from pauliforge.ansatz import (
     hardware_efficient_layout,
     layout_from_gates,
 )
+from pauliforge.dynamics import exact_evolution
 from pauliforge.hamiltonian import Hamiltonian, embed, l2_norm, pauli_norm, vectorize
 from pauliforge.model_io import ising_neighbor
 from pauliforge.optimize import (
@@ -164,6 +165,60 @@ class TestOptimize:
     def test_zero_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
             optimize(Hamiltonian(1, {}), hardware_efficient_layout(1, 1))
+
+
+class TestZeroAngleCandidate:
+    """The zero-angle circuit, where only the CZs act, is priced with the
+    restarts and reported as restart_index -1; whichever row wins, the
+    result is that circuit's own output."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_engineered_is_the_output_at_theta_star(self, depth):
+        rng = np.random.default_rng(depth)
+        winners = []
+        for iterations in (1, 40):
+            for rotations in (("RX", "RZ"), ("RY",)):
+                n = int(rng.integers(2, 4))
+                h = random_hamiltonian(n, int(rng.integers(2, 7)), rng)
+                layout = hardware_efficient_layout(n, depth, rotations=rotations)
+                res = optimize(h, layout, OptimizerConfig(restarts=2, max_iterations=iterations,
+                                                          seed=depth))
+                assert apply_ansatz(h, layout, res.theta_star) == res.engineered
+                assert res.engineered_norm == pauli_norm(res.engineered)
+                winners.append(res.restart_index)
+        # with gates the zero row wins some runs, with none it never does
+        assert (-1 in winners) == (depth > 0)
+
+    def test_sandwich_identity_at_odd_cz_depth(self):
+        h = ising_neighbor(4)
+        layout = hardware_efficient_layout(4, 3)
+        res = optimize(h, layout, OptimizerConfig(restarts=3, max_iterations=30, seed=1))
+        assert res.restart_index == -1
+        u = ansatz_unitary_oracle(layout, res.theta_star)
+        t = 0.7
+        lhs = u.conj().T @ exact_evolution(res.engineered, t) @ u
+        assert np.linalg.norm(lhs - exact_evolution(h, t), 2) <= 1e-10
+
+    def test_zero_row_costs_no_pass_of_its_own(self):
+        """One pass per iteration and one final pass prices every row,
+        the zero row included; its one-entry trace comes from that pass."""
+        h = ising_neighbor(3)
+        layout = hardware_efficient_layout(3, 1)
+        config = OptimizerConfig(restarts=2, max_iterations=2, seed=1)
+        calls = []
+        propagate = CompiledAnsatz.propagate
+
+        def spy(engine, theta):
+            calls.append(len(theta))
+            return propagate(engine, theta)
+
+        with mock.patch.object(CompiledAnsatz, "propagate", spy):
+            res = optimize(h, layout, config)
+        assert res.restart_index == -1
+        assert calls == [2, 2, 3]
+        zero = np.zeros((1, layout.parameter_count))
+        want = optimize_module._forward_cost(CompiledAnsatz(h, layout), zero, l2_norm(h), "l1")
+        assert res.cost_trace == want.tolist()
 
 
 def batched(engine, rows):
