@@ -127,9 +127,8 @@ def _envelope(command: str, digest: str, seed: int, results, seconds: float) -> 
 
 def cmd_engineer(args) -> str:
     h, digest = _load_input(args)
-    layout = hardware_efficient_layout(h.n, args.depth)
     t0 = time.perf_counter()
-    res = optimize(h, layout, args.config)
+    res = optimize(h, hardware_efficient_layout(h.n, args.depth), args.config)
     seconds = time.perf_counter() - t0
     if args.engineered_out:
         save_pauli_sum(res.engineered, args.engineered_out)
@@ -138,7 +137,7 @@ def cmd_engineer(args) -> str:
         file=sys.stderr,
     )
     return _envelope("engineer", digest, args.seed,
-                     engineered_result_to_dict(res, layout), seconds)
+                     engineered_result_to_dict(res), seconds)
 
 
 def cmd_group(args) -> str:
@@ -220,11 +219,10 @@ def cmd_compare(args) -> str:
     lines = ["family,size,terms,norm_p,norm_p_engineered,norm_gp,norm_gp_engineered,"
              "qdrift_g,qdrift_g_engineered"]
     for size, h in zip(sizes, hams):
-        layout = hardware_efficient_layout(h.n, args.depth)
-        res = optimize(h, layout, args.config)
+        res = optimize(h, hardware_efficient_layout(h.n, args.depth), args.config)
         gp = sorted_insertion(h).grouped_norm
         gp_eng = sorted_insertion(res.engineered).grouped_norm
-        model = engineered_qdrift_cost(h, layout, res.theta_star, args.time, args.epsilon)
+        model = engineered_qdrift_cost(res, args.time, args.epsilon)
         row = [args.family, str(size), str(len(h))] + [
             f"{x:.17g}" for x in (
                 res.original_norm, res.engineered_norm, gp, gp_eng,

@@ -127,13 +127,15 @@ def ansatz_unitary(layout: AnsatzLayout, theta) -> np.ndarray:
     return u
 
 
-def build_encoded_v(layout: AnsatzLayout, theta, n: int) -> np.ndarray:
-    """Dense 4^n x 4^n coefficient-space unitary of the ansatz.
+def build_encoded_v(layout: AnsatzLayout, theta) -> np.ndarray:
+    """Dense 4^n x 4^n coefficient-space unitary of the ansatz, n being
+    the layout's qubit count.
 
     Row i holds the Pauli coefficients of U^dag P_i U, so that
     V @ vectorize(H) equals vectorize(U H U^dag) entrywise.  Test-only;
     capped at 3 qubits.
     """
+    n = layout.n
     if n > 3:
         raise ValueError(f"encoded unitary is dense in 4^n; capped at n=3, got {n}")
     v = np.zeros((4**n, 4**n), dtype=np.float64)

@@ -38,13 +38,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ansatz import AnsatzLayout, apply_ansatz
 from .dense import _pauli_rows, ansatz_unitary, haar_state, hamiltonian_matrix, pauli_matrix
-from .hamiltonian import Hamiltonian, _terms_by_magnitude, pauli_norm
+from .hamiltonian import Hamiltonian, _terms_by_magnitude
 from .paulis import DENSE_MAX_QUBITS
+
+if TYPE_CHECKING:  # the record type, for annotations only
+    from .optimize import EngineeredResult
 
 QDRIFT_MAX_QUBITS = 8
 SANDWICH_MAX_QUBITS = 6
@@ -293,28 +297,27 @@ def sandwich_check(h: Hamiltonian, layout: AnsatzLayout, theta, t: float) -> flo
 
 @dataclass(frozen=True)
 class QDriftCostModel:
-    """Model gate counts (gamma*t)^2/eps before and after engineering."""
+    """Model gate counts (gamma*t)^2/eps for simulating H directly and
+    for the engineered H', and the fixed gate count of the circuit that
+    sandwiches H'."""
 
     g_original: float
     g_engineered: float
     ansatz_gate_count: int
 
 
-def engineered_qdrift_cost(h: Hamiltonian, layout: AnsatzLayout, theta,
-                           t: float, epsilon: float) -> QDriftCostModel:
-    """Gate-count model for simulating H directly versus sandwiching the
-    engineered H'; the fixed ansatz gate count is reported separately.
-    Counts that are not finite (a huge t or a tiny epsilon) are refused
-    with a ValueError."""
+def engineered_qdrift_cost(res: EngineeredResult, t: float, epsilon: float) -> QDriftCostModel:
+    """Gate-count model of an engineered record: gamma is its original
+    and its engineered Pauli norm, and the ansatz gate count that of the
+    layout its angles index; nothing is recomputed.  Counts that are not
+    finite (a huge t or a tiny epsilon) are refused with a ValueError."""
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    gamma = pauli_norm(h)
-    gamma_eng = pauli_norm(apply_ansatz(h, layout, theta))
     t, epsilon = float(t), float(epsilon)  # Python floats overflow by raising, not warning
     try:
-        counts = [(g * t) ** 2 / epsilon for g in (gamma, gamma_eng)]
+        counts = [(g * t) ** 2 / epsilon for g in (res.original_norm, res.engineered_norm)]
     except OverflowError:
         counts = [math.inf]
     if not all(math.isfinite(g) for g in counts):
         raise ValueError(f"t {t} and epsilon {epsilon} give a gate count that is not finite")
-    return QDriftCostModel(*counts, ansatz_gate_count=len(layout.gates))
+    return QDriftCostModel(*counts, ansatz_gate_count=len(res.layout.gates))

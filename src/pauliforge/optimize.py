@@ -123,15 +123,20 @@ class OptimizerConfig:
 
 @dataclass
 class EngineeredResult:
-    """Outcome of one optimization: winning angles and conjugated Hamiltonian.
+    """Outcome of one optimization: winning angles, the circuit they
+    parameterize and the conjugated Hamiltonian.
 
-    cost_trace holds the winning restart's cost per iteration (state l1
-    or Q, per cost_kind) with the returned angles' cost appended last;
-    the zero-angle circuit (restart_index -1) records its single cost.
-    engineered is U(theta_star) H U(theta_star)^dag in every case.
+    layout is the circuit :func:`optimize` ran, the one theta_star
+    indexes, so the record prices and serializes without being handed it
+    again.  cost_trace holds the winning restart's cost per iteration
+    (state l1 or Q, per cost_kind) with the returned angles' cost
+    appended last; the zero-angle circuit (restart_index -1) records its
+    single cost.  engineered is U(theta_star) H U(theta_star)^dag in
+    every case, and engineered_norm its Pauli norm.
     """
 
     theta_star: np.ndarray
+    layout: AnsatzLayout = field(repr=False)
     engineered: Hamiltonian
     original_norm: float
     engineered_norm: float
@@ -312,7 +317,6 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
     if len(h) == 0:
         raise ValueError("cannot optimize the zero Hamiltonian")
     lam = l2_norm(h)
-    original_norm = pauli_norm(h)
     engine = CompiledAnsatz(h, layout)
 
     theta0 = np.array([
@@ -328,8 +332,9 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
         traces.append([float(_cost_values(engineered.coeffs[None], lam, config.cost_kind)[0])])
     return EngineeredResult(
         theta_star=thetas[r],
+        layout=layout,
         engineered=engineered,
-        original_norm=original_norm,
+        original_norm=pauli_norm(h),
         engineered_norm=norm,
         cost_trace=traces[r],
         restart_index=-1 if r == config.restarts else r,
@@ -419,7 +424,8 @@ def partition_by_restriction(h: Hamiltonian, factor_qubits: tuple[int, ...]) -> 
 
 def optimize_partitioned(h: Hamiltonian, spec: PartitionSpec,
                          layouts, config: OptimizerConfig | None = None):
-    """Engineer each residual independently; returns (results, combined norm).
+    """Engineer each residual independently; returns (results, combined norm),
+    result i carrying part i's layout.
 
     The combined norm is the sum of the engineered residual Pauli norms
     (the unit-modulus factors do not change term magnitudes).  This mode

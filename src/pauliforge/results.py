@@ -8,8 +8,10 @@ are written as their Python values, a 0-d array as its scalar.
 
 A document is ``stable_json`` of the dict that a record's builder
 returns (``engineered_result_to_dict``, ``grouping_result_to_dict``,
-``qestimate_to_dict``).  The record types are imported for annotations
-only, so loading this module runs none of the modules that make them.
+``qestimate_to_dict``); each builder takes the record alone, as every
+record carries what its document shows.  The record types are imported
+for annotations only, so loading this module runs none of the modules
+that make them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .ansatz import layout_to_dict
 from .paulis import digits_from_keys, labels_from_digits
 
 if TYPE_CHECKING:  # the record types, for annotations only
-    from .ansatz import AnsatzLayout
     from .grouping import GroupingResult
     from .optimize import EngineeredResult
     from .qestimate import QEstimate
@@ -110,7 +111,9 @@ def _terms_list(h) -> list[dict]:
     return [{"label": label, "coefficient": c} for label, c in zip(labels, coeffs.tolist())]
 
 
-def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout) -> dict:
+def engineered_result_to_dict(res: EngineeredResult) -> dict:
+    """The record's fields, its engineered terms and the layout its
+    angles index (``res.layout``)."""
     return {
         "cost_kind": res.cost_kind,
         "restart_index": res.restart_index,
@@ -119,7 +122,7 @@ def engineered_result_to_dict(res: EngineeredResult, layout: AnsatzLayout) -> di
         "theta_star": list(map(float, res.theta_star)),
         "cost_trace": list(map(float, res.cost_trace)),
         "engineered_terms": _terms_list(res.engineered),
-        "layout": layout_to_dict(layout),
+        "layout": layout_to_dict(res.layout),
     }
 
 

@@ -6,7 +6,8 @@ tables, so these are its only Kronecker products.  The sparse reference
 propagation rotates one key at a time through the public ``commutes``
 and ``pauli_product`` and merges terms gate by gate with np.unique.
 Neither shares code with the compiled engine it checks.  The qDrift
-reference is the sampling code as first written, one copy per function;
+reference is the sampling code as first written, one copy per function,
+and the exact qDrift channel a dense superoperator power;
 the sorted-insertion reference calls the public commutation predicate
 once per pair, the grouped-norm and grouping-document references work
 on collection objects, and the serializer reference is the value
@@ -467,6 +468,47 @@ def qdrift_channel_error_reference(h: Hamiltonian, t: float, gate_count: int,
         sigma = np.outer(exact[:, k], exact[:, k].conj())
         dists[k] = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
     return float(dists.mean())
+
+
+# -- exact qDrift channel ------------------------------------------------
+# The trial average of qDrift converges to a deterministic channel.  One
+# step exp(-i*tau*sign(h_j)*P_j), drawn with p_j = |h_j|/gamma, averages to
+#   Phi(rho) = c^2 rho + s^2 sum_j p_j P_j rho P_j - i c s [H/gamma, rho]
+# with c = cos(tau), s = sin(tau), since sum_j p_j sign(h_j) P_j = H/gamma.
+# On row-major vecs vec(A rho B) = (A kron B^T) vec(rho), so Phi is a
+# 4^n x 4^n matrix and G steps are its G-th power.
+
+def qdrift_channel_superoperator(h: Hamiltonian, t: float, gate_count: int) -> np.ndarray:
+    """The one-step qDrift channel Phi as a matrix on row-major vecs, n <= 3."""
+    if h.n > 3:
+        raise ValueError(f"channel oracle capped at 3 qubits, got {h.n}")
+    terms = h.terms_by_index()
+    gamma = sum(abs(c) for _, c in terms)
+    tau = t * gamma / gate_count
+    c, s = np.cos(tau), np.sin(tau)
+    eye = np.eye(1 << h.n)
+    drift = dense_hamiltonian(h) / gamma
+    phi = c * c * np.kron(eye, eye) - 1j * c * s * (np.kron(drift, eye) - np.kron(eye, drift.T))
+    for p, coeff in terms:
+        m = label_matrix(p.label)
+        phi += s * s * abs(coeff) / gamma * np.kron(m, m.T)
+    return phi
+
+
+def qdrift_channel_exact_reference(h: Hamiltonian, t: float, gate_count: int,
+                                   seed: int = 0):
+    """The exact channel error: Phi^G applied to each state of the seeded
+    Haar panel, and the mean trace distance of those outputs to the exact
+    outputs; returns (that mean, the (k, 2^n, 2^n) channel outputs)."""
+    dim = 1 << h.n
+    power = np.linalg.matrix_power(qdrift_channel_superoperator(h, t, gate_count), gate_count)
+    panel = qdrift_panel_reference(h, seed)
+    exact = exact_evolution(h, t) @ panel
+    rho = np.stack([(power @ np.outer(v, v.conj()).ravel()).reshape(dim, dim)
+                    for v in panel.T])
+    dists = [0.5 * np.abs(np.linalg.eigvalsh(r - np.outer(e, e.conj()))).sum()
+             for r, e in zip(rho, exact.T)]
+    return float(np.mean(dists)), rho
 
 
 # -- sorted-insertion reference ------------------------------------------

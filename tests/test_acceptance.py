@@ -87,7 +87,7 @@ def test_c03_encoded_unitary_equivalence():
         for _ in range(5):
             layout = random_layout(n, rng)
             theta = random_theta(layout, rng)
-            v = build_encoded_v(layout, theta, n)
+            v = build_encoded_v(layout, theta)
             assert np.max(np.abs(v.T @ v - np.eye(4**n))) <= 1e-10
             h = random_hamiltonian(n, 3 * n + 1, rng)
             lhs = v @ vectorize(h).to_dense()

@@ -403,13 +403,13 @@ class TestEncodedMapProperties:
 class TestEncodedV:
     def test_identity_circuit(self):
         layout = layout_from_gates(1, [Gate("RX", (0,), 0)])
-        v = build_encoded_v(layout, [0.0], 1)
+        v = build_encoded_v(layout, [0.0])
         assert np.allclose(v, np.eye(4), atol=1e-14)
 
     def test_rx_block_structure(self):
         theta = 0.8
         layout = layout_from_gates(1, [Gate("RX", (0,), 0)])
-        v = build_encoded_v(layout, [theta], 1)
+        v = build_encoded_v(layout, [theta])
         expected = np.eye(4)
         expected[2, 2] = np.cos(theta)
         expected[2, 3] = -np.sin(theta)
@@ -422,14 +422,14 @@ class TestEncodedV:
         for n in (1, 2):
             layout = random_layout(n, rng)
             theta = random_theta(layout, rng)
-            v = build_encoded_v(layout, theta, n)
+            v = build_encoded_v(layout, theta)
             assert np.max(np.abs(v.T @ v - np.eye(4**n))) <= 1e-10
 
     def test_matches_vectorized_conjugation(self):
         rng = np.random.default_rng(13)
         layout = random_layout(2, rng)
         theta = random_theta(layout, rng)
-        v = build_encoded_v(layout, theta, 2)
+        v = build_encoded_v(layout, theta)
         for _ in range(5):
             h = random_hamiltonian(2, 8, rng)
             lhs = v @ vectorize(h).to_dense()
@@ -438,8 +438,8 @@ class TestEncodedV:
 
     def test_capacity(self):
         layout = hardware_efficient_layout(4, 1)
-        with pytest.raises(ValueError):
-            build_encoded_v(layout, np.zeros(layout.parameter_count), 4)
+        with pytest.raises(ValueError, match="capped at n=3, got 4"):
+            build_encoded_v(layout, np.zeros(layout.parameter_count))
 
 
 class TestDenseUnitary:

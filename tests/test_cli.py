@@ -13,6 +13,7 @@ import pytest
 
 import pauliforge
 import pauliforge.cli as cli
+from pauliforge.ansatz import CompiledAnsatz
 from pauliforge.cli import main
 
 
@@ -209,6 +210,23 @@ class TestCompare:
             gp, gp_eng = float(fields[5]), float(fields[6])
             assert gp <= norm_p + 1e-12
             assert gp_eng <= norm_p_eng + 1e-12
+
+    def test_each_size_compiles_once(self, capsys):
+        """The record carries its layout, so pricing it runs no circuit."""
+        built = []
+        init = CompiledAnsatz.__init__
+
+        def spy(engine, h, layout):
+            built.append(h.n)
+            init(engine, h, layout)
+
+        with mock.patch.object(CompiledAnsatz, "__init__", spy):
+            code, _, _ = run_cli(
+                capsys, "compare", "--family", "ising-neighbor", "--sizes", "2..4",
+                "--restarts", "2", "--iterations", "20", "--seed", "1",
+            )
+        assert code == 0
+        assert built == [2, 3, 4]
 
     def test_bad_sizes(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--family", "ising-neighbor",

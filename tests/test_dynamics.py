@@ -1,7 +1,9 @@
 """Exact evolution, product formulas, qDrift sampling, and the sandwich identity."""
 
+import dataclasses
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauliforge import dynamics
-from pauliforge.ansatz import hardware_efficient_layout
+from pauliforge.ansatz import CompiledAnsatz, apply_ansatz, hardware_efficient_layout
 from pauliforge.dense import apply_pauli, hamiltonian_expectation, pauli_expectation, pauli_matrix
 from pauliforge.dynamics import (
     _CHUNK_AMPLITUDES,
@@ -28,12 +30,15 @@ from pauliforge.dynamics import (
 from pauliforge.grouping import covariance_zero_check, shot_simulator
 from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
 from pauliforge.model_io import ising_neighbor
+from pauliforge.optimize import OptimizerConfig, optimize
 
 from oracles import (
     dense_hamiltonian,
     qdrift_apply_reference,
     qdrift_channel_error_reference,
+    qdrift_channel_exact_reference,
     qdrift_error_reference,
+    qdrift_panel_reference,
     qdrift_sample_reference,
     random_hamiltonian,
     random_layout,
@@ -236,6 +241,56 @@ class TestQDriftError:
             run(Hamiltonian(2, GOLDEN_2Q), 0.5, 0, trials=5, seed=0)
 
 
+
+class TestExactQDriftChannel:
+    """The channel oracle Phi^G against the Monte-Carlo trial average: on
+    the golden sum at t = 0.5 and seed 1 the CLI's 200-trial value sits
+    above the exact one by a margin that grows with G, and more trials
+    close it."""
+
+    GATES = (10, 40, 160, 640)
+
+    def test_one_step_is_the_weighted_average_of_the_steps(self):
+        rng = np.random.default_rng(21)
+        h = random_hamiltonian(3, 7, rng, allow_identity=False)
+        t = 0.4
+        dim = 1 << h.n
+        panel = qdrift_panel_reference(h, 3)
+        gamma = pauli_norm(h)
+        _, rho = qdrift_channel_exact_reference(h, t, 1, seed=3)
+        want = np.zeros_like(rho)
+        for j, (_p, c) in enumerate(h.terms_by_index()):
+            plan = QDriftPlan(gamma, t * gamma, 1, np.array([j]), 0)
+            out = qdrift_apply_reference(h, plan, panel)
+            want += abs(c) / gamma * np.einsum("ik,jk->kij", out, out.conj())
+        assert rho.shape == (panel.shape[1], dim, dim)
+        assert np.max(np.abs(rho - want)) <= 1e-12
+
+    def test_golden_values(self):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        values = [qdrift_channel_exact_reference(h, 0.5, g, seed=1)[0] for g in self.GATES]
+        assert [float(f"{v:.4g}") for v in values] == [0.3226, 0.1016, 0.02707, 0.006881]
+
+    @pytest.mark.parametrize("gates", GATES)
+    def test_monte_carlo_within_its_sampling_noise(self, gates):
+        # Per panel state, the trial average rho_N deviates from its mean
+        # Phi^G(rho) by at most (1/2)||rho_N - Phi^G(rho)||_1 in trace
+        # distance, and E||.||_1 <= sqrt(d) sqrt((1 - tr Phi^G(rho)^2) / N)
+        trials = 200
+        h = Hamiltonian(2, GOLDEN_2Q)
+        exact, rho = qdrift_channel_exact_reference(h, 0.5, gates, seed=1)
+        purity = np.einsum("kij,kji->k", rho, rho).real
+        noise = float(np.mean(0.5 * np.sqrt(1 << h.n) * np.sqrt((1.0 - purity) / trials)))
+        sampled = qdrift_channel_error(h, 0.5, gates, trials=trials, seed=1)
+        assert abs(sampled - exact) <= noise
+
+    def test_monte_carlo_converges_as_trials_grow(self):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        exact, _ = qdrift_channel_exact_reference(h, 0.5, 640, seed=1)
+        ratios = [qdrift_channel_error(h, 0.5, 640, trials=trials, seed=1) / exact
+                  for trials in (200, 2000)]
+        assert [round(r, 2) for r in ratios] == [1.33, 1.06]
+
 class TestDrawMatchesChoice:
     """_QDrift draws from Generator.choice's own cdf table, so a plan's
     indices are choice's, element for element and in dtype.  A NumPy whose
@@ -425,47 +480,65 @@ class TestSandwich:
             assert sandwich_check(h, layout, theta, t) <= 1e-10
 
 
+def _record(h, layout, theta=None):
+    """A short optimize record of h on layout; given angles, the record
+    moved to them."""
+    res = optimize(h, layout, OptimizerConfig(restarts=2, max_iterations=20, seed=9))
+    if theta is None:
+        return res
+    engineered = apply_ansatz(h, layout, theta)
+    return dataclasses.replace(res, theta_star=np.asarray(theta, dtype=float),
+                               engineered=engineered, engineered_norm=pauli_norm(engineered))
+
+
 class TestEngineeredQDriftCost:
     def test_theta_zero_equal(self):
         h = Hamiltonian(2, GOLDEN_2Q)
         layout = hardware_efficient_layout(2, 1)
-        model = engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count),
-                                       1.0, 0.01)
+        res = _record(h, layout, np.zeros(layout.parameter_count))
+        model = engineered_qdrift_cost(res, 1.0, 0.01)
         assert np.isclose(model.g_original, model.g_engineered, atol=1e-9)
         assert model.ansatz_gate_count == len(layout.gates)
 
     def test_golden_value(self):
-        h = Hamiltonian(2, GOLDEN_2Q)
-        layout = hardware_efficient_layout(2, 1)
-        model = engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count),
-                                       1.0, 0.01)
+        model = engineered_qdrift_cost(
+            _record(Hamiltonian(2, GOLDEN_2Q), hardware_efficient_layout(2, 1)), 1.0, 0.01)
         assert np.isclose(model.g_original, 3600.0, atol=1e-6)
 
     def test_monotone_in_engineered_norm(self):
         rng = np.random.default_rng(9)
         h = random_hamiltonian(2, 6, rng)
-        layout = random_layout(2, rng)
-        theta = random_theta(layout, rng)
-        model = engineered_qdrift_cost(h, layout, theta, 1.0, 0.01)
-        from pauliforge.ansatz import apply_ansatz
-
+        res = _record(h, random_layout(2, rng))
+        model = engineered_qdrift_cost(res, 1.0, 0.01)
         gamma = pauli_norm(h)
-        gamma_eng = pauli_norm(apply_ansatz(h, layout, theta))
+        gamma_eng = pauli_norm(apply_ansatz(h, res.layout, res.theta_star))
         assert np.isclose(model.g_engineered / model.g_original,
                           (gamma_eng / gamma) ** 2, atol=1e-9)
 
+    def test_builds_no_engine(self):
+        res = _record(Hamiltonian(2, GOLDEN_2Q), hardware_efficient_layout(2, 1))
+        built = []
+        init = CompiledAnsatz.__init__
+
+        def spy(engine, h, layout):
+            built.append(h.n)
+            init(engine, h, layout)
+
+        with mock.patch.object(CompiledAnsatz, "__init__", spy):
+            model = engineered_qdrift_cost(res, 1.0, 0.01)
+        assert built == []
+        assert model.g_engineered == (res.engineered_norm * 1.0) ** 2 / 0.01
+
     def test_epsilon_validated(self):
-        h = Hamiltonian(2, GOLDEN_2Q)
-        layout = hardware_efficient_layout(2, 1)
+        res = _record(Hamiltonian(2, GOLDEN_2Q), hardware_efficient_layout(2, 1))
         with pytest.raises(ValueError):
-            engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), 1.0, 0.0)
+            engineered_qdrift_cost(res, 1.0, 0.0)
 
     @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
     def test_non_finite_epsilon_rejected(self, epsilon):
-        h = Hamiltonian(2, GOLDEN_2Q)
-        layout = hardware_efficient_layout(2, 1)
+        res = _record(Hamiltonian(2, GOLDEN_2Q), hardware_efficient_layout(2, 1))
         with pytest.raises(ValueError, match="finite"):
-            engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), 1.0, epsilon)
+            engineered_qdrift_cost(res, 1.0, epsilon)
 
     @pytest.mark.parametrize("t, epsilon", [
         (1e200, 0.01),  # (gamma*t)**2 overflows
@@ -474,11 +547,10 @@ class TestEngineeredQDriftCost:
         (np.nan, 0.01),
     ], ids=["t-1e200", "float64-t-1e200", "eps-1e-320", "t-nan"])
     def test_count_that_is_not_finite_refused(self, t, epsilon):
-        h = Hamiltonian(2, GOLDEN_2Q)
-        layout = hardware_efficient_layout(2, 1)
+        res = _record(Hamiltonian(2, GOLDEN_2Q), hardware_efficient_layout(2, 1))
         message = f"t {float(t)} and epsilon {epsilon} give a gate count that is not finite"
         with pytest.raises(ValueError, match=re.escape(message)):
-            engineered_qdrift_cost(h, layout, np.zeros(layout.parameter_count), t, epsilon)
+            engineered_qdrift_cost(res, t, epsilon)
 
 
 def _state(h):

@@ -421,8 +421,7 @@ class TestShotSimulator:
         psi = evecs[:, 0]
         shots = 100_000
         est, _ = shot_simulator(h, psi, "weighted", shots=shots, seed=2)
-        counts = allocate_shots(np.abs(h.coeffs), shots)
-        predicted = shot_error_prediction(h, psi, _counts_in_index_order(h, counts))
+        predicted = shot_error_prediction(h, psi, _counts_in_index_order(h, shots))
         assert abs(est - evals[0]) <= max(5 * predicted, 1e-9)
 
     def test_unbiased_and_scaling(self):
@@ -528,13 +527,12 @@ class TestExplicitCounts:
         assert shot_error_prediction(h, self._zero_state(), counts) == np.sqrt(1.0 / counts[0])
 
 
-def _counts_in_index_order(h, counts):
-    # allocate_shots is fed |coeffs| in key order inside shot_simulator for
-    # "weighted"; tests that need predictions must use the index ordering
-    # that shot_simulator actually uses.
-    terms = h.terms_by_index()
-    weights = np.array([abs(c) for _, c in terms])
-    return allocate_shots(weights, int(np.sum(counts)))
+def _counts_in_index_order(h, shots):
+    # shot_simulator's "weighted" allocation feeds allocate_shots |c| in
+    # base-4 index order, through terms_by_index(); a prediction must
+    # allocate the same total in the same order.
+    weights = np.array([abs(c) for _, c in h.terms_by_index()])
+    return allocate_shots(weights, shots)
 
 
 class TestEqC2Prediction:

@@ -338,7 +338,7 @@ class TestSerializeResult:
         h = Hamiltonian(2, {"XZ": 2.0})
         layout = hardware_efficient_layout(2, 1)
         res = optimize(h, layout, OptimizerConfig(restarts=1, max_iterations=5, seed=0))
-        doc = json.loads(stable_json(engineered_result_to_dict(res, layout)))
+        doc = json.loads(stable_json(engineered_result_to_dict(res)))
         assert doc["engineered_norm"] == doc["original_norm"] == 2.0
         assert doc["layout"]["n"] == 2
 
@@ -369,7 +369,7 @@ class TestSerializeResult:
         h = random_hamiltonian(2, 5, rng)
         layout = hardware_efficient_layout(2, 1)
         res = optimize(h, layout, OptimizerConfig(restarts=1, max_iterations=10, seed=4))
-        doc = json.loads(stable_json(engineered_result_to_dict(res, layout)))
+        doc = json.loads(stable_json(engineered_result_to_dict(res)))
         assert np.array_equal(np.asarray(doc["theta_star"]), res.theta_star)
 
     def test_qestimate_document_is_the_record_fields(self):

@@ -183,7 +183,8 @@ class TestZeroAngleCandidate:
                 layout = hardware_efficient_layout(n, depth, rotations=rotations)
                 res = optimize(h, layout, OptimizerConfig(restarts=2, max_iterations=iterations,
                                                           seed=depth))
-                assert apply_ansatz(h, layout, res.theta_star) == res.engineered
+                assert res.layout is layout
+                assert apply_ansatz(h, res.layout, res.theta_star) == res.engineered
                 assert res.engineered_norm == pauli_norm(res.engineered)
                 winners.append(res.restart_index)
         # with gates the zero row wins some runs, with none it never does
@@ -494,6 +495,17 @@ class TestPartition:
 
 
 class TestOptimizePartitioned:
+    def test_each_result_carries_its_parts_layout(self):
+        h = Hamiltonian(6, SIX_QUBIT_FACTORED)
+        spec = TestPartition()._factored_spec()[1]
+        layouts = [hardware_efficient_layout(3, 2), hardware_efficient_layout(3, 1, ("RY",))]
+        config = OptimizerConfig(restarts=2, max_iterations=10, seed=11)
+        results, _ = optimize_partitioned(h, spec, layouts, config)
+        for (_factor, residual), res, layout in zip(partition(h, spec), results, layouts):
+            assert res.layout is layout
+            assert res.theta_star.shape == (layout.parameter_count,)
+            assert apply_ansatz(residual, res.layout, res.theta_star) == res.engineered
+
     def test_six_qubit_two_factor_split(self):
         h = Hamiltonian(6, SIX_QUBIT_FACTORED)
         spec = TestPartition()._factored_spec()[1]
@@ -530,9 +542,7 @@ class TestOptimizePartitioned:
         psi = haar_like_state(2**4, rng)
         total = 0.0
         for part, (factor, _residual), res in zip(spec.parts, pairs, results):
-            u_res = ansatz_unitary_oracle(
-                hardware_efficient_layout(2, 1), res.theta_star
-            )
+            u_res = ansatz_unitary_oracle(res.layout, res.theta_star)
             # embed the residual unitary on the residual qubits (factor side untouched)
             u_full = _embed_unitary(u_res, part.residual_qubits, 4)
             emb_f = embed(Hamiltonian(factor.n, {factor: 1.0}), part.factor_qubits, 4)
