@@ -7,6 +7,17 @@ stdout or --output.  Exit codes: 0 on success, 2 for input problems
 (malformed files, bad flags or builder sizes, and any path that cannot
 be read or written, output paths being checked before any work), 1 for
 runtime failures, capacity caps on valid input included.
+
+Each command loads only the library modules it runs.  The front end
+(``paulis``, ``hamiltonian``, ``model_io``, ``results``) is imported
+here; each command's library functions are listed in ``_LAZY`` by the
+module that defines them, and the first lookup of one as an attribute
+of this module (``__getattr__``, PEP 562) imports that module and binds
+the function here.  The commands call them through ``_lib``, which
+reads what is bound here at call time, so a function rebound on this
+module (a tracing wrapper, a test spy) is the one that runs.  The
+optimizer flags default to absent: ``OptimizerConfig`` holds their
+defaults and allowed values, and is given only the flags passed.
 """
 
 from __future__ import annotations
@@ -20,9 +31,6 @@ import time
 
 import numpy as np
 
-from .ansatz import hardware_efficient_layout
-from .dynamics import engineered_qdrift_cost, qdrift_channel_error, qdrift_error
-from .grouping import sorted_insertion
 from .hamiltonian import Hamiltonian, pauli_norm, vectorize
 from .model_io import (
     PauliSumParseError,
@@ -31,9 +39,7 @@ from .model_io import (
     parse_pauli_sum,
     save_pauli_sum,
 )
-from .optimize import COST_KINDS, GRADIENT_MODES, METHODS, OptimizerConfig, optimize
 from .paulis import MAX_QUBITS
-from .qestimate import q_analytic, q_full_circuit
 from .results import (
     engineered_result_to_dict,
     grouping_result_to_dict,
@@ -41,6 +47,37 @@ from .results import (
     qestimate_to_dict,
     stable_json,
 )
+
+# Each command's library functions, by the module that defines them.
+_LAZY = {
+    "hardware_efficient_layout": "ansatz",
+    "OptimizerConfig": "optimize",
+    "optimize": "optimize",
+    "sorted_insertion": "grouping",
+    "engineered_qdrift_cost": "dynamics",
+    "qdrift_channel_error": "dynamics",
+    "qdrift_error": "dynamics",
+    "q_analytic": "qestimate",
+    "q_full_circuit": "qestimate",
+}
+
+
+def __getattr__(name: str):
+    """Import the module that defines a ``_LAZY`` name and bind the name
+    here, where later lookups find it without this call."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__package__}.{_LAZY[name]}"
+    __import__(module)  # as an import statement does, so `python -X importtime` logs it
+    value = getattr(sys.modules[module], name)
+    globals()[name] = value
+    return value
+
+
+def _lib(name: str):
+    """The library function bound to ``name`` here now, loaded on first use."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 _BUILDERS = {
     "ising-neighbor": ising_neighbor,
@@ -128,7 +165,7 @@ def _envelope(command: str, digest: str, seed: int, results, seconds: float) -> 
 def cmd_engineer(args) -> str:
     h, digest = _load_input(args)
     t0 = time.perf_counter()
-    res = optimize(h, hardware_efficient_layout(h.n, args.depth), args.config)
+    res = _lib("optimize")(h, _lib("hardware_efficient_layout")(h.n, args.depth), args.config)
     seconds = time.perf_counter() - t0
     if args.engineered_out:
         save_pauli_sum(res.engineered, args.engineered_out)
@@ -144,7 +181,7 @@ def cmd_group(args) -> str:
     h, digest = _load_input(args)
     commutation = {"sorted": "general", "gc-sorted": "general", "qwc": "qubit_wise"}[args.strategy]
     t0 = time.perf_counter()
-    g = sorted_insertion(h, commutation)
+    g = _lib("sorted_insertion")(h, commutation)
     seconds = time.perf_counter() - t0
     doc = grouping_result_to_dict(g)
     doc["pauli_norm"] = pauli_norm(h)
@@ -159,8 +196,9 @@ def cmd_qdrift(args) -> str:
     t0 = time.perf_counter()
     rows = []
     for g in args.gates:
-        mean, stderr = qdrift_error(h, args.time, g, trials=args.trials, seed=args.seed)
-        channel = qdrift_channel_error(h, args.time, g, trials=args.trials, seed=args.seed)
+        mean, stderr = _lib("qdrift_error")(h, args.time, g, trials=args.trials, seed=args.seed)
+        channel = _lib("qdrift_channel_error")(h, args.time, g, trials=args.trials,
+                                               seed=args.seed)
         rows.append({
             "gates": g,
             "tau": args.time * gamma / g,
@@ -185,9 +223,9 @@ def cmd_estimate_q(args) -> str:
         psi = psi / norm
     t0 = time.perf_counter()
     if args.shots == 0:
-        est = q_analytic(psi)
+        est = _lib("q_analytic")(psi)
     else:
-        est = q_full_circuit(psi, shots=args.shots, seed=args.seed)
+        est = _lib("q_full_circuit")(psi, shots=args.shots, seed=args.seed)
     seconds = time.perf_counter() - t0
     return _envelope("estimate-q", digest, args.seed, qestimate_to_dict(est), seconds)
 
@@ -219,10 +257,11 @@ def cmd_compare(args) -> str:
     lines = ["family,size,terms,norm_p,norm_p_engineered,norm_gp,norm_gp_engineered,"
              "qdrift_g,qdrift_g_engineered"]
     for size, h in zip(sizes, hams):
-        res = optimize(h, hardware_efficient_layout(h.n, args.depth), args.config)
-        gp = sorted_insertion(h).grouped_norm
-        gp_eng = sorted_insertion(res.engineered).grouped_norm
-        model = engineered_qdrift_cost(res, args.time, args.epsilon)
+        res = _lib("optimize")(h, _lib("hardware_efficient_layout")(h.n, args.depth),
+                               args.config)
+        gp = _lib("sorted_insertion")(h).grouped_norm
+        gp_eng = _lib("sorted_insertion")(res.engineered).grouped_norm
+        model = _lib("engineered_qdrift_cost")(res, args.time, args.epsilon)
         row = [args.family, str(size), str(len(h))] + [
             f"{x:.17g}" for x in (
                 res.original_norm, res.engineered_norm, gp, gp_eng,
@@ -248,15 +287,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the result document here instead of stdout")
 
 
+# The optimizer flags: (flag, type, the OptimizerConfig field it sets).
+_OPTIMIZER_FLAGS = (
+    ("--restarts", int, "restarts"),
+    ("--iterations", int, "max_iterations"),
+    ("--learning-rate", float, "learning_rate"),
+    ("--cost", str, "cost_kind"),
+    ("--method", str, "method"),
+    ("--gradient", str, "gradient_mode"),
+)
+
+
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    defaults = OptimizerConfig()
     p.add_argument("--depth", type=int, default=2, help="ansatz layers (default 2)")
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
-    p.add_argument("--iterations", type=int, default=defaults.max_iterations)
-    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
-    p.add_argument("--cost", choices=COST_KINDS, default=defaults.cost_kind)
-    p.add_argument("--method", choices=METHODS, default=defaults.method)
-    p.add_argument("--gradient", choices=GRADIENT_MODES, default=defaults.gradient_mode)
+    for flag, kind, field in _OPTIMIZER_FLAGS:
+        # absent unless given: OptimizerConfig's defaults and rules apply
+        p.add_argument(flag, type=kind, dest=field, default=argparse.SUPPRESS,
+                       help=f"OptimizerConfig.{field} (its default if not given)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,8 +368,8 @@ def _check_output_path(path) -> None:
 def _check_flags(args) -> None:
     """Reject flag values no command can run with, and output paths that
     cannot be written, before any work; parse --gates, and build the
-    optimizer config, whose validator holds the rules for the optimizer
-    flags."""
+    optimizer config from the optimizer flags given, its validator
+    holding their defaults and rules."""
     if args.seed < 0:
         raise _InputError(f"--seed must be >= 0, got {args.seed}")
     depth = getattr(args, "depth", None)
@@ -351,17 +398,11 @@ def _check_flags(args) -> None:
     for path in (args.output, getattr(args, "engineered_out", None)):
         if path:
             _check_output_path(path)
-    if hasattr(args, "restarts"):
+    if depth is not None:  # the commands that take the optimizer flags
+        given = {field: getattr(args, field) for _, _, field in _OPTIMIZER_FLAGS
+                 if hasattr(args, field)}
         try:
-            args.config = OptimizerConfig(
-                cost_kind=args.cost,
-                max_iterations=args.iterations,
-                restarts=args.restarts,
-                learning_rate=args.learning_rate,
-                gradient_mode=args.gradient,
-                seed=args.seed,
-                method=args.method,
-            )
+            args.config = _lib("OptimizerConfig")(seed=args.seed, **given)
         except ValueError as err:
             raise _InputError(str(err)) from None
 

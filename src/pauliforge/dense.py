@@ -4,15 +4,22 @@ Basis convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of the computational-basis index.  Dense paths are
 capped at 10 qubits (dimension 1024).  Every dense Pauli action is the
 string's row table (:func:`_pauli_rows`), read off its packed key.
+The two circuit unitaries (:func:`ansatz_unitary`, :func:`build_encoded_v`)
+import :mod:`~pauliforge.ansatz` when called, so loading this module, as
+the qDrift path does, compiles no engine.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .ansatz import AnsatzLayout, apply_ansatz_inverse, as_parameter_vector, gate_axis
 from .hamiltonian import Hamiltonian
 from .paulis import DENSE_MAX_QUBITS, PauliString, digits_from_keys
+
+if TYPE_CHECKING:  # the layout type, for annotations only
+    from .ansatz import AnsatzLayout
 
 # Row-table entries built at once for a Hamiltonian's terms: 1 MiB of phases
 _TABLE_ENTRIES = 1 << 16
@@ -112,6 +119,8 @@ def ansatz_unitary(layout: AnsatzLayout, theta) -> np.ndarray:
     as row operations: a rotation about the Pauli A is u <- cos(t/2)*u
     - i*sin(t/2)*(A u), and CZ negates the rows where Z_a and Z_b both
     read -1, i.e. where both qubits are 1."""
+    from .ansatz import as_parameter_vector, gate_axis
+
     _check_capacity(layout.n)
     theta = as_parameter_vector(theta, layout.parameter_count)
     u = np.eye(1 << layout.n, dtype=complex)
@@ -135,6 +144,8 @@ def build_encoded_v(layout: AnsatzLayout, theta) -> np.ndarray:
     V @ vectorize(H) equals vectorize(U H U^dag) entrywise.  Test-only;
     capped at 3 qubits.
     """
+    from .ansatz import apply_ansatz_inverse
+
     n = layout.n
     if n > 3:
         raise ValueError(f"encoded unitary is dense in 4^n; capped at n=3, got {n}")

@@ -42,12 +42,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ansatz import AnsatzLayout, apply_ansatz
 from .dense import _pauli_rows, ansatz_unitary, haar_state, hamiltonian_matrix, pauli_matrix
 from .hamiltonian import Hamiltonian, _terms_by_magnitude
 from .paulis import DENSE_MAX_QUBITS
 
-if TYPE_CHECKING:  # the record type, for annotations only
+if TYPE_CHECKING:  # the layout and record types, for annotations only
+    from .ansatz import AnsatzLayout
     from .optimize import EngineeredResult
 
 QDRIFT_MAX_QUBITS = 8
@@ -287,6 +287,8 @@ def qdrift_channel_error(h: Hamiltonian, t: float, gate_count: int,
 def sandwich_check(h: Hamiltonian, layout: AnsatzLayout, theta, t: float) -> float:
     """Spectral-norm deviation of U^dag exp(-iH't) U from exp(-iHt),
     H' being the conjugated Hamiltonian; vanishes identically."""
+    from .ansatz import apply_ansatz
+
     if h.n > SANDWICH_MAX_QUBITS:
         raise ValueError(f"sandwich check capped at {SANDWICH_MAX_QUBITS} qubits, got {h.n}")
     u = ansatz_unitary(layout, theta)

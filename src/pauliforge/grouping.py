@@ -61,7 +61,9 @@ constraints, so a misfit at the block's start stays one.
 The shot simulator draws measurement outcomes per term, or per
 collection after numerically diagonalizing the commuting family in a
 shared eigenbasis, so the variance formulas behind the cost models can
-be checked empirically.
+be checked empirically.  These dense checks import
+:mod:`~pauliforge.dense` when called, so grouping alone loads no dense
+code.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import (_pauli_rows, haar_state, hamiltonian_expectation, pauli_expectation,
-                    pauli_matrix)
 from .hamiltonian import Hamiltonian, _magnitude_order, pauli_norm
 # Both predicates stay bound here: perfbench/tracing.py wraps them by name.
 from .paulis import DENSE_MAX_QUBITS, PauliString, commutes, pauli_product, qubit_wise_commutes
@@ -442,6 +442,8 @@ def _check_grouping(h: Hamiltonian, g: GroupingResult) -> None:
 
 def _shared_eigenbasis(members, rng):
     """Orthonormal basis diagonalizing every member of a commuting family."""
+    from .dense import pauli_matrix
+
     mats = [pauli_matrix(p) for _, p in members]
     for _ in range(5):
         combo = sum(rng.standard_normal() * m for m in mats)
@@ -464,6 +466,8 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
     ``h`` once and its collections commute.
     Returns (estimate, |estimate - exact|).
     """
+    from .dense import hamiltonian_expectation, pauli_expectation
+
     if len(h) == 0:
         raise ValueError("cannot estimate the zero Hamiltonian")
     if h.n > DENSE_MAX_QUBITS:
@@ -514,6 +518,8 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
 
 def shot_error_prediction(h: Hamiltonian, state: np.ndarray, counts) -> float:
     """Predicted RMS error sqrt(sum_i h_i^2 Var[P_i] / S_i) at the given state."""
+    from .dense import pauli_expectation
+
     terms = h.terms_by_index()
     counts = _counts_per_term(counts, len(terms))
     total = 0.0
@@ -531,6 +537,8 @@ def covariance_zero_check(p1: PauliString, p2: PauliString,
     For commuting, non-identical Pauli strings the expectation over the
     uniform state distribution vanishes; returns (mean, standard error).
     """
+    from .dense import _pauli_rows, haar_state
+
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"samples must be an int, got {samples!r}")
     if samples < 2:

@@ -11,7 +11,8 @@ returns (``engineered_result_to_dict``, ``grouping_result_to_dict``,
 ``qestimate_to_dict``); each builder takes the record alone, as every
 record carries what its document shows.  The record types are imported
 for annotations only, so loading this module runs none of the modules
-that make them.
+that make them, and the layout formatter is imported where a layout
+is formatted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ansatz import layout_to_dict
 from .paulis import digits_from_keys, labels_from_digits
 
 if TYPE_CHECKING:  # the record types, for annotations only
@@ -114,6 +114,8 @@ def _terms_list(h) -> list[dict]:
 def engineered_result_to_dict(res: EngineeredResult) -> dict:
     """The record's fields, its engineered terms and the layout its
     angles index (``res.layout``)."""
+    from .ansatz import layout_to_dict
+
     return {
         "cost_kind": res.cost_kind,
         "restart_index": res.restart_index,

@@ -15,6 +15,7 @@ import pauliforge
 import pauliforge.cli as cli
 from pauliforge.ansatz import CompiledAnsatz
 from pauliforge.cli import main
+from pauliforge.optimize import COST_KINDS, GRADIENT_MODES, METHODS, OptimizerConfig, optimize
 
 
 def run_cli(capsys, *argv):
@@ -425,3 +426,161 @@ class TestReproducibility:
         # four-way comparison structure: ||H'||_gp <= ||H'||_p <= ||H||_p
         assert doc["results"]["grouped_norm"] <= norm_p_eng + 1e-9
         assert norm_p_eng <= norm_p + 1e-12
+
+
+class TestOptimizerFlags:
+    """OptimizerConfig is the one source of the optimizer flags' defaults
+    and allowed values: the parser passes it only the flags given."""
+
+    @staticmethod
+    def spy_configs(monkeypatch) -> list:
+        """The configs the commands hand ``optimize``, which still runs."""
+        configs = []
+
+        def spy(h, layout, config):
+            configs.append(config)
+            return optimize(h, layout, config)
+
+        monkeypatch.setattr(cli, "optimize", spy)
+        return configs
+
+    @pytest.mark.parametrize("argv", [
+        ("engineer", "--ham", "ising-neighbor:2"),
+        ("compare", "--family", "ising-neighbor", "--sizes", "2"),
+    ])
+    def test_no_optimizer_flags_run_the_default_config(self, capsys, monkeypatch, argv):
+        configs = self.spy_configs(monkeypatch)
+        code, _, _ = run_cli(capsys, *argv, "--seed", "7")
+        assert code == 0
+        assert configs == [OptimizerConfig(seed=7)]
+
+    def test_given_flags_reach_the_config(self, capsys, monkeypatch):
+        configs = self.spy_configs(monkeypatch)
+        code, _, _ = run_cli(capsys, "engineer", "--ham", "ising-neighbor:2", "--seed", "3",
+                             "--restarts", "2", "--iterations", "4", "--learning-rate", "0.05",
+                             "--cost", "q", "--method", "plain",
+                             "--gradient", "central_difference")
+        assert code == 0
+        assert configs == [OptimizerConfig(
+            cost_kind="q", max_iterations=4, restarts=2, learning_rate=0.05,
+            gradient_mode="central_difference", seed=3, method="plain")]
+
+    @pytest.mark.parametrize("flag, field, allowed", [
+        ("--method", "method", METHODS),
+        ("--cost", "cost_kind", COST_KINDS),
+        ("--gradient", "gradient_mode", GRADIENT_MODES),
+    ])
+    @pytest.mark.parametrize("command", ["engineer", "compare"])
+    def test_bad_choice_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                command, flag, field, allowed):
+        monkeypatch.setattr(cli, "optimize", lambda *a: pytest.fail("optimizer ran"))
+        out_path, eng = tmp_path / "out.json", tmp_path / "eng.txt"
+        if command == "engineer":
+            # the input file does not exist: the flag error must come first
+            argv = ("engineer", "--input", str(tmp_path / "never-read.txt"),
+                    "--engineered-out", str(eng))
+        else:
+            argv = ("compare", "--family", "ising-neighbor", "--sizes", "2")
+        code, out, err = run_cli(capsys, *argv, "--output", str(out_path), flag, "bogus")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} must be one of {allowed}, got 'bogus'\n"
+        assert not out_path.exists() and not eng.exists()
+
+
+def _loaded_modules(*python_args) -> tuple[int, set[str]]:
+    """Exit code and the pauliforge modules a fresh interpreter loads
+    running ``python -X importtime <python_args>``, read off the import
+    time log, where a command's deferred imports must show too."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pauliforge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *python_args], env=env,
+                          capture_output=True, text=True)
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, {name for name in names if name.startswith("pauliforge.")}
+
+
+_FRONT_END = {f"pauliforge.{m}" for m in ("cli", "paulis", "hamiltonian", "model_io", "results")}
+_RUN_MAIN = "import sys; from pauliforge.cli import main; sys.exit(main(sys.argv[1:]))"
+_ENGINEER = ("engineer", "--ham", "ising-neighbor:2", "--restarts", "1", "--iterations", "1")
+_QDRIFT = ("qdrift", "--ham", "ising-neighbor:2", "--gates", "2", "--trials", "2")
+# Each lazily bound name of pauliforge.cli, with a command that calls it.
+_CALL_CASES = [
+    ("hardware_efficient_layout", _ENGINEER),
+    ("OptimizerConfig", _ENGINEER),
+    ("optimize", _ENGINEER),
+    ("sorted_insertion", ("group", "--ham", "ising-neighbor:3")),
+    ("qdrift_error", _QDRIFT),
+    ("qdrift_channel_error", _QDRIFT),
+    ("engineered_qdrift_cost", ("compare", "--family", "ising-neighbor", "--sizes", "2",
+                                "--restarts", "1", "--iterations", "1")),
+    ("q_analytic", ("estimate-q", "--ham", "ising-neighbor:2")),
+    ("q_full_circuit", ("estimate-q", "--ham", "ising-neighbor:2", "--shots", "10")),
+]
+
+
+class TestLazyLoading:
+    """Each command imports the front end and only the library modules it
+    runs; the names it loads stay attributes of ``pauliforge.cli``, the
+    ones a tracer rebinds and the commands call."""
+
+    @pytest.mark.parametrize("argv, code, modules", [
+        (("group", "--ham", "ising-neighbor:3"), 0, {"grouping"}),
+        (_QDRIFT, 0, {"dense", "dynamics"}),
+        (_ENGINEER, 0, {"ansatz", "optimize"}),
+        (("estimate-q", "--ham", "ising-neighbor:2"), 0, {"qestimate"}),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2", "--restarts", "1",
+          "--iterations", "1"), 0, {"ansatz", "optimize", "grouping", "dense", "dynamics"}),
+        (("engineer", "--ham", "ising-neighbor:2", "--depth", "-1"), 2, set()),
+    ], ids=["group", "qdrift", "engineer", "estimate-q", "compare", "bad-flag"])
+    def test_command_loads_only_its_modules(self, argv, code, modules):
+        got, loaded = _loaded_modules("-c", _RUN_MAIN, *argv)
+        assert got == code
+        assert loaded == _FRONT_END | {f"pauliforge.{m}" for m in modules}
+
+    def test_run_as_main_loads_only_its_modules(self):
+        """Under ``python -m`` the module runs as __main__, and its first
+        lookups load the same modules."""
+        got, loaded = _loaded_modules("-m", "pauliforge.cli", *_ENGINEER)
+        assert got == 0
+        assert loaded == (_FRONT_END - {"pauliforge.cli"}) | {"pauliforge.ansatz",
+                                                              "pauliforge.optimize"}
+
+    @pytest.mark.parametrize("name, argv", _CALL_CASES, ids=[name for name, _ in _CALL_CASES])
+    def test_command_calls_the_name_bound_on_cli(self, capsys, monkeypatch, name, argv):
+        calls = []
+        original = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls
+
+    def test_every_lazy_name_has_a_call_case(self):
+        assert {name for name, _ in _CALL_CASES} == set(cli._LAZY)
+
+    def test_names_resolve_in_a_fresh_interpreter(self):
+        """The names a tracer wraps on pauliforge.cli resolve before any
+        command has run, loading their modules then."""
+        code = (
+            "import sys, pauliforge.cli as cli\n"
+            "names = ('optimize', 'hardware_efficient_layout', 'sorted_insertion',\n"
+            "         'qdrift_error', 'qdrift_channel_error')\n"
+            "assert 'pauliforge.optimize' not in sys.modules\n"
+            "assert all(hasattr(cli, n) for n in names)\n"
+            "assert all(hasattr(cli, n) for n in cli._LAZY)\n"
+            "assert 'pauliforge.optimize' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pauliforge.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            cli.no_such_name
+        assert not hasattr(cli, "sorted_insertions")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pauliforge.dense as dense_module
 import pauliforge.grouping as grouping_module
 from pauliforge.grouping import (
     COMMUTATION_KINDS,
@@ -477,8 +478,8 @@ class TestShotSimulator:
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         dense = AssertionError("dense work started")
-        with mock.patch.object(grouping_module, "hamiltonian_expectation", side_effect=dense), \
-                mock.patch.object(grouping_module, "pauli_matrix", side_effect=dense), \
+        with mock.patch.object(dense_module, "hamiltonian_expectation", side_effect=dense), \
+                mock.patch.object(dense_module, "pauli_matrix", side_effect=dense), \
                 pytest.raises(ValueError, match="collection 1 holds anticommuting members"):
             shot_simulator(h, psi, g, shots=100)
 

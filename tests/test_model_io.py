@@ -390,5 +390,5 @@ def test_results_import_loads_no_module_whose_records_it_formats():
                             text=True, check=True).stdout.split()
     assert "pauliforge.results" in loaded
     record_modules = {f"pauliforge.{m}" for m in ("grouping", "optimize", "qestimate",
-                                                   "dense", "dynamics")}
+                                                   "dense", "dynamics", "ansatz")}
     assert record_modules.isdisjoint(loaded)
