@@ -3,13 +3,15 @@
 Format: one term per line, ``<decimal coefficient><whitespace><label>``
 with labels over {I, X, Y, Z}; ``#`` starts a comment, blank lines are
 ignored.  Qubit 0 is the leftmost label character, matching the base-4
-index convention.  Serialization prints 17 significant digits so files
-round-trip float64 coefficients exactly.
+index convention.  The parser checks all lines in a few bulk passes and
+reports the first bad line, with its number.  Serialization prints 17
+significant digits so files round-trip float64 coefficients exactly.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NoReturn
 
 from .hamiltonian import Hamiltonian
 from .paulis import MAX_QUBITS, LabelError, PauliString, digits_from_labels, keys_from_digits
@@ -55,37 +57,65 @@ def parse_pauli_sum(text: str) -> Hamiltonian:
     results drop.  Labels are checked in one batch after the lines are
     read: the first one that is not n characters from {I, X, Y, Z}, n
     being the first label's length, is reported with its line number."""
-    linenos: list[int] = []
-    labels: list[str] = []
-    coeffs: list[float] = []
+    labels, coeffs = _term_fields(text)
+    n = len(labels[0])
+    if n > MAX_QUBITS:
+        raise PauliSumParseError(_term_line(text, 0), f"label {labels[0]!r} has length {n}, "
+                                                      f"above {MAX_QUBITS}")
+    try:
+        digits = digits_from_labels(labels, n)
+    except LabelError as err:
+        raise PauliSumParseError(_term_line(text, err.position), str(err)) from None
+    return Hamiltonian.from_arrays(n, keys_from_digits(digits), coeffs)
+
+
+def _term_fields(text: str) -> tuple[list[str], list[float]]:
+    """The labels and coefficients of the lines that hold a term.  Every
+    line's field count is checked at once, then every coefficient; only
+    when that fails are the lines walked one by one, to raise the first
+    bad line's error."""
+    body = text
+    if "#" in text:
+        body = "\n".join([line.split("#", 1)[0] for line in text.splitlines()])
+    counts = set(map(len, map(str.split, body.splitlines())))
+    counts.discard(0)  # blank and comment-only lines
+    try:
+        if counts != {2}:
+            raise ValueError
+        # Every line holds two fields or none, so the whole text's fields
+        # alternate coefficient and label; no list per line is kept.
+        fields = body.split()
+        coeffs = list(map(float, fields[::2]))
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError
+    except ValueError:
+        _raise_first_bad_line(text)
+    return fields[1::2], coeffs
+
+
+def _raise_first_bad_line(text: str) -> NoReturn:
+    """Raise the error of the first line whose fields or coefficient are
+    bad, or, when every line is good, the error of a text with no term."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise PauliSumParseError(lineno, f"expected 'coefficient label', got {raw!r}")
-        coeff_text, label = fields
+        coeff_text = fields[0]
         try:
             coeff = float(coeff_text)
         except ValueError:
             raise PauliSumParseError(lineno, f"bad coefficient {coeff_text!r}") from None
         if not math.isfinite(coeff):
             raise PauliSumParseError(lineno, f"non-finite coefficient {coeff_text!r}")
-        linenos.append(lineno)
-        labels.append(label)
-        coeffs.append(coeff)
-    if not labels:
-        raise PauliSumParseError(1, "no terms found")
-    n = len(labels[0])
-    if n > MAX_QUBITS:
-        raise PauliSumParseError(linenos[0], f"label {labels[0]!r} has length {n}, "
-                                             f"above {MAX_QUBITS}")
-    try:
-        digits = digits_from_labels(labels, n)
-    except LabelError as err:
-        raise PauliSumParseError(linenos[err.position], str(err)) from None
-    return Hamiltonian.from_arrays(n, keys_from_digits(digits), coeffs)
+    raise PauliSumParseError(1, "no terms found")
+
+
+def _term_line(text: str, position: int) -> int:
+    """The 1-based line number of the term at ``position``."""
+    return [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+            if raw.split("#", 1)[0].split()][position]
 
 
 def serialize_pauli_sum(h: Hamiltonian) -> str:

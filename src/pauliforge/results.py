@@ -9,10 +9,13 @@ are written as their Python values, a 0-d array as its scalar.
 A document is ``stable_json`` of the dict that a record's builder
 returns (``engineered_result_to_dict``, ``grouping_result_to_dict``,
 ``qestimate_to_dict``); each builder takes the record alone, as every
-record carries what its document shows.  The record types are imported
-for annotations only, so loading this module runs none of the modules
-that make them, and the layout formatter is imported where a layout
-is formatted.
+record carries what its document shows.  The builders render term
+records (``collections``, ``engineered_terms``) in one ``%`` call over a
+``{"label", "coefficient"}`` template, as the text the dicts would give,
+held in a private ``str`` subclass that ``stable_json`` writes as it is.
+The record types are imported for annotations only, so loading this
+module runs none of the modules that make them, and the layout
+formatter is imported where a layout is formatted.
 """
 
 from __future__ import annotations
@@ -41,27 +44,29 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+class _Rendered(str):
+    """JSON text already rendered, which a document holds in place of the
+    value it renders and which is appended to the output as it is."""
+
+    __slots__ = ()
+
+
 def _format_value(obj, append) -> None:
     """Pass the JSON text of ``obj`` to ``append`` piece by piece."""
-    # Exact types first, the float, str, dict and list of result documents.
+    # Exact types first, the float, rendered text, str, dict and list of
+    # result documents; rendered text is tested before str, as it is one.
     kind = type(obj)
     if kind is float:
         append(_format_float(obj))
+    elif kind is _Rendered:
+        append(obj)
     elif kind is str:
         append(encode_basestring_ascii(obj))  # what json.dumps does with a str
     elif kind is dict:
         sep = "{"
         for k, v in obj.items():
-            key = encode_basestring_ascii(k if type(k) is str else str(k))
-            # str and finite, nonzero float values are formatted inline, in
-            # one piece with their key: no call, and fewer pieces held
-            if type(v) is float and 0.0 < abs(v) < math.inf:
-                append(f"{sep}{key}:{v:.17g}")
-            elif type(v) is str:
-                append(f"{sep}{key}:{encode_basestring_ascii(v)}")
-            else:
-                append(f"{sep}{key}:")
-                _format_value(v, append)
+            append(f"{sep}{encode_basestring_ascii(k if type(k) is str else str(k))}:")
+            _format_value(v, append)
             sep = ","
         append("}" if sep == "," else "{}")
     elif kind is list or kind is tuple:
@@ -106,9 +111,30 @@ def input_digest(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _terms_list(h) -> list[dict]:
-    labels, coeffs = h.labeled_terms()
-    return [{"label": label, "coefficient": c} for label, c in zip(labels, coeffs.tolist())]
+# "%.17g" prints every finite float as _format_float does but -0.0 ("-0");
+# labels over I, X, Y, Z need no escape.
+_TERM = '{"label":"%s","coefficient":%.17g}'
+
+
+def _term_records(labels: list[str], coeffs: np.ndarray, starts: np.ndarray | None = None):
+    """The ``{"label", "coefficient"}`` records of the terms, as a list, or
+    with CSR ``starts`` as a list of collections of them, rendered by one
+    ``%`` over a template repeated once per record.  A -0.0 or non-finite
+    coefficient gives the records as dicts instead, so ``stable_json``
+    prints "-0.0" or refuses the value as it does anywhere else."""
+    values = coeffs.tolist()
+    bounds = [0, len(values)] if starts is None else starts.tolist()
+    if not np.isfinite(coeffs).all() or np.signbit(coeffs[coeffs == 0.0]).any():
+        records = [{"label": label, "coefficient": c} for label, c in zip(labels, values)]
+        collections = [records[a:b] for a, b in zip(bounds, bounds[1:])]
+        return collections[0] if starts is None else collections
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+    runs = {k: ",".join([_TERM] * k) for k in set(sizes)}
+    fields: list = [None] * (2 * len(values))
+    fields[::2] = labels
+    fields[1::2] = values
+    text = "[" + "],[".join(map(runs.__getitem__, sizes)) % tuple(fields) + "]"
+    return _Rendered(text if starts is None else f"[{text}]")
 
 
 def engineered_result_to_dict(res: EngineeredResult) -> dict:
@@ -123,20 +149,18 @@ def engineered_result_to_dict(res: EngineeredResult) -> dict:
         "engineered_norm": res.engineered_norm,
         "theta_star": list(map(float, res.theta_star)),
         "cost_trace": list(map(float, res.cost_trace)),
-        "engineered_terms": _terms_list(res.engineered),
+        "engineered_terms": _term_records(*res.engineered.labeled_terms()),
         "layout": layout_to_dict(res.layout),
     }
 
 
 def grouping_result_to_dict(g: GroupingResult) -> dict:
     labels = labels_from_digits(digits_from_keys(g.keys, g.n))
-    members = [{"label": label, "coefficient": c} for label, c in zip(labels, g.coeffs.tolist())]
-    bounds = g.starts.tolist()
     return {
         "strategy": g.strategy,
         "collection_count": g.collection_count,
         "grouped_norm": g.grouped_norm,
-        "collections": [members[a:b] for a, b in zip(bounds, bounds[1:])],
+        "collections": _term_records(labels, g.coeffs, g.starts),
     }
 
 

@@ -10,8 +10,9 @@ reference is the sampling code as first written, one copy per function,
 and the exact qDrift channel a dense superoperator power;
 the sorted-insertion reference calls the public commutation predicate
 once per pair, the grouped-norm and grouping-document references work
-on collection objects, and the serializer reference is the value
-formatter as one isinstance chain.  The restart reference at the end is
+on collection objects, the serializer reference is the value formatter
+as one isinstance chain, and the parser reference reads the pauli-sum
+text one line at a time.  The restart reference at the end is
 the optimizer loop as it ran one restart at a time, before restarts ran
 in lockstep.
 """
@@ -25,10 +26,15 @@ from hypothesis import strategies as st
 from pauliforge.ansatz import CompiledAnsatz, Gate, hardware_efficient_layout, layout_from_gates
 from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
+from pauliforge.model_io import PauliSumParseError
 from pauliforge.paulis import (
+    MAX_QUBITS,
+    LabelError,
     PauliString,
     commutes,
     digits_from_keys,
+    digits_from_labels,
+    keys_from_digits,
     labels_from_digits,
     pauli_product,
     qubit_wise_commutes,
@@ -596,6 +602,44 @@ def format_value_reference(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# -- parser reference ---------------------------------------------------
+# The pauli-sum parser as it read one line at a time, each line's fields
+# and coefficient checked before the next line is read.
+
+def parse_pauli_sum_reference(text: str) -> Hamiltonian:
+    linenos: list[int] = []
+    labels: list[str] = []
+    coeffs: list[float] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise PauliSumParseError(lineno, f"expected 'coefficient label', got {raw!r}")
+        coeff_text, label = fields
+        try:
+            coeff = float(coeff_text)
+        except ValueError:
+            raise PauliSumParseError(lineno, f"bad coefficient {coeff_text!r}") from None
+        if not math.isfinite(coeff):
+            raise PauliSumParseError(lineno, f"non-finite coefficient {coeff_text!r}")
+        linenos.append(lineno)
+        labels.append(label)
+        coeffs.append(coeff)
+    if not labels:
+        raise PauliSumParseError(1, "no terms found")
+    n = len(labels[0])
+    if n > MAX_QUBITS:
+        raise PauliSumParseError(linenos[0], f"label {labels[0]!r} has length {n}, "
+                                             f"above {MAX_QUBITS}")
+    try:
+        digits = digits_from_labels(labels, n)
+    except LabelError as err:
+        raise PauliSumParseError(linenos[err.position], str(err)) from None
+    return Hamiltonian.from_arrays(n, keys_from_digits(digits), coeffs)
 
 
 # -- one restart at a time ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from pauliforge.results import (
 from oracles import (
     format_value_reference,
     grouping_result_to_dict_reference,
+    parse_pauli_sum_reference,
     pauli_sums,
     random_hamiltonian,
 )
@@ -144,6 +146,111 @@ class TestParse:
     def test_extra_fields(self):
         with pytest.raises(PauliSumParseError):
             parse_pauli_sum("1.0 XI extra\n")
+
+    def test_token_count_alone_does_not_pass_misplaced_fields(self):
+        """Four tokens on two lines are not two terms: line 1 holds one field."""
+        with pytest.raises(PauliSumParseError) as err:
+            parse_pauli_sum("0.5\nXX 0.5 YY")
+        assert err.value.line_number == 1
+        assert str(err.value) == "line 1: expected 'coefficient label', got '0.5'"
+
+    @pytest.mark.parametrize("text, line, message", [
+        # a field or coefficient error on a later line comes before a label error
+        ("1 XQ\n2 YY\nfoo ZZ\n", 3, "bad coefficient 'foo'"),
+        ("1 " + "X" * 33 + "\n2 YY 3\n", 2, "expected 'coefficient label', got '2 YY 3'"),
+        ("1 XI  # a # b\n2 X Y # c\n", 2, "expected 'coefficient label', got '2 X Y # c'"),
+        ("1 XI\n1e400 ZZ\n", 2, "non-finite coefficient '1e400'"),
+    ])
+    def test_first_bad_line_is_reported(self, text, line, message):
+        with pytest.raises(PauliSumParseError) as err:
+            parse_pauli_sum(text)
+        assert err.value.line_number == line
+        assert str(err.value) == f"line {line}: {message}"
+
+
+def _parse_outcome(parse, text):
+    """The parsed keys and coefficients as bytes, or the error raised."""
+    try:
+        h = parse(text)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "line_number", None)
+    return h.n, h.keys.tobytes(), h.coeffs.tobytes()
+
+
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c"])
+_GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
+_EDGES = st.sampled_from(["", " ", "\t", " \t"])
+_COMMENTS = st.one_of(st.just(""), st.text(st.sampled_from("# XYZ1.0\tq"), max_size=8).map(
+    lambda c: "#" + c))
+_GOOD_COEFFS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["+1.5", "-0", "0.0", "1e-3", "5e-324", "1_0", ".5", "-2.", "1E+2"]),
+)
+_BAD_COEFFS = st.sampled_from(["foo", "1.0.0", "0x1", "nan", "-nan", "inf", "-Infinity",
+                               "1e400", "1,5", "--1"])
+
+
+@st.composite
+def pauli_sum_texts(draw):
+    """Pauli-sum text: good lines mixed with blank and comment lines, any of
+    the line ends and field gaps, and now and then a line of each error
+    kind, a first label above 32 characters, or no term at all."""
+    n = draw(st.integers(1, 6))
+    first_width = draw(st.sampled_from([n, n, n, 33, 40]))
+
+    def label(width):
+        return "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=width,
+                                     max_size=width)))
+
+    kinds = ["good"] * 6 + ["blank", "comment", "one", "three", "bad_coeff",
+                             "bad_letter", "bad_length"]
+    lines = []
+    width = first_width
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        lab = label(width)
+        coeff = draw(_GOOD_COEFFS)
+        if kind == "blank":
+            body = ""
+        elif kind == "comment":
+            body = draw(_COMMENTS)
+            lines.append(draw(_EDGES) + body + draw(_LINE_ENDS))
+            continue
+        elif kind == "one":
+            body = draw(st.sampled_from([coeff, lab]))
+        elif kind == "three":
+            body = draw(_GAPS).join([coeff, lab, draw(st.sampled_from([lab, coeff, "x"]))])
+        else:
+            if kind == "bad_coeff":
+                coeff = draw(_BAD_COEFFS)
+            elif kind == "bad_letter":
+                k = draw(st.integers(0, len(lab) - 1))
+                lab = lab[:k] + draw(st.sampled_from("QxyΩ-")) + lab[k + 1:]
+            elif kind == "bad_length":
+                lab = label(draw(st.sampled_from([max(n - 1, 1) if n > 1 else 2, n + 1])))
+            body = coeff + draw(_GAPS) + lab
+            width = n  # labels after the first term line take the common width
+        lines.append(draw(_EDGES) + body + draw(_EDGES) + draw(_COMMENTS) + draw(_LINE_ENDS))
+    text = "".join(lines)
+    return text if draw(st.booleans()) else text.rstrip("\n\r\x0b\x0c")
+
+
+class TestParseMatchesLineByLineReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=pauli_sum_texts())
+    def test_same_terms_or_same_error(self, text):
+        assert _parse_outcome(parse_pauli_sum, text) == \
+            _parse_outcome(parse_pauli_sum_reference, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "# only a comment\n", "  # one\r\n#two\x0b\t\x0c", "#1 XX\n",
+    ], ids=repr)
+    def test_no_terms(self, text):
+        with pytest.raises(PauliSumParseError, match="no terms found") as err:
+            parse_pauli_sum(text)
+        assert err.value.line_number == 1
+        assert _parse_outcome(parse_pauli_sum, text) == \
+            _parse_outcome(parse_pauli_sum_reference, text)
 
 
 class TestRoundTrip:
@@ -360,6 +467,68 @@ class TestSerializeResult:
         g = sorted_insertion(h, commutation)
         assert stable_json(grouping_result_to_dict(g)) == \
             stable_json(grouping_result_to_dict_reference(g))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.5, -0.25, 3.0, 1.0 / 3.0, -2.0],
+        [-0.0, 0.0, 5e-324, -5e-324, 1.0],
+        [0.0, 2.2250738585072014e-308, 1e-300, -7.0, 0.1 + 0.2],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5],
+    ], ids=repr)
+    def test_rendered_records_match_the_general_path(self, coeffs):
+        """Term records rendered by one template are the text the value
+        formatter gives the dicts: -0.0 stays "-0.0", extremes print in
+        full.  The grouped norm of +-1.8e308 overflows, and both refuse it."""
+        from pauliforge.grouping import GroupingResult
+
+        g = GroupingResult("sorted_insertion/general", 3, [0, 9, 18, 27, 63], coeffs,
+                           [0, 2, 3, 5])
+        with np.errstate(over="ignore"):  # the squares of +-1.8e308
+            doc, ref = grouping_result_to_dict(g), grouping_result_to_dict_reference(g)
+        assert stable_json(doc["collections"]) == \
+            format_value_reference(ref["collections"]) + "\n"
+        if math.isfinite(doc["grouped_norm"]):
+            assert stable_json(doc) == format_value_reference(ref) + "\n"
+        else:
+            with pytest.raises(ValueError, match="^non-finite value inf cannot be serialized$"):
+                stable_json(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(finite_floats, min_size=1, max_size=12), data=st.data())
+    def test_rendered_collections_match_the_general_path(self, coeffs, data):
+        from pauliforge.grouping import GroupingResult
+
+        m = len(coeffs)
+        cuts = data.draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1))
+        starts = [0, *(k for k, cut in enumerate(cuts, start=1) if cut), m]
+        g = GroupingResult("sorted_insertion/qubit_wise", 4, range(m), coeffs, starts)
+        with np.errstate(over="ignore"):  # the grouped norm of huge coefficients
+            rendered = grouping_result_to_dict(g)["collections"]
+        assert stable_json(rendered) == \
+            format_value_reference(grouping_result_to_dict_reference(g)["collections"]) + "\n"
+
+    def test_nan_coefficient_raises_the_general_paths_error(self):
+        from pauliforge.grouping import GroupingResult
+
+        g = GroupingResult("sorted_insertion/general", 2, [1, 2, 3], [1.0, math.nan, 2.0],
+                           [0, 1, 3])
+        message = "^non-finite value nan cannot be serialized$"
+        for doc in (grouping_result_to_dict(g), grouping_result_to_dict(g)["collections"]):
+            with pytest.raises(ValueError, match=message):
+                stable_json(doc)
+            with pytest.raises(ValueError, match=message):
+                format_value_reference(doc)
+
+    def test_engineered_terms_match_the_general_path(self):
+        from pauliforge.ansatz import hardware_efficient_layout
+        from pauliforge.optimize import OptimizerConfig, optimize
+
+        h = Hamiltonian(2, {"XI": 3.0, "YY": -1.0, "ZZ": 2.0})
+        res = optimize(h, hardware_efficient_layout(2, 2),
+                       OptimizerConfig(restarts=2, max_iterations=30, seed=0))
+        assert res.engineered_norm < res.original_norm and len(res.engineered) == 15
+        doc = engineered_result_to_dict(res)
+        terms = [{"label": p.label, "coefficient": c} for p, c in res.engineered.terms_by_index()]
+        assert stable_json(doc) == format_value_reference({**doc, "engineered_terms": terms}) + "\n"
 
     def test_theta_round_trip_bits(self):
         from pauliforge.ansatz import hardware_efficient_layout
