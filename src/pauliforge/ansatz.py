@@ -13,7 +13,7 @@ partner A*B as a planar rotation:
 where -i*(A*B) is again +/- a Hermitian Pauli string, so coefficients
 stay real.  CZ is Clifford: each string maps to one string with a sign.
 The induced linear map on coefficient space is real orthogonal;
-:func:`pauliforge.dense.build_encoded_v` materializes it densely.
+:func:`pauliforge.verification.build_encoded_v` materializes it densely.
 
 One engine, :class:`CompiledAnsatz`, runs every propagation.  For a
 fixed input key set the support after each gate does not depend on the

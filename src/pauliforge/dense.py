@@ -4,22 +4,14 @@ Basis convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of the computational-basis index.  Dense paths are
 capped at 10 qubits (dimension 1024).  Every dense Pauli action is the
 string's row table (:func:`_pauli_rows`), read off its packed key.
-The two circuit unitaries (:func:`ansatz_unitary`, :func:`build_encoded_v`)
-import :mod:`~pauliforge.ansatz` when called, so loading this module, as
-the qDrift path does, compiles no engine.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hamiltonian import Hamiltonian
 from .paulis import DENSE_MAX_QUBITS, PauliString, digits_from_keys
-
-if TYPE_CHECKING:  # the layout type, for annotations only
-    from .ansatz import AnsatzLayout
 
 # Row-table entries built at once for a Hamiltonian's terms: 1 MiB of phases
 _TABLE_ENTRIES = 1 << 16
@@ -112,46 +104,3 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state from a normalized complex Gaussian vector."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def ansatz_unitary(layout: AnsatzLayout, theta) -> np.ndarray:
-    """Dense unitary of a full ansatz, its gates applied in circuit order
-    as row operations: a rotation about the Pauli A is u <- cos(t/2)*u
-    - i*sin(t/2)*(A u), and CZ negates the rows where Z_a and Z_b both
-    read -1, i.e. where both qubits are 1."""
-    from .ansatz import as_parameter_vector, gate_axis
-
-    _check_capacity(layout.n)
-    theta = as_parameter_vector(theta, layout.parameter_count)
-    u = np.eye(1 << layout.n, dtype=complex)
-    for g in layout.gates:
-        axis = gate_axis(g, layout.n)
-        if axis is None:
-            _, z = _pauli_rows(np.array([1 << q for q in g.qubits], np.uint64), layout.n)
-            u[(z.real < 0).all(axis=0)] *= -1
-        else:
-            src, phase = _pauli_rows(PauliString.from_label(axis).key(), layout.n)
-            t = theta[g.param] / 2
-            u = np.cos(t) * u - 1j * np.sin(t) * (phase[:, None] * u[src])
-    return u
-
-
-def build_encoded_v(layout: AnsatzLayout, theta) -> np.ndarray:
-    """Dense 4^n x 4^n coefficient-space unitary of the ansatz, n being
-    the layout's qubit count.
-
-    Row i holds the Pauli coefficients of U^dag P_i U, so that
-    V @ vectorize(H) equals vectorize(U H U^dag) entrywise.  Test-only;
-    capped at 3 qubits.
-    """
-    from .ansatz import apply_ansatz_inverse
-
-    n = layout.n
-    if n > 3:
-        raise ValueError(f"encoded unitary is dense in 4^n; capped at n=3, got {n}")
-    v = np.zeros((4**n, 4**n), dtype=np.float64)
-    for i in range(4**n):
-        basis = Hamiltonian(n, {PauliString.from_index(i, n): 1.0})
-        row = apply_ansatz_inverse(basis, layout, theta)
-        v[i, row.indices()] = row.coeffs
-    return v

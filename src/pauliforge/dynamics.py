@@ -1,6 +1,6 @@
-"""Dense time-evolution tools: exact propagators, first-order product
-formulas, randomized (qDrift-style) sampling, and the conjugation
-sandwich identity.
+"""Dense time-evolution tools: exact propagators, randomized
+(qDrift-style) sampling and its error runs, and the qDrift gate-count
+model.
 
 qDrift draws gate indices i.i.d. with probability |h_j| / gamma
 (gamma = sum |h_j|) and applies fixed-strength rotations
@@ -42,16 +42,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dense import _pauli_rows, ansatz_unitary, haar_state, hamiltonian_matrix, pauli_matrix
-from .hamiltonian import Hamiltonian, _terms_by_magnitude
-from .paulis import DENSE_MAX_QUBITS
+# pauli_matrix stays bound here: perfbench/tracing.py wraps it by name.
+from .dense import _pauli_rows, haar_state, hamiltonian_matrix, pauli_matrix
+from .hamiltonian import Hamiltonian
 
-if TYPE_CHECKING:  # the layout and record types, for annotations only
-    from .ansatz import AnsatzLayout
+if TYPE_CHECKING:  # the record type, for annotations only
     from .optimize import EngineeredResult
 
 QDRIFT_MAX_QUBITS = 8
-SANDWICH_MAX_QUBITS = 6
 _PANEL_SIZE = 20
 # Output amplitudes per chunk of trials in an error run: 256 KiB per
 # array, whatever the trial count and the qubit count.
@@ -66,20 +64,6 @@ def exact_evolution(h: Hamiltonian, t: float) -> np.ndarray:
     m = hamiltonian_matrix(h)  # refuses n past DENSE_MAX_QUBITS before allocating
     evals, evecs = np.linalg.eigh(m)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-
-
-def trotter_first_order(h: Hamiltonian, t: float, r: int) -> np.ndarray:
-    """(prod_j exp(-i t h_j P_j / r))^r, terms by descending |h_j| then label."""
-    if h.n > DENSE_MAX_QUBITS:
-        raise ValueError(f"product formula capped at {DENSE_MAX_QUBITS} qubits, got {h.n}")
-    if r < 1:
-        raise ValueError(f"segment count must be >= 1, got {r}")
-    segment = eye = np.eye(1 << h.n, dtype=complex)
-    for p, c in _terms_by_magnitude(h):
-        alpha = t * c / r
-        gate = np.cos(alpha) * eye - 1j * np.sin(alpha) * pauli_matrix(p)
-        segment = gate @ segment
-    return np.linalg.matrix_power(segment, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,19 +266,6 @@ def qdrift_channel_error(h: Hamiltonian, t: float, gate_count: int,
     dists = [0.5 * np.abs(np.linalg.eigvalsh(r - np.outer(e, e.conj()))).sum()
              for r, e in zip(rho, exact.T)]
     return float(np.mean(dists))
-
-
-def sandwich_check(h: Hamiltonian, layout: AnsatzLayout, theta, t: float) -> float:
-    """Spectral-norm deviation of U^dag exp(-iH't) U from exp(-iHt),
-    H' being the conjugated Hamiltonian; vanishes identically."""
-    from .ansatz import apply_ansatz
-
-    if h.n > SANDWICH_MAX_QUBITS:
-        raise ValueError(f"sandwich check capped at {SANDWICH_MAX_QUBITS} qubits, got {h.n}")
-    u = ansatz_unitary(layout, theta)
-    h_eng = apply_ansatz(h, layout, theta)
-    lhs = u.conj().T @ exact_evolution(h_eng, t) @ u
-    return float(np.linalg.norm(lhs - exact_evolution(h, t), 2))
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,8 @@ from pauliforge.ansatz import (
     layout_from_gates,
 )
 from pauliforge.cli import main as cli_main
-from pauliforge.dense import build_encoded_v
-from pauliforge.dynamics import qdrift_channel_error, qdrift_error, sandwich_check
-from pauliforge.grouping import (
-    allocate_shots,
-    covariance_zero_check,
-    shot_error_prediction,
-    shot_simulator,
-    sorted_insertion,
-)
+from pauliforge.dynamics import qdrift_channel_error, qdrift_error
+from pauliforge.grouping import allocate_shots, sorted_insertion
 from pauliforge.hamiltonian import (
     CoefficientVector,
     Hamiltonian,
@@ -41,6 +34,13 @@ from pauliforge.optimize import OptimizerConfig, cost_gradient, cost_q, optimize
 from pauliforge.paulis import PauliString
 from pauliforge.qestimate import q_analytic, q_circuit_marginal, q_full_circuit
 from pauliforge.results import stable_json
+from pauliforge.verification import (
+    build_encoded_v,
+    covariance_zero_check,
+    sandwich_check,
+    shot_error_prediction,
+    shot_simulator,
+)
 
 from oracles import (
     ansatz_unitary_oracle,

@@ -19,9 +19,9 @@ from pauliforge.ansatz import (
     layout_from_gates,
     layout_to_dict,
 )
-from pauliforge.dense import ansatz_unitary, build_encoded_v
 from pauliforge.hamiltonian import PRUNE_TOL, Hamiltonian, l2_norm, vectorize
 from pauliforge.paulis import PauliString
+from pauliforge.verification import ansatz_unitary, build_encoded_v
 
 from oracles import (
     ansatz_unitary_oracle,
@@ -443,7 +443,7 @@ class TestEncodedV:
 
 
 class TestDenseUnitary:
-    """dense.ansatz_unitary applies gates as row operations; the oracle
+    """verification.ansatz_unitary applies gates as row operations; the oracle
     multiplies explicit Kronecker-product gate matrices."""
 
     @settings(max_examples=60, deadline=None)

@@ -24,13 +24,16 @@ from pauliforge.dynamics import (
     qdrift_channel_error,
     qdrift_error,
     qdrift_sample,
-    sandwich_check,
-    trotter_first_order,
 )
-from pauliforge.grouping import covariance_zero_check, shot_simulator
 from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
 from pauliforge.model_io import ising_neighbor
 from pauliforge.optimize import OptimizerConfig, optimize
+from pauliforge.verification import (
+    covariance_zero_check,
+    sandwich_check,
+    shot_simulator,
+    trotter_first_order,
+)
 
 from oracles import (
     dense_hamiltonian,

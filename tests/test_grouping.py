@@ -10,22 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pauliforge.dense as dense_module
 import pauliforge.grouping as grouping_module
+import pauliforge.verification as verification_module
 from pauliforge.grouping import (
     COMMUTATION_KINDS,
     Collection,
     GroupingResult,
     allocate_shots,
-    covariance_zero_check,
     measurement_cost,
-    shot_error_prediction,
-    shot_simulator,
     sorted_insertion,
 )
 from pauliforge.dense import hamiltonian_expectation, haar_state
 from pauliforge.hamiltonian import Hamiltonian, l2_norm, pauli_norm
 from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
+from pauliforge.verification import covariance_zero_check, shot_error_prediction, shot_simulator
 
 from oracles import (
     grouped_norm_reference,
@@ -478,8 +476,8 @@ class TestShotSimulator:
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         dense = AssertionError("dense work started")
-        with mock.patch.object(dense_module, "hamiltonian_expectation", side_effect=dense), \
-                mock.patch.object(dense_module, "pauli_matrix", side_effect=dense), \
+        with mock.patch.object(verification_module, "hamiltonian_expectation", side_effect=dense), \
+                mock.patch.object(verification_module, "pauli_matrix", side_effect=dense), \
                 pytest.raises(ValueError, match="collection 1 holds anticommuting members"):
             shot_simulator(h, psi, g, shots=100)
 
