@@ -234,14 +234,16 @@ def _parse_sizes(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            sizes = list(range(int(lo), int(hi) + 1))
+            sizes = range(int(lo), int(hi) + 1)  # checked before it is listed
         else:
             sizes = [int(s) for s in text.split(",")]
     except ValueError:
         raise _InputError(f"bad --sizes value {text!r}; expected 'a..b' or comma list") from None
-    if not sizes or any(not 2 <= s <= MAX_QUBITS for s in sizes):
+    if not sizes:
+        raise _InputError(f"sizes range {text!r} is empty; need a..b with a <= b")
+    if any(not 2 <= s <= MAX_QUBITS for s in sizes):
         raise _InputError(f"sizes must be in 2..{MAX_QUBITS}, got {text!r}")
-    return sizes
+    return list(sizes)
 
 
 def cmd_compare(args) -> str:

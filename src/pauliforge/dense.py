@@ -23,12 +23,6 @@ def _check_capacity(n: int) -> None:
         raise ValueError(f"dense path capped at {DENSE_MAX_QUBITS} qubits, got {n}")
 
 
-def _check_state(psi: np.ndarray, n: int) -> None:
-    _check_capacity(n)
-    if psi.shape != (1 << n,):
-        raise ValueError(f"state has dimension {psi.shape}, expected ({1 << n},)")
-
-
 def _pauli_rows(keys, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Source row and phase of every basis row under the string of each
     packed key, so that (P psi)[i] = phase[i] * psi[src[i]]: length 2^n
@@ -79,25 +73,6 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     for c, src, phase in _term_rows(h):
         out[rows, src] += c * phase
     return out
-
-
-def apply_pauli(p: PauliString, psi: np.ndarray) -> np.ndarray:
-    """P @ psi without building the matrix: one row gather and phase."""
-    _check_state(psi, p.n)
-    src, phase = _pauli_rows(p.key(), p.n)
-    return phase * psi[src]
-
-
-def pauli_expectation(p: PauliString, psi: np.ndarray) -> float:
-    """Real expectation value <psi|P|psi>."""
-    return float(np.vdot(psi, apply_pauli(p, psi)).real)
-
-
-def hamiltonian_expectation(h: Hamiltonian, psi: np.ndarray) -> float:
-    """Real <psi|H|psi>, summed term by term in key order."""
-    _check_state(psi, h.n)
-    return float(sum(c * float(np.vdot(psi, phase * psi[src]).real)
-                     for c, src, phase in _term_rows(h)))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -51,7 +51,6 @@ import numpy as np
 
 from .ansatz import AnsatzLayout, CompiledAnsatz, _row_slices, as_parameter_vector
 from .hamiltonian import CoefficientVector, Hamiltonian, l2_norm, pauli_norm
-from .paulis import PauliString
 
 COST_KINDS = ("l1", "q")
 GRADIENT_MODES = ("analytic", "central_difference")
@@ -117,6 +116,8 @@ class OptimizerConfig:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         rate = self.learning_rate
+        if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
+            raise ValueError(f"learning_rate must be a real number, got {rate!r}")
         if not (np.isfinite(rate) and rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {rate}")
 
@@ -340,104 +341,3 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
         restart_index=-1 if r == config.restarts else r,
         cost_kind=config.cost_kind,
     )
-
-
-# -- partition trick -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionPart:
-    """Terms (by canonical index order) sharing a fixed factor on a qubit subset."""
-
-    factor_qubits: tuple[int, ...]
-    factor: PauliString
-    residual_qubits: tuple[int, ...]
-    term_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    parts: tuple[PartitionPart, ...]
-
-
-def _validate_spec(h: Hamiltonian, spec: PartitionSpec):
-    terms = h.terms_by_index()
-    covered: set[int] = set()
-    for part in spec.parts:
-        qubits = part.factor_qubits
-        if len(set(qubits)) != len(qubits) or not all(0 <= q < h.n for q in qubits):
-            raise ValueError(f"factor qubits must be distinct qubits in 0..{h.n - 1}, "
-                             f"got {qubits}")
-        if part.factor.n != len(qubits):
-            raise ValueError("factor length does not match its qubit subset")
-        expected_residual = tuple(sorted(set(range(h.n)) - set(qubits)))
-        if tuple(sorted(part.residual_qubits)) != expected_residual:
-            raise ValueError("residual qubits must be the complement of the factor qubits")
-        for i in part.term_indices:
-            if not (0 <= i < len(terms)):
-                raise ValueError(f"term index {i} out of range")
-            if i in covered:
-                raise ValueError(f"term index {i} appears in two parts")
-            covered.add(i)
-            if terms[i][0].restrict(qubits) != part.factor:
-                raise ValueError(
-                    f"term {terms[i][0].label} does not carry factor {part.factor.label}"
-                )
-    if covered != set(range(len(terms))):
-        raise ValueError("partition does not cover every term")
-    return terms
-
-
-def partition(h: Hamiltonian, spec: PartitionSpec) -> list[tuple[PauliString, Hamiltonian]]:
-    """Split into (common factor, residual Hamiltonian) pairs.
-
-    Part i reconstructs by placing the factor on its qubit subset and the
-    residual terms on the complementary subset; the parts sum to the
-    input exactly.
-    """
-    terms = _validate_spec(h, spec)
-    out = []
-    for part in spec.parts:
-        if not part.residual_qubits:
-            raise ValueError("a part must leave at least one residual qubit")
-        residual = Hamiltonian(
-            len(part.residual_qubits),
-            {terms[i][0].restrict(part.residual_qubits): terms[i][1] for i in part.term_indices},
-        )
-        out.append((part.factor, residual))
-    return out
-
-
-def partition_by_restriction(h: Hamiltonian, factor_qubits: tuple[int, ...]) -> PartitionSpec:
-    """Greedy spec: group terms by their restriction to the given subset."""
-    factor_qubits = tuple(factor_qubits)
-    residual = tuple(sorted(set(range(h.n)) - set(factor_qubits)))
-    groups: dict[PauliString, list[int]] = {}
-    for i, (p, _) in enumerate(h.terms_by_index()):
-        groups.setdefault(p.restrict(factor_qubits), []).append(i)
-    parts = tuple(
-        PartitionPart(factor_qubits, factor, residual, tuple(idx))
-        for factor, idx in sorted(groups.items(), key=lambda kv: kv[0].index)
-    )
-    return PartitionSpec(parts=parts)
-
-
-def optimize_partitioned(h: Hamiltonian, spec: PartitionSpec,
-                         layouts, config: OptimizerConfig | None = None):
-    """Engineer each residual independently; returns (results, combined norm),
-    result i carrying part i's layout.
-
-    The combined norm is the sum of the engineered residual Pauli norms
-    (the unit-modulus factors do not change term magnitudes).  This mode
-    serves expectation estimation only: the evolution sandwich identity
-    does not hold across parts conjugated by different unitaries.
-    """
-    pairs = partition(h, spec)
-    layouts = list(layouts)
-    if len(layouts) != len(pairs):
-        raise ValueError(f"need one layout per part: {len(pairs)} parts, {len(layouts)} layouts")
-    config = config or OptimizerConfig()
-    results = [optimize(residual, layout, config)
-               for (_factor, residual), layout in zip(pairs, layouts)]
-    combined = float(sum(r.engineered_norm for r in results))
-    return results, combined

@@ -53,40 +53,28 @@ class _Rendered(str):
 
 def _format_value(obj, append) -> None:
     """Pass the JSON text of ``obj`` to ``append`` piece by piece."""
-    # Exact types first, the float, rendered text, str, dict and list of
-    # result documents; rendered text is tested before str, as it is one.
-    kind = type(obj)
-    if kind is float:
-        append(_format_float(obj))
-    elif kind is _Rendered:
+    if isinstance(obj, _Rendered):  # before str, as it is one
         append(obj)
-    elif kind is str:
+    elif isinstance(obj, str):
         append(encode_basestring_ascii(obj))  # what json.dumps does with a str
-    elif kind is dict:
+    elif isinstance(obj, bool):
+        append("true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
+        append(_format_float(float(obj)))
+    elif isinstance(obj, dict):
         sep = "{"
         for k, v in obj.items():
-            append(f"{sep}{encode_basestring_ascii(k if type(k) is str else str(k))}:")
+            append(f"{sep}{encode_basestring_ascii(str(k))}:")
             _format_value(v, append)
             sep = ","
         append("}" if sep == "," else "{}")
-    elif kind is list or kind is tuple:
+    elif isinstance(obj, (list, tuple)):
         sep = "["
         for v in obj:
             append(sep)
             _format_value(v, append)
             sep = ","
         append("]" if sep == "," else "[]")
-    # Then bool, None, ints, NumPy scalars and arrays, and subclasses.
-    elif isinstance(obj, str):
-        append(encode_basestring_ascii(obj))
-    elif isinstance(obj, bool):
-        append("true" if obj else "false")
-    elif isinstance(obj, (float, np.floating)):
-        append(_format_float(float(obj)))
-    elif isinstance(obj, dict):
-        _format_value(dict(obj), append)
-    elif isinstance(obj, (list, tuple)):
-        _format_value(list(obj), append)
     elif isinstance(obj, np.ndarray):
         _format_value(obj.tolist(), append)  # a 0-d array gives its scalar
     elif obj is None:

@@ -10,6 +10,10 @@ linear algebra.
 - Evolution: :func:`trotter_first_order`, a first-order product formula,
   and :func:`sandwich_check`, the conjugation sandwich identity
   U^dag exp(-iH't) U = exp(-iHt) with H' = U H U^dag.
+- Expectations: :func:`apply_pauli` acts with a Pauli string on a
+  state by its row table, and :func:`pauli_expectation` and
+  :func:`hamiltonian_expectation` are the exact values the shot
+  estimates are checked against.
 - Estimation: :func:`shot_simulator` draws measurement outcomes per term,
   or per collection of a :class:`~pauliforge.grouping.GroupingResult`
   after numerically diagonalizing the commuting family in a shared
@@ -30,14 +34,7 @@ from .ansatz import (
     as_parameter_vector,
     gate_axis,
 )
-from .dense import (
-    _check_capacity,
-    _pauli_rows,
-    haar_state,
-    hamiltonian_expectation,
-    pauli_expectation,
-    pauli_matrix,
-)
+from .dense import _check_capacity, _pauli_rows, _term_rows, haar_state, pauli_matrix
 from .dynamics import exact_evolution
 from .grouping import GroupingResult, allocate_shots
 from .hamiltonian import Hamiltonian, _terms_by_magnitude
@@ -108,6 +105,31 @@ def sandwich_check(h: Hamiltonian, layout: AnsatzLayout, theta, t: float) -> flo
     h_eng = apply_ansatz(h, layout, theta)
     lhs = u.conj().T @ exact_evolution(h_eng, t) @ u
     return float(np.linalg.norm(lhs - exact_evolution(h, t), 2))
+
+
+def _check_state(psi: np.ndarray, n: int) -> None:
+    _check_capacity(n)
+    if psi.shape != (1 << n,):
+        raise ValueError(f"state has dimension {psi.shape}, expected ({1 << n},)")
+
+
+def apply_pauli(p: PauliString, psi: np.ndarray) -> np.ndarray:
+    """P @ psi without building the matrix: one row gather and phase."""
+    _check_state(psi, p.n)
+    src, phase = _pauli_rows(p.key(), p.n)
+    return phase * psi[src]
+
+
+def pauli_expectation(p: PauliString, psi: np.ndarray) -> float:
+    """Real expectation value <psi|P|psi>."""
+    return float(np.vdot(psi, apply_pauli(p, psi)).real)
+
+
+def hamiltonian_expectation(h: Hamiltonian, psi: np.ndarray) -> float:
+    """Real <psi|H|psi>, summed term by term in key order."""
+    _check_state(psi, h.n)
+    return float(sum(c * float(np.vdot(psi, phase * psi[src]).real)
+                     for c, src, phase in _term_rows(h)))
 
 
 def _counts_per_term(counts, m: int) -> np.ndarray:

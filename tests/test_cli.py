@@ -302,6 +302,10 @@ class TestExitCodes:
          "--time 1e+200 and --epsilon 0.01 give a qDrift gate count that is not finite at size 2"),
         (("compare", "--family", "ising-neighbor", "--sizes", "2,3", "--epsilon", "1e-320"), 2,
          "--time 1.0 and --epsilon 1e-320 give a qDrift gate count that is not finite at size 2"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "3..2"), 2,
+         "sizes range '3..2' is empty; need a..b with a <= b"),
+        (("compare", "--family", "ising-neighbor", "--sizes", "2..1000000000000"), 2,
+         "sizes must be in 2..32, got '2..1000000000000'"),
     ])
     def test_code_and_message(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, *argv)

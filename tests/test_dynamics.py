@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pauliforge import dynamics
 from pauliforge.ansatz import CompiledAnsatz, apply_ansatz, hardware_efficient_layout
-from pauliforge.dense import apply_pauli, hamiltonian_expectation, pauli_expectation, pauli_matrix
+from pauliforge.dense import pauli_matrix
 from pauliforge.dynamics import (
     _CHUNK_AMPLITUDES,
     _PANEL_SIZE,
@@ -29,7 +29,10 @@ from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
 from pauliforge.model_io import ising_neighbor
 from pauliforge.optimize import OptimizerConfig, optimize
 from pauliforge.verification import (
+    apply_pauli,
     covariance_zero_check,
+    hamiltonian_expectation,
+    pauli_expectation,
     sandwich_check,
     shot_simulator,
     trotter_first_order,

@@ -20,10 +20,15 @@ from pauliforge.grouping import (
     measurement_cost,
     sorted_insertion,
 )
-from pauliforge.dense import hamiltonian_expectation, haar_state
+from pauliforge.dense import haar_state
 from pauliforge.hamiltonian import Hamiltonian, l2_norm, pauli_norm
 from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
-from pauliforge.verification import covariance_zero_check, shot_error_prediction, shot_simulator
+from pauliforge.verification import (
+    covariance_zero_check,
+    hamiltonian_expectation,
+    shot_error_prediction,
+    shot_simulator,
+)
 
 from oracles import (
     grouped_norm_reference,

@@ -24,13 +24,14 @@ from pauliforge.optimize import (
     GRADIENT_MODES,
     METHODS,
     OptimizerConfig,
-    PartitionPart,
-    PartitionSpec,
     _batches,
     _run_restarts,
     cost_gradient,
     cost_q,
     optimize,
+)
+from pauliforge.partition import (
+    PartitionPart,
     optimize_partitioned,
     partition,
     partition_by_restriction,
@@ -42,6 +43,7 @@ from oracles import (
     circuits,
     dense_hamiltonian,
     haar_like_state,
+    partition_by_restriction_reference,
     random_hamiltonian,
     random_layout,
     random_theta,
@@ -354,6 +356,10 @@ class TestConfig:
         ("learning_rate", 0.0),
         ("learning_rate", np.nan),
         ("learning_rate", np.inf),
+        ("learning_rate", True),
+        ("learning_rate", "0.1"),
+        ("learning_rate", None),
+        ("learning_rate", 1j),
     ])
     def test_bad_value_rejected_naming_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -371,10 +377,19 @@ def test_optimize_module_is_its_own_import_path():
 
     assert isinstance(m, types.ModuleType)
     assert m.optimize is optimize and m.OptimizerConfig is OptimizerConfig
+    # the partition helper lives in pauliforge.partition alone
+    assert not any(hasattr(m, name) for name in
+                   ("PartitionPart", "partition", "partition_by_restriction",
+                    "optimize_partitioned", "PauliString"))
     # The package root re-exports nothing: its public attributes are the
     # submodules imported so far.
     assert all(isinstance(v, types.ModuleType)
                for k, v in vars(pauliforge).items() if not k.startswith("_"))
+
+
+def _complement(qubits, n):
+    """The residual qubits of a part: those outside its factor, ascending."""
+    return tuple(q for q in range(n) if q not in qubits)
 
 
 SIX_QUBIT_FACTORED = {
@@ -387,21 +402,21 @@ SIX_QUBIT_FACTORED = {
 
 
 class TestPartition:
-    def _factored_spec(self):
+    def _factored_parts(self):
         # canonical index order of the five terms above
         h = Hamiltonian(6, SIX_QUBIT_FACTORED)
         order = [p.label for p, _ in h.terms_by_index()]
         front = tuple(order.index(lbl) for lbl in ("XIXYYZ", "XIXZYI", "XIXIIZ"))
         back = tuple(order.index(lbl) for lbl in ("IZXIYI", "IZZIYI"))
         parts = (
-            PartitionPart((0, 1, 2), PauliString.from_label("XIX"), (3, 4, 5), front),
-            PartitionPart((3, 4, 5), PauliString.from_label("IYI"), (0, 1, 2), back),
+            PartitionPart((0, 1, 2), PauliString.from_label("XIX"), front),
+            PartitionPart((3, 4, 5), PauliString.from_label("IYI"), back),
         )
-        return h, PartitionSpec(parts)
+        return h, parts
 
     def test_factored_example(self):
-        h, spec = self._factored_spec()
-        pairs = partition(h, spec)
+        h, parts = self._factored_parts()
+        pairs = partition(h, parts)
         (f1, r1), (f2, r2) = pairs
         assert f1.label == "XIX"
         assert r1.terms == {
@@ -416,12 +431,12 @@ class TestPartition:
         }
 
     def test_parts_resum_to_input(self):
-        h, spec = self._factored_spec()
-        pairs = partition(h, spec)
+        h, parts = self._factored_parts()
+        pairs = partition(h, parts)
         total = None
-        for part, (factor, residual) in zip(spec.parts, pairs):
+        for part, (factor, residual) in zip(parts, pairs):
             emb_f = embed(Hamiltonian(factor.n, {factor: 1.0}), part.factor_qubits, h.n)
-            emb_r = embed(residual, part.residual_qubits, h.n)
+            emb_r = embed(residual, _complement(part.factor_qubits, h.n), h.n)
             piece = Hamiltonian(h.n, {  # product of the two embedded commuting pieces
                 PauliString(h.n, pf.x | pr.x, pf.z | pr.z): cf * cr
                 for pf, cf in emb_f for pr, cr in emb_r
@@ -433,10 +448,8 @@ class TestPartition:
         # every term is identity on qubit 0, so one part with factor I
         # covers the whole Hamiltonian and the residual is h itself
         h = Hamiltonian(3, {"IXX": 1.5, "IZZ": -0.5, "IYI": 2.0})
-        spec = PartitionSpec((
-            PartitionPart((0,), PauliString.from_label("I"), (1, 2), (0, 1, 2)),
-        ))
-        [(factor, residual)] = partition(h, spec)
+        parts = (PartitionPart((0,), PauliString.from_label("I"), (0, 1, 2)),)
+        [(factor, residual)] = partition(h, parts)
         assert factor.is_identity()
         assert residual.terms == {
             PauliString.from_label("XX"): 1.5,
@@ -447,21 +460,21 @@ class TestPartition:
     def test_empty_factor_subset_rejected(self):
         rng = np.random.default_rng(26)
         h = random_hamiltonian(3, 8, rng)
-        bad = PartitionSpec((
-            PartitionPart((), PauliString.identity(1), (0, 1, 2), tuple(range(len(h)))),
-        ))
-        with pytest.raises(ValueError):
+        bad = (PartitionPart((), PauliString.identity(1), tuple(range(len(h)))),)
+        with pytest.raises(ValueError, match="factor qubits must be distinct qubits in 0..2"):
             partition(h, bad)
+        with pytest.raises(ValueError, match="factor qubits must be distinct qubits in 0..2"):
+            partition_by_restriction(h, ())
 
     def test_greedy_helper_reconstructs(self):
         rng = np.random.default_rng(27)
         h = random_hamiltonian(4, 12, rng)
-        spec = partition_by_restriction(h, (0, 1))
-        pairs = partition(h, spec)
+        parts = partition_by_restriction(h, (0, 1))
+        pairs = partition(h, parts)
         resum = None
-        for part, (factor, residual) in zip(spec.parts, pairs):
+        for part, (factor, residual) in zip(parts, pairs):
             emb_f = embed(Hamiltonian(factor.n, {factor: 1.0}), part.factor_qubits, h.n)
-            emb_r = embed(residual, part.residual_qubits, h.n)
+            emb_r = embed(residual, _complement(part.factor_qubits, h.n), h.n)
             piece = Hamiltonian(h.n, {
                 PauliString(h.n, pf.x | pr.x, pf.z | pr.z): cf * cr
                 for pf, cf in emb_f for pr, cr in emb_r
@@ -471,60 +484,95 @@ class TestPartition:
 
     def test_overlapping_spec_rejected(self):
         h = Hamiltonian(2, {"XI": 1.0, "XZ": 2.0})
-        part = PartitionPart((0,), PauliString.from_label("X"), (1,), (0, 0))
-        with pytest.raises(ValueError):
-            partition(h, PartitionSpec((part,)))
+        part = PartitionPart((0,), PauliString.from_label("X"), (0, 0))
+        with pytest.raises(ValueError, match="term index 0 appears in two parts"):
+            partition(h, (part,))
+        parts = (PartitionPart((0,), PauliString.from_label("X"), (0, 1)),
+                 PartitionPart((1,), PauliString.from_label("Z"), (1,)))
+        with pytest.raises(ValueError, match="term index 1 appears in two parts"):
+            partition(h, parts)
+
+    @pytest.mark.parametrize("parts, message", [
+        ((PartitionPart((0,), PauliString.from_label("X"), (0,)),),
+         "partition does not cover every term"),
+        ((PartitionPart((0,), PauliString.from_label("X"), (0, 2)),), "term index 2 out of range"),
+        ((PartitionPart((0, 1), PauliString.from_label("XI"), (0,)),
+          PartitionPart((0, 1), PauliString.from_label("XZ"), (1,))),
+         "a part must leave at least one residual qubit"),
+        ((PartitionPart((0,), PauliString.from_label("XI"), (0, 1)),),
+         "factor length does not match its qubit subset"),
+        ((PartitionPart((0,), PauliString.from_label("X"), (0, 0.5)),),
+         r"term indices must be integers, got \(0, 0.5\)"),
+    ], ids=["missing_cover", "index_out_of_range", "no_residual_qubit", "factor_length",
+            "non_integer_index"])
+    def test_malformed_parts_rejected(self, parts, message):
+        h = Hamiltonian(2, {"XI": 1.0, "XZ": 2.0})
+        with pytest.raises(ValueError, match=message):
+            partition(h, parts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_restriction_matches_term_by_term_reference(self, data):
+        """Parts, factor order, term order and residuals equal the
+        per-term restrict-and-group walk, on random sums and permuted
+        factor subsets."""
+        n = data.draw(st.integers(2, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        h = random_hamiltonian(n, data.draw(st.integers(1, 60)), rng)
+        qubits = tuple(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n - 1))])
+        expected = partition_by_restriction_reference(h, qubits)
+        parts = partition_by_restriction(h, qubits)
+        assert parts == tuple(part for part, _ in expected)
+        assert [r for _, r in partition(h, parts)] == [r for _, r in expected]
 
     @pytest.mark.parametrize("parts", [
-        (PartitionPart((0, 0), PauliString.from_label("XX"), (1, 2), (0, 1)),),
-        (PartitionPart((0, 1), PauliString.from_label("XX"), (2,), (0, 1)),
-         PartitionPart((0, 3), PauliString.from_label("XI"), (1, 2), ())),
+        (PartitionPart((0, 0), PauliString.from_label("XX"), (0, 1)),),
+        (PartitionPart((0, 1), PauliString.from_label("XX"), (0, 1)),
+         PartitionPart((0, 3), PauliString.from_label("XI"), ())),
     ], ids=["repeated", "out_of_range"])
     def test_bad_factor_qubits_rejected(self, parts):
-        """Both specs carry every term's factor and cover every term, so
+        """Both part lists carry every term's factor and cover every term, so
         only the factor qubits themselves can refuse them."""
         h = Hamiltonian(3, {"XXI": 1.0, "XXZ": 2.0})
         with pytest.raises(ValueError, match="factor qubits must be distinct qubits in 0..2"):
-            partition(h, PartitionSpec(parts))
+            partition(h, parts)
 
     def test_wrong_factor_rejected(self):
         h = Hamiltonian(2, {"XI": 1.0, "ZZ": 2.0})
-        part = PartitionPart((0,), PauliString.from_label("X"), (1,), (0, 1))
-        with pytest.raises(ValueError):
-            partition(h, PartitionSpec((part,)))
+        part = PartitionPart((0,), PauliString.from_label("X"), (0, 1))
+        with pytest.raises(ValueError, match="term ZZ does not carry factor X"):
+            partition(h, (part,))
 
 
 class TestOptimizePartitioned:
     def test_each_result_carries_its_parts_layout(self):
         h = Hamiltonian(6, SIX_QUBIT_FACTORED)
-        spec = TestPartition()._factored_spec()[1]
+        parts = TestPartition()._factored_parts()[1]
         layouts = [hardware_efficient_layout(3, 2), hardware_efficient_layout(3, 1, ("RY",))]
         config = OptimizerConfig(restarts=2, max_iterations=10, seed=11)
-        results, _ = optimize_partitioned(h, spec, layouts, config)
-        for (_factor, residual), res, layout in zip(partition(h, spec), results, layouts):
+        results, _ = optimize_partitioned(h, parts, layouts, config)
+        for (_factor, residual), res, layout in zip(partition(h, parts), results, layouts):
             assert res.layout is layout
             assert res.theta_star.shape == (layout.parameter_count,)
             assert apply_ansatz(residual, res.layout, res.theta_star) == res.engineered
 
     def test_six_qubit_two_factor_split(self):
         h = Hamiltonian(6, SIX_QUBIT_FACTORED)
-        spec = TestPartition()._factored_spec()[1]
+        parts = TestPartition()._factored_parts()[1]
         layouts = [hardware_efficient_layout(3, 1), hardware_efficient_layout(3, 1)]
         config = OptimizerConfig(restarts=3, max_iterations=60, seed=11)
-        results, combined = optimize_partitioned(h, spec, layouts, config)
+        results, combined = optimize_partitioned(h, parts, layouts, config)
         assert len(results) == 2
         assert np.isclose(combined, sum(r.engineered_norm for r in results), atol=1e-12)
         assert combined <= pauli_norm(h) + 1e-12
 
     def test_identity_factor_part_matches_plain_optimize(self):
         h = Hamiltonian(3, {"IXX": 1.5, "IZZ": -0.5, "IYI": 2.0})
-        spec = PartitionSpec((
-            PartitionPart((0,), PauliString.from_label("I"), (1, 2), (0, 1, 2)),
-        ))
+        parts = (PartitionPart((0,), PauliString.from_label("I"), (0, 1, 2)),)
         layout = hardware_efficient_layout(2, 1)
         config = OptimizerConfig(restarts=3, max_iterations=40, seed=17)
-        results, combined = optimize_partitioned(h, spec, [layout], config)
-        residual = partition(h, spec)[0][1]
+        results, combined = optimize_partitioned(h, parts, [layout], config)
+        residual = partition(h, parts)[0][1]
         plain = optimize(residual, layout, config)
         assert results[0].engineered_norm == plain.engineered_norm
         assert np.array_equal(results[0].theta_star, plain.theta_star)
@@ -532,21 +580,22 @@ class TestOptimizePartitioned:
 
     def test_combined_expectation_preserved(self):
         h = Hamiltonian(4, {"XYIZ": 1.3, "XYZI": -0.4, "ZIXX": 0.8, "ZIYX": 0.5})
-        spec = partition_by_restriction(h, (0, 1))
-        pairs = partition(h, spec)
+        parts = partition_by_restriction(h, (0, 1))
+        pairs = partition(h, parts)
         layouts = [hardware_efficient_layout(2, 1) for _ in pairs]
         config = OptimizerConfig(restarts=2, max_iterations=40, seed=13)
-        results, _ = optimize_partitioned(h, spec, layouts, config)
+        results, _ = optimize_partitioned(h, parts, layouts, config)
 
         rng = np.random.default_rng(31)
         psi = haar_like_state(2**4, rng)
         total = 0.0
-        for part, (factor, _residual), res in zip(spec.parts, pairs, results):
+        for part, (factor, _residual), res in zip(parts, pairs, results):
             u_res = ansatz_unitary_oracle(res.layout, res.theta_star)
             # embed the residual unitary on the residual qubits (factor side untouched)
-            u_full = _embed_unitary(u_res, part.residual_qubits, 4)
+            rest = _complement(part.factor_qubits, 4)
+            u_full = _embed_unitary(u_res, rest, 4)
             emb_f = embed(Hamiltonian(factor.n, {factor: 1.0}), part.factor_qubits, 4)
-            emb_r = embed(res.engineered, part.residual_qubits, 4)
+            emb_r = embed(res.engineered, rest, 4)
             h_part_eng = Hamiltonian(4, {
                 PauliString(4, pf.x | pr.x, pf.z | pr.z): cf * cr
                 for pf, cf in emb_f for pr, cr in emb_r

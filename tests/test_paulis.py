@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauliforge import dense
-from pauliforge.dense import _pauli_rows, apply_pauli, hamiltonian_matrix, pauli_matrix
+from pauliforge.dense import _pauli_rows, hamiltonian_matrix, pauli_matrix
 from pauliforge.hamiltonian import Hamiltonian
 from pauliforge.paulis import (
     LabelError,
@@ -23,6 +23,7 @@ from pauliforge.paulis import (
     pauli_product,
     qubit_wise_commutes,
 )
+from pauliforge.verification import apply_pauli
 
 from oracles import dense_hamiltonian, label_matrix
 
