@@ -167,17 +167,12 @@ class Hamiltonian:
             out |= ((high >> q) & two) | ((low >> q) & one)
         return out
 
-    def _digits_by_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(m, n) digits and coefficients in base-4 index order."""
-        digits = digits_from_keys(self._keys, self.n)
-        order = np.argsort(indices_from_digits(digits), kind="stable")
-        return digits[order], self._coeffs[order]
-
     def labeled_terms(self) -> tuple[list[str], np.ndarray]:
         """Labels and coefficients in base-4 index order, the order of the
         pauli-sum format and of result documents."""
-        digits, coeffs = self._digits_by_index()
-        return labels_from_digits(digits), coeffs
+        digits = digits_from_keys(self._keys, self.n)
+        order = np.argsort(indices_from_digits(digits), kind="stable")
+        return labels_from_digits(digits[order]), self._coeffs[order]
 
     def terms_by_index(self) -> list[tuple[PauliString, float]]:
         """Terms sorted by base-4 index; the canonical public ordering."""

@@ -3,19 +3,16 @@
 A part is a set of terms, by canonical (base-4 index) order, that carry
 one factor on a subset of qubits; each term's rest, on the complementary
 qubits in ascending order, is a term of the part's residual Hamiltonian.
-Restriction and grouping run on the codec's (m, n) digit array, qubit 0
-in column 0.  No command loads this module.
+No command loads this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hamiltonian import Hamiltonian
 from .optimize import OptimizerConfig, optimize
-from .paulis import PauliString, digits_from_keys, keys_from_digits, labels_from_digits
+from .paulis import PauliString
 
 
 @dataclass(frozen=True)
@@ -28,11 +25,11 @@ class PartitionPart:
     term_indices: tuple[int, ...]
 
 
-def _checked_qubits(qubits, n: int) -> list[int]:
+def _checked_qubits(qubits, n: int) -> tuple[int, ...]:
     qubits = tuple(qubits)
     if not qubits or len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
         raise ValueError(f"factor qubits must be distinct qubits in 0..{n - 1}, got {qubits}")
-    return list(qubits)
+    return qubits
 
 
 def partition(h: Hamiltonian, parts) -> list[tuple[PauliString, Hamiltonian]]:
@@ -40,38 +37,37 @@ def partition(h: Hamiltonian, parts) -> list[tuple[PauliString, Hamiltonian]]:
 
     Part i reconstructs by placing the factor on its qubit subset and the
     residual terms on the complementary subset; the parts sum to the
-    input exactly.  Every term must lie in exactly one part.
+    input exactly.  Every part is checked, and the cover, before any
+    residual is built.
     """
-    digits, coeffs = h._digits_by_index()
-    out, covered = [], [np.zeros(0, np.intp)]
+    parts = tuple(parts)
+    terms = h.terms_by_index()
+    covered: set[int] = set()
     for part in parts:
         qubits = _checked_qubits(part.factor_qubits, h.n)
         if part.factor.n != len(qubits):
             raise ValueError("factor length does not match its qubit subset")
-        idx = np.asarray(part.term_indices)
-        if idx.size and idx.dtype.kind not in "iu":  # a cast would truncate 0.5 to 0
-            raise ValueError(f"term indices must be integers, got {part.term_indices}")
-        idx = idx.astype(np.intp)
-        outside = idx[(idx < 0) | (idx >= len(h))]
-        if outside.size:
-            raise ValueError(f"term index {outside[0]} out of range")
-        factor = digits_from_keys(part.factor.key(), len(qubits))
-        wrong = idx[(digits[np.ix_(idx, qubits)] != factor).any(axis=1)]
-        if wrong.size:
-            label = labels_from_digits(digits[wrong[:1]])[0]
-            raise ValueError(f"term {label} does not carry factor {part.factor.label}")
-        rest = np.setdiff1d(np.arange(h.n), qubits)
-        if not rest.size:
-            raise ValueError("a part must leave at least one residual qubit")
-        residual = Hamiltonian.from_arrays(len(rest), keys_from_digits(digits[np.ix_(idx, rest)]),
-                                           coeffs[idx])
-        out.append((part.factor, residual))
-        covered.append(idx)
-    counts = np.bincount(np.concatenate(covered), minlength=len(h))
-    if (counts > 1).any():
-        raise ValueError(f"term index {(counts > 1).argmax()} appears in two parts")
-    if not counts.all():
+        for i in part.term_indices:
+            if not (0 <= i < len(terms)):
+                raise ValueError(f"term index {i} out of range")
+            if i in covered:
+                raise ValueError(f"term index {i} appears in two parts")
+            covered.add(i)
+            if terms[i][0].restrict(qubits) != part.factor:
+                raise ValueError(
+                    f"term {terms[i][0].label} does not carry factor {part.factor.label}"
+                )
+    if covered != set(range(len(terms))):
         raise ValueError("partition does not cover every term")
+    out = []
+    for part in parts:
+        rest = tuple(q for q in range(h.n) if q not in part.factor_qubits)
+        if not rest:
+            raise ValueError("a part must leave at least one residual qubit")
+        residual = Hamiltonian(
+            len(rest), {terms[i][0].restrict(rest): terms[i][1] for i in part.term_indices}
+        )
+        out.append((part.factor, residual))
     return out
 
 
@@ -80,14 +76,12 @@ def partition_by_restriction(h: Hamiltonian, factor_qubits) -> tuple[PartitionPa
     per distinct factor, in the factors' canonical order, each listing its
     terms in canonical order."""
     qubits = _checked_qubits(factor_qubits, h.n)
-    digits, _ = h._digits_by_index()
-    factors, group = np.unique(digits[:, qubits], axis=0, return_inverse=True)
-    group = group.reshape(-1)  # NumPy 2.0.0 returns it 2-D
-    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    groups: dict[PauliString, list[int]] = {}
+    for i, (p, _) in enumerate(h.terms_by_index()):
+        groups.setdefault(p.restrict(qubits), []).append(i)
     return tuple(
-        PartitionPart(tuple(qubits), PauliString.from_key(key, len(qubits)),
-                      tuple(idx.tolist()))
-        for key, idx in zip(keys_from_digits(factors).tolist(), members)
+        PartitionPart(qubits, factor, tuple(idx))
+        for factor, idx in sorted(groups.items(), key=lambda kv: kv[0].index)
     )
 
 

@@ -50,7 +50,6 @@ from pauliforge.optimize import (
     _forward_cost,
     _value_and_grad,
 )
-from pauliforge.partition import PartitionPart
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -696,21 +695,3 @@ def run_single_reference(engine: CompiledAnsatz, theta0, config, lam):
                 break
     trace.append(best_value)
     return best_theta, trace
-
-
-# -- partition reference -------------------------------------------------
-# Grouping by restriction as it ran one term at a time: each term's
-# PauliString.restrict to the factor qubits keys a dict, the factors are
-# sorted by base-4 index, and each residual is built from the terms'
-# restrictions to the complementary qubits.
-
-def partition_by_restriction_reference(h: Hamiltonian, factor_qubits):
-    """(part, residual) pairs of the terms grouped by their factor."""
-    factor_qubits = tuple(factor_qubits)
-    rest = tuple(q for q in range(h.n) if q not in factor_qubits)
-    groups: dict[PauliString, list] = {}
-    for i, (p, c) in enumerate(h.terms_by_index()):
-        groups.setdefault(p.restrict(factor_qubits), []).append((i, p.restrict(rest), c))
-    return [(PartitionPart(factor_qubits, factor, tuple(i for i, _, _ in members)),
-             Hamiltonian(len(rest), {r: c for _, r, c in members}))
-            for factor, members in sorted(groups.items(), key=lambda kv: kv[0].index)]

@@ -43,7 +43,6 @@ from oracles import (
     circuits,
     dense_hamiltonian,
     haar_like_state,
-    partition_by_restriction_reference,
     random_hamiltonian,
     random_layout,
     random_theta,
@@ -501,29 +500,18 @@ class TestPartition:
          "a part must leave at least one residual qubit"),
         ((PartitionPart((0,), PauliString.from_label("XI"), (0, 1)),),
          "factor length does not match its qubit subset"),
-        ((PartitionPart((0,), PauliString.from_label("X"), (0, 0.5)),),
-         r"term indices must be integers, got \(0, 0.5\)"),
+        # every part and the cover are checked before any residual is built
+        ((PartitionPart((0,), PauliString.from_label("X"), (0, 0)),
+          PartitionPart((0, 1), PauliString.from_label("XZ"), (1,))),
+         "term index 0 appears in two parts"),
+        ((PartitionPart((0, 1), PauliString.from_label("XI"), (0,)),),
+         "partition does not cover every term"),
     ], ids=["missing_cover", "index_out_of_range", "no_residual_qubit", "factor_length",
-            "non_integer_index"])
+            "overlap_before_residual", "cover_before_residual"])
     def test_malformed_parts_rejected(self, parts, message):
         h = Hamiltonian(2, {"XI": 1.0, "XZ": 2.0})
         with pytest.raises(ValueError, match=message):
             partition(h, parts)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_restriction_matches_term_by_term_reference(self, data):
-        """Parts, factor order, term order and residuals equal the
-        per-term restrict-and-group walk, on random sums and permuted
-        factor subsets."""
-        n = data.draw(st.integers(2, 6))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        h = random_hamiltonian(n, data.draw(st.integers(1, 60)), rng)
-        qubits = tuple(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n - 1))])
-        expected = partition_by_restriction_reference(h, qubits)
-        parts = partition_by_restriction(h, qubits)
-        assert parts == tuple(part for part, _ in expected)
-        assert [r for _, r in partition(h, parts)] == [r for _, r in expected]
 
     @pytest.mark.parametrize("parts", [
         (PartitionPart((0, 0), PauliString.from_label("XX"), (0, 1)),),
