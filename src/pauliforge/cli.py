@@ -395,8 +395,8 @@ def _check_flags(args) -> None:
     if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0):
         raise _InputError(f"--epsilon must be finite and positive, got {epsilon}")
     shots = getattr(args, "shots", None)
-    if shots is not None and shots < 0:
-        raise _InputError(f"--shots must be >= 0, got {shots}")
+    if shots is not None and not 0 <= shots < 2**63:  # NumPy samples int64 counts
+        raise _InputError(f"--shots must be in 0..2**63 - 1, got {shots}")
     for path in (args.output, getattr(args, "engineered_out", None)):
         if path:
             _check_output_path(path)

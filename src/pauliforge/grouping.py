@@ -13,10 +13,7 @@ order, and the CSR offsets ``starts`` of the collections.  Sorted
 insertion fills it with one lexsort by (-|c|, base-4 index), first fit
 on the keys, one stable argsort of the owners and a bincount, and the
 result document labels every member in one codec call, so no object is
-built per term from input to output.  ``collections`` is a view of
-(coefficient, PauliString) members built on demand, for the shot
-simulator; callers that hold objects build a result with
-``GroupingResult.from_collections``.  The grouped norm comes from the
+built per term from input to output.  The grouped norm comes from the
 arrays and equals the sum over collection objects bit for bit: each
 collection's squares are added member by member in order (bincount adds
 its weights in input order, where add.reduceat sums pairwise past 8
@@ -58,8 +55,8 @@ are then ORed into the summaries.  This is exact: a fit with a
 collection is a fit with its summary, and summaries only ever add
 constraints, so a misfit at the block's start stays one.
 
-The shot simulator and the covariance check that test these cost models
-against sampling live in :mod:`~pauliforge.verification`.
+The shot simulator and its shot allocator, the covariance check, and
+the grouping's view as objects live in :mod:`~pauliforge.verification`.
 """
 
 from __future__ import annotations
@@ -69,9 +66,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, _magnitude_order, pauli_norm
+from .hamiltonian import Hamiltonian, _magnitude_order, _uint64_keys, pauli_norm
 # Both predicates stay bound here: perfbench/tracing.py wraps them by name.
-from .paulis import PauliString, commutes, qubit_wise_commutes
+from .paulis import _checked_width, commutes, qubit_wise_commutes
 
 COMMUTATION_KINDS = ("general", "qubit_wise")
 
@@ -85,20 +82,14 @@ _BLOCK_ENTRIES = 1 << 15
 _TABLE_ENTRIES = 1 << 22
 
 
-@dataclass(frozen=True)
-class Collection:
-    """Mutually commuting terms measured together."""
-
-    members: tuple[tuple[float, PauliString], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class GroupingResult:
     """A grouping held as arrays: the packed ``keys`` and ``coeffs`` of its
     terms in collection order, and within a collection in candidate order,
     with ``starts`` the CSR offsets of the collections (collection j holds
-    entries starts[j]:starts[j + 1]).  The arrays are read-only copies;
-    results compare and hash by value over all fields."""
+    entries starts[j]:starts[j + 1]).  The qubit count is refused outside
+    1..MAX_QUBITS, and a key that is not an integer below 4**n.  The arrays
+    are read-only copies; results compare and hash by value over all fields."""
 
     strategy: str
     n: int
@@ -107,7 +98,8 @@ class GroupingResult:
     starts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        keys = np.array(self.keys, dtype=np.uint64)
+        _checked_width(self.n)
+        keys = np.array(_uint64_keys(self.keys, self.n))
         coeffs = np.array(self.coeffs, dtype=np.float64)
         starts = np.array(self.starts, dtype=np.intp)
         if (keys.ndim != 1 or keys.shape != coeffs.shape or starts.ndim != 1
@@ -117,28 +109,13 @@ class GroupingResult:
         empty = np.flatnonzero(starts[1:] <= starts[:-1])
         if empty.size:
             raise ValueError(f"collection {int(empty[0])} is empty")
+        if 2 * self.n < 64:  # at 32 qubits every uint64 is a key
+            wide = np.flatnonzero(keys >> np.uint64(2 * self.n))
+            if wide.size:
+                raise ValueError(f"key {int(keys[wide[0]])} out of range for {self.n} qubits")
         for name, arr in (("keys", keys), ("coeffs", coeffs), ("starts", starts)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_collections(cls, strategy: str,
-                         collections: tuple[Collection, ...]) -> "GroupingResult":
-        """The result holding these collections of (coefficient, string)
-        members, in order.  Refuses an empty collection, and one holding
-        a string on another qubit count than the first string's."""
-        sizes = [len(col.members) for col in collections]
-        if 0 in sizes:
-            raise ValueError(f"collection {sizes.index(0)} is empty")
-        if not sizes:
-            raise ValueError("a grouping needs at least one collection")
-        n = collections[0].members[0][1].n
-        for j, col in enumerate(collections):
-            if any(p.n != n for _, p in col.members):
-                raise ValueError(f"collection {j} holds a string not on {n} qubits")
-        members = [m for col in collections for m in col.members]
-        return cls(strategy, n, [p.key() for _, p in members], [c for c, _ in members],
-                   np.concatenate(([0], np.cumsum(sizes))))
 
     def _fields(self) -> tuple:
         return (self.strategy, self.n, self.keys.tobytes(), self.coeffs.tobytes(),
@@ -151,17 +128,6 @@ class GroupingResult:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    @property
-    def collections(self) -> tuple[Collection, ...]:
-        """The collections as (coefficient, PauliString) members, built on
-        each call: a view for callers that work on objects."""
-        n, mask = self.n, (1 << self.n) - 1
-        members = [(c, PauliString._from_valid_key(k, n, mask))
-                   for k, c in zip(self.keys.tolist(), self.coeffs.tolist())]
-        bounds = self.starts.tolist()
-        return tuple(Collection(members=tuple(members[a:b]))
-                     for a, b in zip(bounds, bounds[1:]))
 
     @property
     def collection_count(self) -> int:
@@ -382,27 +348,3 @@ def measurement_cost(h: Hamiltonian, epsilon: float, mode: str = "weighted_shots
         raise ValueError(f"epsilon {epsilon} gives a shot count that is not finite")
     return count
 
-
-def allocate_shots(weights, shots: int) -> np.ndarray:
-    """Integer shot counts proportional to the weights, summing to ``shots``.
-
-    Every entry gets at least one shot; the remainder goes to the
-    largest fractional parts (deterministic tie-break by position).
-    """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an int, got {shots!r}")
-    weights = np.asarray(weights, dtype=np.float64)
-    m = weights.size
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    if shots < m:
-        raise ValueError(f"need at least {m} shots to cover every entry, got {shots}")
-    if np.any(weights < 0) or weights.sum() == 0:
-        raise ValueError("weights must be nonnegative and not all zero")
-    raw = weights / weights.sum() * (shots - m)
-    base = np.floor(raw).astype(np.int64)
-    remainder = shots - m - int(base.sum())
-    frac = raw - base
-    order = np.lexsort((np.arange(m), -frac))
-    base[order[:remainder]] += 1
-    return base + 1

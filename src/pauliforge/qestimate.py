@@ -94,6 +94,8 @@ def q_full_circuit(psi: np.ndarray, shots: int, seed: int = 0) -> QEstimate:
         raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1; use q_analytic for the exact value")
+    if shots >= 2**63:  # NumPy samples int64 counts
+        raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
     p_plus = q_circuit_marginal(psi)
     rng = np.random.default_rng(seed)
     hits = int(rng.binomial(shots, min(max(p_plus, 0.0), 1.0)))

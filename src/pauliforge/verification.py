@@ -14,16 +14,22 @@ linear algebra.
   state by its row table, and :func:`pauli_expectation` and
   :func:`hamiltonian_expectation` are the exact values the shot
   estimates are checked against.
+- Groupings as objects: :func:`collections_of` views a
+  :class:`~pauliforge.grouping.GroupingResult` as a :class:`Collection`
+  of (coefficient, PauliString) members per collection, and
+  :func:`grouping_from_collections` builds a result from them.
 - Estimation: :func:`shot_simulator` draws measurement outcomes per term,
-  or per collection of a :class:`~pauliforge.grouping.GroupingResult`
-  after numerically diagonalizing the commuting family in a shared
-  eigenbasis, so the variance formulas behind the cost models can be
-  checked empirically; :func:`shot_error_prediction` is that formula, and
-  :func:`covariance_zero_check` the vanishing Haar-average covariance of
-  two commuting strings.
+  or per collection of a grouping after numerically diagonalizing the
+  commuting family in a shared eigenbasis, with shots split by
+  :func:`allocate_shots`, so the variance formulas behind the cost models
+  can be checked empirically; :func:`shot_error_prediction` is that
+  formula, and :func:`covariance_zero_check` the vanishing Haar-average
+  covariance of two commuting strings.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +42,48 @@ from .ansatz import (
 )
 from .dense import _check_capacity, _pauli_rows, _term_rows, haar_state, pauli_matrix
 from .dynamics import exact_evolution
-from .grouping import GroupingResult, allocate_shots
+from .grouping import GroupingResult
 from .hamiltonian import Hamiltonian, _terms_by_magnitude
 from .paulis import DENSE_MAX_QUBITS, PauliString, commutes, pauli_product
 
 SANDWICH_MAX_QUBITS = 6
+
+
+@dataclass(frozen=True)
+class Collection:
+    """Mutually commuting terms measured together."""
+
+    members: tuple[tuple[float, PauliString], ...]
+
+
+def collections_of(g: GroupingResult) -> tuple[Collection, ...]:
+    """The collections of ``g`` as (coefficient, PauliString) members, built
+    on each call: a view for callers that work on objects."""
+    n, mask = g.n, (1 << g.n) - 1
+    members = [(c, PauliString._from_valid_key(k, n, mask))
+               for k, c in zip(g.keys.tolist(), g.coeffs.tolist())]
+    bounds = g.starts.tolist()
+    return tuple(Collection(members=tuple(members[a:b]))
+                 for a, b in zip(bounds, bounds[1:]))
+
+
+def grouping_from_collections(strategy: str,
+                              collections: tuple[Collection, ...]) -> GroupingResult:
+    """The result holding these collections of (coefficient, string)
+    members, in order.  Refuses an empty collection, and one holding
+    a string on another qubit count than the first string's."""
+    sizes = [len(col.members) for col in collections]
+    if 0 in sizes:
+        raise ValueError(f"collection {sizes.index(0)} is empty")
+    if not sizes:
+        raise ValueError("a grouping needs at least one collection")
+    n = collections[0].members[0][1].n
+    for j, col in enumerate(collections):
+        if any(p.n != n for _, p in col.members):
+            raise ValueError(f"collection {j} holds a string not on {n} qubits")
+    members = [m for col in collections for m in col.members]
+    return GroupingResult(strategy, n, [p.key() for _, p in members], [c for c, _ in members],
+                          np.concatenate(([0], np.cumsum(sizes))))
 
 
 def ansatz_unitary(layout: AnsatzLayout, theta) -> np.ndarray:
@@ -132,6 +175,37 @@ def hamiltonian_expectation(h: Hamiltonian, psi: np.ndarray) -> float:
                      for c, src, phase in _term_rows(h)))
 
 
+def allocate_shots(weights, shots: int) -> np.ndarray:
+    """Integer shot counts proportional to the weights, summing to ``shots``.
+
+    Every entry gets at least one shot; the remainder goes to the
+    largest fractional parts (deterministic tie-break by position).
+    The float64 shares of m weights are within one shot of exact in
+    total only up to 2**53 // (m + 1) shots, so more are refused.
+    """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an int, got {shots!r}")
+    weights = np.asarray(weights, dtype=np.float64)
+    m = weights.size
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if shots < m:
+        raise ValueError(f"need at least {m} shots to cover every entry, got {shots}")
+    limit = 2**53 // (m + 1)
+    if shots > limit:
+        raise ValueError(f"shots must be at most 2**53 // (m + 1) = {limit} "
+                         f"for m = {m} weights, got {shots}")
+    if np.any(weights < 0) or weights.sum() == 0:
+        raise ValueError("weights must be nonnegative and not all zero")
+    raw = weights / weights.sum() * (shots - m)
+    base = np.floor(raw).astype(np.int64)
+    remainder = shots - m - int(base.sum())
+    frac = raw - base
+    order = np.lexsort((np.arange(m), -frac))
+    base[order[:remainder]] += 1
+    return base + 1
+
+
 def _counts_per_term(counts, m: int) -> np.ndarray:
     """Explicit shot counts as int64, refused unless they are one int >= 1
     for each of the m terms.  NumPy reads a list mixing bools with ints
@@ -201,7 +275,7 @@ def shot_simulator(h: Hamiltonian, state: np.ndarray, allocation="weighted",
     if isinstance(allocation, GroupingResult):
         counts = allocate_shots(allocation.l2_norms(), shots)
         estimate = 0.0
-        for col, s_i in zip(allocation.collections, counts):
+        for col, s_i in zip(collections_of(allocation), counts):
             w, diags = _shared_eigenbasis(col.members, rng)
             probs = np.abs(w.conj().T @ state) ** 2
             probs = np.clip(probs, 0.0, None)

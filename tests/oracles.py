@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pauliforge.ansatz import CompiledAnsatz, Gate, hardware_efficient_layout, layout_from_gates
-from pauliforge.grouping import COMMUTATION_KINDS, Collection, GroupingResult
+from pauliforge.grouping import COMMUTATION_KINDS, GroupingResult
 from pauliforge.hamiltonian import Hamiltonian, _terms_by_magnitude
 from pauliforge.model_io import PauliSumParseError
 from pauliforge.paulis import (
@@ -50,6 +50,7 @@ from pauliforge.optimize import (
     _forward_cost,
     _value_and_grad,
 )
+from pauliforge.verification import Collection, collections_of, grouping_from_collections
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -538,7 +539,7 @@ def sorted_insertion_reference(h: Hamiltonian, commutation: str = "general") -> 
             groups.append([(c, p)])
 
     collections = tuple(Collection(members=tuple(members)) for members in groups)
-    return GroupingResult.from_collections(f"sorted_insertion/{commutation}", collections)
+    return grouping_from_collections(f"sorted_insertion/{commutation}", collections)
 
 
 # -- grouped-norm and grouping-document references -----------------------
@@ -549,7 +550,7 @@ def sorted_insertion_reference(h: Hamiltonian, commutation: str = "general") -> 
 
 def grouped_norm_reference(g: GroupingResult) -> float:
     total = 0.0
-    for col in g.collections:
+    for col in collections_of(g):
         squares = 0.0
         for c, _ in col.members:
             squares += c * c
@@ -558,16 +559,16 @@ def grouped_norm_reference(g: GroupingResult) -> float:
 
 
 def grouping_result_to_dict_reference(g: GroupingResult) -> dict:
-    members = [p for col in g.collections for _, p in col.members]
+    members = [p for col in collections_of(g) for _, p in col.members]
     keys = np.array([p.key() for p in members], dtype=np.uint64)
     labels = iter(labels_from_digits(digits_from_keys(keys, g.n)))
     return {
         "strategy": g.strategy,
-        "collection_count": len(g.collections),
+        "collection_count": len(collections_of(g)),
         "grouped_norm": grouped_norm_reference(g),
         "collections": [
             [{"label": next(labels), "coefficient": c} for c, _ in col.members]
-            for col in g.collections
+            for col in collections_of(g)
         ],
     }
 

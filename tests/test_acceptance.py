@@ -20,7 +20,7 @@ from pauliforge.ansatz import (
 )
 from pauliforge.cli import main as cli_main
 from pauliforge.dynamics import qdrift_channel_error, qdrift_error
-from pauliforge.grouping import allocate_shots, sorted_insertion
+from pauliforge.grouping import sorted_insertion
 from pauliforge.hamiltonian import (
     CoefficientVector,
     Hamiltonian,
@@ -35,7 +35,9 @@ from pauliforge.paulis import PauliString
 from pauliforge.qestimate import q_analytic, q_circuit_marginal, q_full_circuit
 from pauliforge.results import stable_json
 from pauliforge.verification import (
+    allocate_shots,
     build_encoded_v,
+    collections_of,
     covariance_zero_check,
     sandwich_check,
     shot_error_prediction,
@@ -63,8 +65,8 @@ def test_c01_sorted_insertion_golden():
     assert elapsed < 1e-3
 
     assert g.collection_count == 2
-    assert [(c, p.label) for c, p in g.collections[0].members] == [(3.0, "XI")]
-    assert [(c, p.label) for c, p in g.collections[1].members] == [(2.0, "ZZ"), (-1.0, "YY")]
+    assert [(c, p.label) for c, p in collections_of(g)[0].members] == [(3.0, "XI")]
+    assert [(c, p.label) for c, p in collections_of(g)[1].members] == [(2.0, "ZZ"), (-1.0, "YY")]
     assert abs(g.grouped_norm - (3.0 + np.sqrt(5.0))) <= 1e-9
     assert abs(g.grouped_norm - 5.23607) <= 1e-5
     assert pauli_norm(GOLDEN_2Q) == 6.0

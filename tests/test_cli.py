@@ -263,6 +263,8 @@ class TestFlagValidation:
         (("group", "--seed", "-1"), "--seed"),
         (("qdrift", "--seed", "-1"), "--seed"),
         (("compare", "--family", "ising-neighbor", "--sizes", "2", "--seed", "-1"), "--seed"),
+        (("estimate-q", "--shots", "9223372036854775808"), "--shots"),
+        (("estimate-q", "--shots", "99999999999999999999999"), "--shots"),
     ])
     def test_rejected_before_any_work(self, capsys, tmp_path, argv, flag):
         # The input file does not exist: the flag error must come first.

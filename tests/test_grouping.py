@@ -14,9 +14,7 @@ import pauliforge.grouping as grouping_module
 import pauliforge.verification as verification_module
 from pauliforge.grouping import (
     COMMUTATION_KINDS,
-    Collection,
     GroupingResult,
-    allocate_shots,
     measurement_cost,
     sorted_insertion,
 )
@@ -24,7 +22,11 @@ from pauliforge.dense import haar_state
 from pauliforge.hamiltonian import Hamiltonian, l2_norm, pauli_norm
 from pauliforge.paulis import PauliString, commutes, qubit_wise_commutes
 from pauliforge.verification import (
+    Collection,
+    allocate_shots,
+    collections_of,
     covariance_zero_check,
+    grouping_from_collections,
     hamiltonian_expectation,
     shot_error_prediction,
     shot_simulator,
@@ -45,8 +47,8 @@ class TestSortedInsertion:
     def test_golden_example(self):
         g = sorted_insertion(Hamiltonian(2, GOLDEN_2Q))
         assert g.collection_count == 2
-        first = [(c, p.label) for c, p in g.collections[0].members]
-        second = [(c, p.label) for c, p in g.collections[1].members]
+        first = [(c, p.label) for c, p in collections_of(g)[0].members]
+        second = [(c, p.label) for c, p in collections_of(g)[1].members]
         assert first == [(3.0, "XI")]
         assert second == [(2.0, "ZZ"), (-1.0, "YY")]
         assert np.isclose(g.grouped_norm, 3.0 + np.sqrt(5.0), atol=1e-12)
@@ -76,7 +78,7 @@ class TestSortedInsertion:
         for commutation in ("general", "qubit_wise"):
             g = sorted_insertion(h, commutation)
             seen = {}
-            for col in g.collections:
+            for col in collections_of(g):
                 for c, p in col.members:
                     assert p not in seen
                     seen[p] = c
@@ -87,7 +89,7 @@ class TestSortedInsertion:
         h = random_hamiltonian(3, 20, rng)
         for commutation, check in (("general", commutes), ("qubit_wise", qubit_wise_commutes)):
             g = sorted_insertion(h, commutation)
-            for col in g.collections:
+            for col in collections_of(g):
                 strings = [p for _, p in col.members]
                 assert all(check(a, b) for a in strings for b in strings)
 
@@ -95,7 +97,7 @@ class TestSortedInsertion:
         rng = np.random.default_rng(4)
         h = random_hamiltonian(3, 20, rng)
         g = sorted_insertion(h, "qubit_wise")
-        for col in g.collections:
+        for col in collections_of(g):
             strings = [p for _, p in col.members]
             assert all(commutes(a, b) for a in strings for b in strings)
 
@@ -103,11 +105,11 @@ class TestSortedInsertion:
         h = Hamiltonian(2, {"XI": 1.0, "IX": 1.0, "ZZ": 1.0})
         g1 = sorted_insertion(h)
         g2 = sorted_insertion(h)
-        assert [(tuple(col.members)) for col in g1.collections] == [
-            (tuple(col.members)) for col in g2.collections
+        assert [(tuple(col.members)) for col in collections_of(g1)] == [
+            (tuple(col.members)) for col in collections_of(g2)
         ]
         # ties sort by label: IX before XI
-        assert g1.collections[0].members[0][1].label == "IX"
+        assert collections_of(g1)[0].members[0][1].label == "IX"
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -119,7 +121,7 @@ class TestSortedInsertion:
         g = sorted_insertion(h, commutation)
         assert g == sorted_insertion_reference(h, commutation)
         compatible = PREDICATES[commutation]
-        for col in g.collections:
+        for col in collections_of(g):
             strings = [p for _, p in col.members]
             assert all(compatible(a, b) for a in strings for b in strings)
 
@@ -202,7 +204,7 @@ class TestQubitWiseBlocks:
     def _grouped(h):
         g = sorted_insertion(h, "qubit_wise")
         assert g == sorted_insertion_reference(h, "qubit_wise")
-        return [[p for _, p in col.members] for col in g.collections]
+        return [[p for _, p in col.members] for col in collections_of(g)]
 
     def test_pairwise_incompatible_terms_each_open_a_collection(self):
         """All 128 X/Z strings on 7 qubits clash pairwise, so every
@@ -273,7 +275,7 @@ class TestGroupedNorm:
         rng = np.random.default_rng(5)
         h = random_hamiltonian(2, 8, rng)
         cols = tuple(Collection(members=((c, p),)) for p, c in h.terms_by_index())
-        g = GroupingResult.from_collections("singletons", cols)
+        g = grouping_from_collections("singletons", cols)
         assert np.isclose(g.grouped_norm, pauli_norm(h), atol=1e-12)
 
     def test_sandwich_bounds(self):
@@ -307,15 +309,15 @@ class TestGroupedNorm:
 
 class TestGroupingResult:
     """A grouping is held as packed keys, coefficients and CSR offsets;
-    ``collections`` is a view of them as objects."""
+    ``collections_of`` is a view of them as objects."""
 
     def test_collections_view_round_trips(self):
         h = random_hamiltonian(4, 30, np.random.default_rng(15))
         for commutation in COMMUTATION_KINDS:
             g = sorted_insertion(h, commutation)
-            again = GroupingResult.from_collections(g.strategy, g.collections)
+            again = grouping_from_collections(g.strategy, collections_of(g))
             assert again == g and hash(again) == hash(g)
-            assert again != GroupingResult.from_collections("other", g.collections)
+            assert again != grouping_from_collections("other", collections_of(g))
 
     def test_arrays_are_read_only_copies(self):
         keys = np.array([1, 2], dtype=np.uint64)
@@ -328,19 +330,57 @@ class TestGroupingResult:
     def test_empty_collection_refused_with_its_index(self):
         g = sorted_insertion(Hamiltonian(2, GOLDEN_2Q))
         with pytest.raises(ValueError, match="collection 2 is empty"):
-            GroupingResult.from_collections(g.strategy, (*g.collections, Collection(())))
+            grouping_from_collections(g.strategy, (*collections_of(g), Collection(())))
         with pytest.raises(ValueError, match="collection 0 is empty"):
-            GroupingResult.from_collections(g.strategy, (Collection(()), *g.collections))
+            grouping_from_collections(g.strategy, (Collection(()), *collections_of(g)))
         with pytest.raises(ValueError, match="collection 1 is empty"):
             GroupingResult("s", 2, g.keys, g.coeffs, [0, 1, 1, 3])
         with pytest.raises(ValueError, match="at least one collection"):
-            GroupingResult.from_collections("s", ())
+            grouping_from_collections("s", ())
 
     def test_other_qubit_count_refused_with_its_index(self):
         two = Collection(((1.0, PauliString.from_label("XI")),))
         one = Collection(((2.0, PauliString.from_label("Z")),))
         with pytest.raises(ValueError, match="collection 1 holds a string not on 2 qubits"):
-            GroupingResult.from_collections("s", (two, one))
+            grouping_from_collections("s", (two, one))
+
+    @pytest.mark.parametrize("n", [0, -1, 33])
+    def test_qubit_count_outside_range_refused(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"qubit count must be in 1..32, got {n}")):
+            GroupingResult("s", n, [0], [1.0], [0, 1])
+
+    @pytest.mark.parametrize("keys, message", [
+        # the view built a 2-qubit string with x = 250, which the document labelled "IX"
+        ([1000], "key 1000 out of range for 2 qubits"),
+        ([15, 16, 17], "key 16 out of range for 2 qubits"),
+        ([1.5], "keys must be integers, got 1.5"),  # was truncated to 1
+        (["3"], "keys must be integers, got '3'"),
+        (np.array([1.0]), "keys must be integers, got dtype float64"),
+        ([-1], "key -1 out of range for 2 qubits"),
+        (np.array([-1]), "key -1 out of range for 2 qubits"),
+    ], ids=repr)
+    def test_key_that_two_qubits_cannot_hold_refused(self, keys, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GroupingResult("s", 2, keys, [1.0] * len(keys), [0, len(keys)])
+
+    def test_largest_key_accepted(self):
+        assert GroupingResult("s", 2, [15], [1.0], [0, 1]).keys.tolist() == [15]
+        # at 32 qubits every uint64 is a key
+        assert GroupingResult("s", 32, [2**64 - 1], [1.0], [0, 1]).keys.tolist() == [2**64 - 1]
+
+
+def test_grouping_module_keeps_only_what_group_runs():
+    # the object view and the shot allocator live in pauliforge.verification alone
+    assert not any(hasattr(grouping_module, name) for name in
+                   ("Collection", "allocate_shots", "collections_of",
+                    "grouping_from_collections", "PauliString"))
+    assert not any(hasattr(GroupingResult, name) for name in ("collections", "from_collections"))
+    assert (verification_module.Collection, verification_module.allocate_shots,
+            verification_module.collections_of, verification_module.grouping_from_collections) \
+        == (Collection, allocate_shots, collections_of, grouping_from_collections)
+    # both predicates stay bound by name for the benchmark tracer
+    assert grouping_module.commutes is commutes
+    assert grouping_module.qubit_wise_commutes is qubit_wise_commutes
 
 
 class TestMeasurementCost:
@@ -408,6 +448,27 @@ class TestAllocateShots:
         assert allocate_shots([3.0, 1.0], np.int64(4000)).tolist() == allocate_shots(
             [3.0, 1.0], 4000).tolist()
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 33])
+    def test_counts_sum_to_shots_up_to_the_limit(self, m):
+        limit = 2**53 // (m + 1)
+        rng = np.random.default_rng(m)
+        for _ in range(100):
+            counts = allocate_shots(rng.random(m) + 0.5, limit)
+            assert int(counts.sum()) == limit and counts.min() >= 1
+
+    @pytest.mark.parametrize("weights, shots", [
+        ([1.009, 0.598], 2**53 - 1),  # the float shares summed to shots + 2
+        ([1.0, 1.0], 2**53 // 3 + 1),
+        ([1.0], 2**53 // 2 + 1),
+        ([3.0, 1.0], 10**20),  # the counts wrapped to negative int64
+        ([3.0, 1.0], np.uint64(2**63)),
+    ], ids=repr)
+    def test_shots_past_the_limit_refused(self, weights, shots):
+        limit = 2**53 // (len(weights) + 1)
+        message = f"shots must be at most 2**53 // (m + 1) = {limit} for m = {len(weights)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            allocate_shots(weights, shots)
+
 
 class TestShotSimulator:
     def test_z_on_zero_state_deterministic(self):
@@ -473,7 +534,7 @@ class TestShotSimulator:
         the packed-key parity test refuses it before the exact value or
         any Pauli matrix is formed."""
         h = Hamiltonian(2, {"IZ": 2.0, "XI": 1.0, "ZI": 0.5})
-        g = GroupingResult.from_collections("s", (
+        g = grouping_from_collections("s", (
             Collection(((2.0, PauliString.from_label("IZ")),)),
             Collection(((1.0, PauliString.from_label("XI")),
                         (0.5, PauliString.from_label("ZI")))),
@@ -491,7 +552,7 @@ class TestShotSimulator:
         coefficients match h, but the copy would be measured twice."""
         h = Hamiltonian(2, GOLDEN_2Q)
         g = sorted_insertion(h)
-        twice = GroupingResult.from_collections(g.strategy, (*g.collections, g.collections[0]))
+        twice = grouping_from_collections(g.strategy, (*collections_of(g), collections_of(g)[0]))
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         with pytest.raises(ValueError, match="grouping must hold"):

@@ -1,5 +1,7 @@
 """Swap-test circuit emulation for the concentration value Q."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,17 @@ class TestFullCircuit:
     def test_numpy_int_shots_accepted(self):
         psi = np.array([0.6, 0.8])
         assert q_full_circuit(psi, np.int64(50), seed=3) == q_full_circuit(psi, 50, seed=3)
+
+    @pytest.mark.parametrize("shots", [2**63, np.uint64(2**63), 10**23], ids=repr)
+    def test_shots_past_int64_refused(self, shots):
+        # NumPy's binomial raised OverflowError on these
+        message = f"shots must be at most 2**63 - 1, got {shots}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            q_full_circuit(np.array([1.0, 0.0]), shots=shots)
+
+    def test_int64_max_shots_accepted(self):
+        est = q_full_circuit(np.array([1.0, 0.0]), shots=2**63 - 1)
+        assert est.shots == 2**63 - 1 and est.q_value == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
