@@ -55,6 +55,7 @@ _LAZY = {
     "optimize": "optimize",
     "sorted_insertion": "grouping",
     "engineered_qdrift_cost": "dynamics",
+    "_RunSetup": "dynamics",
     "qdrift_channel_error": "dynamics",
     "qdrift_error": "dynamics",
     "q_analytic": "qestimate",
@@ -195,10 +196,12 @@ def cmd_qdrift(args) -> str:
         raise _InputError(f"--time {args.time} times the Pauli norm {gamma} is not finite")
     t0 = time.perf_counter()
     rows = []
+    setup = _lib("_RunSetup")(h, args.time, args.seed)
     for g in args.gates:
-        mean, stderr = _lib("qdrift_error")(h, args.time, g, trials=args.trials, seed=args.seed)
+        mean, stderr = _lib("qdrift_error")(h, args.time, g, trials=args.trials, seed=args.seed,
+                                            setup=setup)
         channel = _lib("qdrift_channel_error")(h, args.time, g, trials=args.trials,
-                                               seed=args.seed)
+                                               seed=args.seed, setup=setup)
         rows.append({
             "gates": g,
             "tau": args.time * gamma / g,

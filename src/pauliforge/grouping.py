@@ -227,8 +227,9 @@ def _general_first_fit(keys: np.ndarray, swapped: np.ndarray, owner: np.ndarray)
         if opened:
             # rebuild: each open row is the OR of its members' parity rows
             placed = np.argsort(owner[:w0], kind="stable")
-            for a in range(0, w0, rows):
-                chunk = placed[a:a + rows]
+            step = max(1, cells // width)  # as many placed terms as fill `bits`
+            for a in range(0, w0, step):
+                chunk = placed[a:a + step]
                 anti = _anticommuting(keys[chunk], swapped[w0:w1], bits, parity)
                 own = owner[chunk]
                 starts = np.flatnonzero(np.diff(own, prepend=-1))

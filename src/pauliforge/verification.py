@@ -181,7 +181,8 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
     Every entry gets at least one shot; the remainder goes to the
     largest fractional parts (deterministic tie-break by position).
     The float64 shares of m weights are within one shot of exact in
-    total only up to 2**53 // (m + 1) shots, so more are refused.
+    total only up to 2**53 // (m + 1) shots, so more are refused, as are
+    finite weights whose sum overflows to inf.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an int, got {shots!r}")
@@ -195,9 +196,13 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
     if shots > limit:
         raise ValueError(f"shots must be at most 2**53 // (m + 1) = {limit} "
                          f"for m = {m} weights, got {shots}")
-    if np.any(weights < 0) or weights.sum() == 0:
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if np.any(weights < 0) or total == 0:
         raise ValueError("weights must be nonnegative and not all zero")
-    raw = weights / weights.sum() * (shots - m)
+    if not np.isfinite(total):
+        raise ValueError(f"weights must have a finite sum, got {total}")
+    raw = weights / total * (shots - m)
     base = np.floor(raw).astype(np.int64)
     remainder = shots - m - int(base.sum())
     frac = raw - base

@@ -518,6 +518,7 @@ _CALL_CASES = [
     ("sorted_insertion", ("group", "--ham", "ising-neighbor:3")),
     ("qdrift_error", _QDRIFT),
     ("qdrift_channel_error", _QDRIFT),
+    ("_RunSetup", _QDRIFT),
     ("engineered_qdrift_cost", ("compare", "--family", "ising-neighbor", "--sizes", "2",
                                 "--restarts", "1", "--iterations", "1")),
     ("q_analytic", ("estimate-q", "--ham", "ising-neighbor:2")),

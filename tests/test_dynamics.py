@@ -1,6 +1,7 @@
 """Exact evolution, product formulas, qDrift sampling, and the sandwich identity."""
 
 import dataclasses
+import json
 import re
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliforge import dynamics
+from pauliforge import cli, dynamics
 from pauliforge.ansatz import CompiledAnsatz, apply_ansatz, hardware_efficient_layout
 from pauliforge.dense import pauli_matrix
 from pauliforge.dynamics import (
@@ -166,6 +167,25 @@ class TestQDriftSample:
         assert a != qdrift_sample(h, 1.0, 5, 1)
         assert not a.indices.flags.writeable
 
+    @pytest.mark.parametrize("indices", [[0.7, 1.9], [0.0, np.nan], [0.0, np.inf], [0j, 1j],
+                                         ["0", "1"]], ids=repr)
+    def test_plan_indices_that_are_not_integers_refused(self, indices):
+        """Indices are refused, not truncated to [0, 1]."""
+        with pytest.raises(ValueError, match="indices must be integers"):
+            QDriftPlan(gamma=6.0, tau=0.1, gate_count=2, indices=indices, seed=0)
+
+    def test_plan_indices_that_are_integers_kept(self):
+        for indices in ([0, 2], [0.0, 2.0], np.array([0, 2], dtype=np.uint8)):
+            plan = QDriftPlan(gamma=6.0, tau=0.1, gate_count=2, indices=indices, seed=0)
+            assert plan.indices.dtype == np.intp and plan.indices.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("gamma, tau", [(6.0, np.nan), (6.0, np.inf), (np.nan, 0.1),
+                                            (-np.inf, 0.1)])
+    def test_plan_step_that_is_not_finite_refused(self, gamma, tau):
+        """A NaN tau would apply as all-NaN states."""
+        with pytest.raises(ValueError, match="must be finite"):
+            QDriftPlan(gamma=gamma, tau=tau, gate_count=2, indices=[0, 1], seed=0)
+
     def test_plan_for_another_gamma_rejected(self):
         h = Hamiltonian(2, GOLDEN_2Q)
         plan = qdrift_sample(2.0 * h, 1.0, 5, seed=0)
@@ -315,7 +335,7 @@ class TestDrawMatchesChoice:
         w = np.abs([c for _, c in h.terms_by_index()])
         p = w / w.sum()
         expected = [np.random.default_rng(seed).choice(len(p), size=gates, p=p) for seed in seeds]
-        q = dynamics._QDrift(h, gates)
+        q = dynamics._QDrift(h)
         for seed, want in zip(seeds, expected):
             single = q.draw([np.random.default_rng(seed)], gates)
             assert single.dtype == want.dtype and single.shape == (1, gates)
@@ -394,6 +414,27 @@ class TestBatchedAgainstReference:
             assert (qdrift_channel_error(h, t, gates, trials=trials, seed=seed)
                     == qdrift_channel_error_reference(h, t, gates, trials=trials, seed=seed))
 
+    @settings(max_examples=40, deadline=None)
+    @given(h=qdrift_hamiltonians(),
+           t=st.one_of(st.just(0.0), st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
+           gate_counts=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+           trials=st.integers(2, 7), chunk_amplitudes=st.integers(1, 3000),
+           chunk_draws=st.integers(1, 30), seed=st.integers(0, 2**16))
+    def test_shared_setup_matches_fresh_runs(self, h, t, gate_counts, trials, chunk_amplitudes,
+                                             chunk_draws, seed):
+        """One setup serves a sweep over G, in any order and with repeats:
+        each run equals the run that builds its own, bit for bit, with
+        trial chunks, channel batches and eigvalsh groups cut small."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK_AMPLITUDES", chunk_amplitudes)
+            mp.setattr(dynamics, "_CHUNK_DRAWS", chunk_draws)
+            setup = dynamics._RunSetup(h, t, seed)
+            for gates in gate_counts:
+                assert (qdrift_error(h, t, gates, trials=trials, seed=seed, setup=setup)
+                        == qdrift_error(h, t, gates, trials=trials, seed=seed))
+                assert (qdrift_channel_error(h, t, gates, trials=trials, seed=seed, setup=setup)
+                        == qdrift_channel_error(h, t, gates, trials=trials, seed=seed))
+
     def test_more_trials_than_one_chunk(self):
         h = ising_neighbor(4)
         trials = _CHUNK_AMPLITUDES // (_PANEL_SIZE << h.n) + 1
@@ -460,6 +501,56 @@ class TestPlanTableBound:
     def test_benchmark_sizes_draw_whole_plans(self, tables, h, gates, trials, shapes):
         qdrift_error(h, 0.5, gates, trials=trials, seed=1)
         assert tables == shapes
+
+
+class TestRunSetup:
+    """A qdrift sweep builds its panel, exact outputs and row tables once,
+    whatever the number of gate counts."""
+
+    @pytest.mark.parametrize("ham, gates", [("ising-neighbor:2", "10,40,160,640"),
+                                            ("ising-neighbor:6", "10,40,160")])
+    def test_one_command_sets_up_once(self, capsys, monkeypatch, ham, gates):
+        calls = {"exact_evolution": 0, "haar_state": 0, "_pauli_rows": 0}
+
+        def counted(name):
+            original = getattr(dynamics, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(dynamics, name, counted(name))
+        assert cli.main(["qdrift", "--ham", ham, "--time", "0.5", "--gates", gates,
+                         "--trials", "10", "--seed", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]["rows"]) == len(gates.split(","))
+        assert calls == {"exact_evolution": 1, "haar_state": _PANEL_SIZE, "_pauli_rows": 1}
+
+    @pytest.mark.parametrize("run", [qdrift_error, qdrift_channel_error])
+    def test_setup_for_another_run_refused(self, run):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        setup = dynamics._RunSetup(h, 0.5, 1)
+        for other_h, t, seed in ((2.0 * h, 0.5, 1), (ising_neighbor(2), 0.5, 1),
+                                 (h, 0.6, 1), (h, 0.5, 2)):
+            with pytest.raises(ValueError, match="built for another"):
+                run(other_h, t, 10, trials=2, seed=seed, setup=setup)
+        run(Hamiltonian(2, GOLDEN_2Q), 0.5, 10, trials=2, seed=1, setup=setup)
+
+    def test_benchmark_size_sweep_peak_memory(self):
+        # the parent of the shared setup peaked at 2882 KiB in the G = 160
+        # channel run; one einsum product and the accumulator are 1.25 MiB each
+        h = ising_neighbor(6)
+        tracemalloc.start()
+        try:
+            setup = dynamics._RunSetup(h, 0.5, 1)
+            for gates in (10, 40, 160):
+                qdrift_error(h, 0.5, gates, trials=50, seed=1, setup=setup)
+                qdrift_channel_error(h, 0.5, gates, trials=50, seed=1, setup=setup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
 
 class TestSandwich:

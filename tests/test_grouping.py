@@ -1,5 +1,6 @@
 """Grouping strategies, grouped norm, cost models, and the shot simulator."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -150,6 +151,30 @@ class TestSortedInsertion:
             for width in range(1, 8):
                 with mock.patch.object(grouping_module, "_TABLE_ENTRIES", (1 + width) * width):
                     assert sorted_insertion(h, commutation) == expected
+
+    def test_window_rebuild_spans_several_blocks(self):
+        """A window's open rows are rebuilt from the placed terms as many at
+        a time as fill the parity buffer, m entries here: over 40 commuting
+        terms in 4-candidate windows, that is 10 terms a test, so the later
+        rebuilds take up to four tests.  The grouping is the reference's."""
+        labels = ["".join(p) for p in itertools.product("IZ", repeat=6)][1:41]
+        h = Hamiltonian(6, {label: float(i + 1) for i, label in enumerate(labels)})
+        tested = []
+        anticommuting = grouping_module._anticommuting
+
+        def spy(rows, *args):
+            tested.append(rows.size)
+            return anticommuting(rows, *args)
+
+        with mock.patch.object(grouping_module, "_BLOCK_ENTRIES", 1), \
+                mock.patch.object(grouping_module, "_TABLE_ENTRIES", (2 + 4) * 4), \
+                mock.patch.object(grouping_module, "_anticommuting", spy):
+            assert sorted_insertion(h, "general") == sorted_insertion_reference(h, "general")
+        # one-candidate blocks test one term; every rebuild test holds more
+        rebuilds = [size for size in tested if size > 1]
+        assert rebuilds == [size for w0 in range(4, 40, 4)
+                            for size in [10] * (w0 // 10) + [w0 % 10] if size]
+        assert tested.count(1) == 40
 
     def test_conflict_table_memory_is_bounded(self):
         """General grouping of 6000 terms peaks far below the m**2 bytes
@@ -438,6 +463,14 @@ class TestAllocateShots:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             allocate_shots([1.0, bad], 10)
+
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [1e308] * 3 + [0.0]], ids=repr)
+    def test_weight_sum_that_overflows_rejected(self, weights):
+        """Finite weights whose sum is inf would give counts that do not
+        sum to ``shots`` ([2, 2] for 10 shots); they are refused, and the
+        overflow raises no warning on the way."""
+        with pytest.raises(ValueError, match="finite sum"):
+            allocate_shots(weights, 10)
 
     @pytest.mark.parametrize("shots", [10.5, 10.0, True, "10", None], ids=repr)
     def test_non_int_shots_rejected(self, shots):
