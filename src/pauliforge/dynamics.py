@@ -26,22 +26,36 @@ chunks hold at most ``_CHUNK_AMPLITUDES`` output amplitudes whatever
 ``trials`` is, and the state errors are reduced a chunk at a time.  A
 chunk's plans are drawn and applied a segment of gates at a time, so the
 table of draws holds at most ``_CHUNK_DRAWS`` entries whatever G is; a
-generator's uniforms drawn in pieces are those of one call.  The channel
-run forms the outer products of a batch of trials per einsum, within
-``_CHUNK_AMPLITUDES`` entries, adds them up in trial order, and takes
-the eigenvalues of a group of panel columns per eigvalsh call.  The
-outputs and their reductions are those of one dense product per trial
-bit for bit, with or without a shared setup.
+stream's uniforms drawn in pieces are those of one call.
+
+The channel run forms only the lower triangle of each trial-averaged
+density matrix, the part eigvalsh (UPLO="L") reads; the upper triangle
+is never formed.  It cuts the rows into blocks of
+``_CHUNK_AMPLITUDES // (20 * 2^n)`` rows (all of them at n <= 4); each
+block's products, a batch of trials at a time, stay within
+``max(_CHUNK_AMPLITUDES, 20 * 2^n)`` entries per einsum and add up in
+trial order in a contiguous sum of the block's own.  The eigenvalues of a
+group of panel columns are taken per eigvalsh call.  The outputs and
+their reductions are those of one dense product per trial bit for bit,
+with or without a shared setup.
 
 Seed streams (the reproducibility contract, unchanged by the shared
 setup): ``qdrift_sample`` uses ``default_rng(seed)``; trial k of
 ``qdrift_error`` uses the k-th child of ``SeedSequence(seed).spawn(trials)``,
 and of ``qdrift_channel_error`` that of ``SeedSequence((seed, G)).spawn(trials)``.
+No NumPy SeedSequence or bit generator is built per trial: NumPy builds
+the root, and so refuses a seed it would refuse; the SeedSequence hash of
+a chunk's children then runs as uint32 array arithmetic, Python ints
+turn each child's words into the PCG64 state that ``PCG64(child)``
+starts in, and one Generator per run is put in each state in turn.  The
+root's hashed words are kept on the setup, so the state run, whose root
+is ``SeedSequence(seed)`` for every G, hashes them once per command.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -63,6 +77,16 @@ _CHUNK_AMPLITUDES = 1 << 14
 # Plan entries (trials x gates) drawn at once in an error run: 1 MiB of
 # uniforms and 1 MiB of indices, whatever the gate count.
 _CHUNK_DRAWS = 1 << 17
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
+# default pool of 4 words, and PCG64's 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def exact_evolution(h: Hamiltonian, t: float) -> np.ndarray:
@@ -115,11 +139,11 @@ class QDriftPlan:
 
 class _QDrift:
     """The one qDrift path for a Hamiltonian: p_j over terms_by_index(),
-    plans drawn from the caller's Generators, and plans applied
-    matrix-free to a stack of trials.  Nothing here depends on the gate
-    count, so one instance serves every G.  Each term is a source-row
-    table and a phase table (built on first use only), so one step of
-    every trial is one row gather and one multiply."""
+    plans drawn through one Generator from the caller's stream states,
+    and plans applied matrix-free to a stack of trials.  Nothing here
+    depends on the gate count, so one instance serves every G.  Each term
+    is a source-row table and a phase table (built on first use only), so
+    one step of every trial is one row gather and one multiply."""
 
     def __init__(self, h: Hamiltonian):
         if len(h) == 0:
@@ -143,18 +167,27 @@ class _QDrift:
             raise ValueError(f"qdrift step t*gamma/G = {tau} is not finite for t = {t}")
         return tau
 
-    def draw(self, rngs: list[np.random.Generator], size: int) -> np.ndarray:
-        """(len(rngs), size) term indices; row r is what
-        rngs[r].choice(terms, size=size, p=p) would return."""
-        uniforms = np.empty((len(rngs), size))
-        for rng, row in zip(rngs, uniforms):
+    def draw(self, rng: np.random.Generator, states: list[dict], size: int,
+             done: int = 0) -> np.ndarray:
+        """(len(states), size) term indices; row r is what
+        rng.choice(terms, size=size, p=p) would return with rng's bit
+        generator put in states[r] and advanced past ``done`` uniforms, so
+        a plan drawn a segment at a time is the plan drawn whole.  One
+        generator serves every row."""
+        uniforms = np.empty((len(states), size))
+        bit_generator = rng.bit_generator
+        for state, row in zip(states, uniforms):
+            bit_generator.state = state
+            if done:
+                bit_generator.advance(done)
             rng.random(out=row)
         return self._cdf.searchsorted(uniforms, side="right")
 
     def sample(self, t: float, gate_count: int, rng: np.random.Generator,
                seed: int) -> QDriftPlan:
+        indices = self.draw(rng, [rng.bit_generator.state], gate_count)[0]
         return QDriftPlan(gamma=self.gamma, tau=self.tau(t, gate_count), gate_count=gate_count,
-                          indices=self.draw([rng], gate_count)[0], seed=seed)
+                          indices=indices, seed=seed)
 
     def apply(self, tau: float, indices: np.ndarray, out: np.ndarray) -> None:
         """Apply row r of ``indices`` (trials x steps) to the (2^n, k)
@@ -193,7 +226,15 @@ class _QDrift:
                 np.subtract(out, moved, out=out)
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse a bool or a count that is not an integer (NumPy integers
+    pass) before it reaches an array shape."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_gate_count(gate_count: int) -> None:
+    _check_count(gate_count, "gate count")
     if gate_count < 1:
         raise ValueError(f"gate count must be >= 1, got {gate_count}")
 
@@ -236,11 +277,111 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
     return out.reshape(states.shape)
 
 
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of a uint32 word, or of a uint32 array word
+    by word: the hashed value and the next hash constant."""
+    following = const * mult & _MASK32
+    value = (value ^ const) * following & _MASK32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _entropy_words(entropy) -> tuple[int, ...]:
+    """The uint32 words SeedSequence(entropy) hashes.  NumPy builds the
+    root first, so a seed it refuses is refused as it refuses it, before
+    any word is taken."""
+
+    def words(x) -> list[int]:
+        if isinstance(x, np.ndarray) and x.dtype == np.uint32:
+            return x.tolist()
+        if isinstance(x, str):  # NumPy takes text inside a sequence: hex or decimal
+            x = int(x, 16 if x.startswith("0x") else 10)
+        if isinstance(x, (int, np.integer)):
+            x = int(x)
+            out = [x & _MASK32]
+            while x := x >> 32:
+                out.append(x & _MASK32)
+            return out
+        return [w for v in x for w in words(v)]
+
+    return tuple(words(np.random.SeedSequence(entropy).entropy))
+
+
+class _SpawnRoot:
+    """The children of SeedSequence(entropy), seeded in bulk.
+
+    Child i of ``spawn`` hashes the root's entropy, padded to the pool,
+    then its spawn key (i,).  Everything before the key is the same for
+    every child, so it is hashed once here; the key words, and the
+    generate_state(4, uint64) that PCG64 seeds from, are hashed for a
+    range of children at once as uint32 arrays."""
+
+    def __init__(self, words: tuple[int, ...]):
+        words = words + (0,) * (_POOL_SIZE - len(words))
+        const, pool = _INIT_A, []
+        for word in words[:_POOL_SIZE]:
+            value, const = _hashmix(word, const)
+            pool.append(value)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    value, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                value, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], value)
+        self._pool, self._const = pool, const
+
+    def states(self, start: int, count: int) -> list[dict]:
+        """The PCG64 states that PCG64(child) starts in, for children
+        start, ..., start + count - 1.  A key below 2**32 is one word,
+        one below 2**64 two; children past that are refused."""
+        stop = start + count
+        if not 0 <= start <= stop <= 1 << 64:
+            raise ValueError(f"children {start}..{stop - 1} are not within 0..2**64 - 1")
+        split = min(max(start, 1 << 32), stop)
+        return self._states(start, split, 1) + self._states(split, stop, 2)
+
+    def _states(self, start: int, stop: int, key_words: int) -> list[dict]:
+        if start >= stop:
+            return []
+        keys = start + np.arange(stop - start, dtype=np.uint64)
+        pool = [np.full(len(keys), value, dtype=np.uint32) for value in self._pool]
+        const = self._const
+        for shift in range(0, 32 * key_words, 32):
+            word = (keys >> shift & _MASK32).astype(np.uint32)
+            for dst in range(_POOL_SIZE):
+                value, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], value)
+        const, state = _INIT_B, []
+        for i in range(2 * 4):  # generate_state(4, uint64): 8 words from the pool in turn
+            value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+            state.append(value)
+        # little-endian word pairs, as generate_state views them
+        table = np.stack(state, axis=1).astype("<u4").view("<u8").tolist()
+        out = []
+        for s_hi, s_lo, i_hi, i_lo in table:
+            # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps from 0
+            # with the seed added in between
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            s = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            out.append({"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0})
+        return out
+
+
 class _RunSetup:
     """What the error runs of one (h, t, seed) share whatever G is: the
-    sampler, the seeded Haar panel and the panel's exact outputs.  A sweep
-    over G builds one and passes it to every run, so the panel, the
-    propagator's eigendecomposition and the row tables are built once."""
+    sampler, the seeded Haar panel and the panel's exact outputs, and the
+    hashed seed roots.  A sweep over G builds one and passes it to every
+    run, so the panel, the propagator's eigendecomposition, the row
+    tables and the state run's root (SeedSequence(seed) for every G) are
+    built once."""
 
     def __init__(self, h: Hamiltonian, t: float, seed: int):
         _check_run_size(h)
@@ -250,42 +391,50 @@ class _RunSetup:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9E3779B9)))
         self.panel = np.column_stack([haar_state(1 << h.n, rng) for _ in range(_PANEL_SIZE)])
         self.exact = exact_evolution(h, t) @ self.panel
+        self._roots: dict[tuple[int, ...], _SpawnRoot] = {}
+
+    def root(self, words: tuple[int, ...]) -> _SpawnRoot:
+        if words not in self._roots:
+            self._roots[words] = _SpawnRoot(words)
+        return self._roots[words]
 
 
 def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
-                seed: int, root: np.random.SeedSequence, setup: _RunSetup | None):
+                seed: int, entropy, setup: _RunSetup | None):
     """Exact outputs on the seeded Haar panel, and a lazy stream of the
     (b, 2^n, k) panel outputs of ``trials`` plans, one per child of
-    ``root``, in trial order.  Plans are drawn and applied in chunks of
-    at most _CHUNK_AMPLITUDES output amplitudes, and a chunk's plans a
-    segment of at most _CHUNK_DRAWS draws at a time, and each chunk's
-    children are spawned as the chunk starts, so the stream's memory grows
-    with neither ``trials`` nor ``gate_count``; :func:`qdrift_error` then
-    keeps one float per trial, its error.  ``setup`` is built here when
-    absent, and refused when it was built for another (h, t, seed)."""
-    _check_run_size(h)
+    SeedSequence(entropy), in trial order.  Plans are drawn and applied in
+    chunks of at most _CHUNK_AMPLITUDES output amplitudes, and a chunk's
+    plans a segment of at most _CHUNK_DRAWS draws at a time, and each
+    chunk's children are seeded as the chunk starts, so the stream's
+    memory grows with neither ``trials`` nor ``gate_count``;
+    :func:`qdrift_error` then keeps one float per trial, its error.
+    ``setup`` is built here when absent, and refused when it was built for
+    another (h, t, seed)."""
+    _check_count(trials, "trials")
     if trials < 2:
         raise ValueError(f"need >= 2 trials, got {trials}")
     _check_gate_count(gate_count)
+    words = _entropy_words(entropy)
+    _check_run_size(h)
     if setup is None:
         setup = _RunSetup(h, t, seed)
     elif setup.key != (h, t, seed):
         raise ValueError("the run setup was built for another (h, t, seed)")
-    q, panel = setup.q, setup.panel
+    q, panel, root = setup.q, setup.panel, setup.root(words)
     tau = q.tau(t, gate_count)
     chunk = max(1, _CHUNK_AMPLITUDES // panel.size)
     steps = max(1, _CHUNK_DRAWS // chunk)
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is set per trial before each draw
 
-    def outputs(size):
-        # spawn carries on from the last child, so the children are those
-        # of one root.spawn(trials)
-        rngs = [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(size)]
-        out = np.repeat(panel[None], len(rngs), axis=0)
-        for start in range(0, gate_count, steps):
-            q.apply(tau, q.draw(rngs, min(steps, gate_count - start)), out)
+    def outputs(first, size):
+        states = root.states(first, size)
+        out = np.repeat(panel[None], size, axis=0)
+        for done in range(0, gate_count, steps):
+            q.apply(tau, q.draw(rng, states, min(steps, gate_count - done), done), out)
         return out
 
-    return setup.exact, (outputs(min(chunk, trials - i)) for i in range(0, trials, chunk))
+    return setup.exact, (outputs(i, min(chunk, trials - i)) for i in range(0, trials, chunk))
 
 
 def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
@@ -296,8 +445,7 @@ def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
     20 seeded Haar-random states and over ``trials`` independent plans;
     returns (mean, standard error over plans).
     """
-    exact, chunks = _error_runs(h, t, gate_count, trials, seed,
-                                np.random.SeedSequence(seed), setup)
+    exact, chunks = _error_runs(h, t, gate_count, trials, seed, seed, setup)
     errors = np.concatenate([np.linalg.norm(outs - exact, axis=1).mean(axis=1)
                              for outs in chunks])
     return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(trials))
@@ -315,27 +463,35 @@ def qdrift_channel_error(h: Hamiltonian, t: float, gate_count: int,
     over plans cancels the first-order fluctuations and leaves the
     ~ (gamma*t)^2/G channel bias that sets the gate-count model.
     """
-    exact, chunks = _error_runs(h, t, gate_count, trials, seed,
-                                np.random.SeedSequence((seed, gate_count)), setup)
+    exact, chunks = _error_runs(h, t, gate_count, trials, seed, (seed, gate_count), setup)
     dim, k = exact.shape
-    # laid out as einsum lays out each product below, so adding one to it
-    # needs no buffer
-    rho = np.zeros((dim, dim, k), dtype=complex).transpose(2, 0, 1)
-    batch = max(1, _CHUNK_AMPLITUDES // rho.size)  # trials per einsum
+    # eigvalsh (UPLO="L") reads the lower triangle of rho and no other
+    # entry, so only that is formed: row block [lo, hi) of every panel
+    # column adds up, trial by trial, in a contiguous (k, hi - lo, hi) sum
+    rows = max(1, min(dim, _CHUNK_AMPLITUDES // (k * dim)))
+    blocks = [(lo, min(lo + rows, dim)) for lo in range(0, dim, rows)]
+    sums = [np.zeros((k, hi - lo, hi), dtype=complex) for lo, hi in blocks]
+    batch = max(1, _CHUNK_AMPLITUDES // (k * rows * dim))  # trials per einsum
     for outs in chunks:
         for b0 in range(0, len(outs), batch):
-            part = outs[b0:b0 + batch]
-            products = np.einsum("bik,bjk->bkij", part, part.conj())
-            for product in products:
-                rho += product
+            part = np.ascontiguousarray(outs[b0:b0 + batch].transpose(0, 2, 1))  # (b, k, 2^n)
+            part_conj = part.conj()
+            for (lo, hi), total in zip(blocks, sums):
+                products = np.einsum("bki,bkj->bkij", part[:, :, lo:hi], part_conj[:, :, :hi])
+                for product in products:
+                    total += product
             del products, product  # a view would keep the batch alive into the next
-    rho /= trials
-    for r, e in zip(rho, exact.T):
-        r -= np.outer(e, e.conj())  # as np.outer rounds; an einsum rounds otherwise
     group = max(1, _CHUNK_AMPLITUDES // (dim * dim))  # panel columns per eigvalsh
-    dists = np.concatenate([0.5 * np.abs(np.linalg.eigvalsh(rho[c:c + group])).sum(axis=1)
-                            for c in range(0, k, group)])
-    return float(np.mean(dists))
+    dists = []
+    for c in range(0, k, group):
+        rho = np.zeros((min(group, k - c), dim, dim), dtype=complex)
+        for (lo, hi), total in zip(blocks, sums):
+            rho[:, lo:hi, :hi] = total[c:c + group]
+        rho /= trials
+        for r, e in zip(rho, exact.T[c:c + group]):
+            r -= np.outer(e, e.conj())  # as np.outer rounds; an einsum rounds otherwise
+        dists.append(0.5 * np.abs(np.linalg.eigvalsh(rho)).sum(axis=1))
+    return float(np.mean(np.concatenate(dists)))
 
 
 @dataclass(frozen=True)

@@ -337,17 +337,191 @@ class TestDrawMatchesChoice:
         expected = [np.random.default_rng(seed).choice(len(p), size=gates, p=p) for seed in seeds]
         q = dynamics._QDrift(h)
         for seed, want in zip(seeds, expected):
-            single = q.draw([np.random.default_rng(seed)], gates)
+            rng = np.random.default_rng(seed)
+            single = q.draw(rng, [rng.bit_generator.state], gates)
             assert single.dtype == want.dtype and single.shape == (1, gates)
             assert np.array_equal(single[0], want)
-        chunk = q.draw([np.random.default_rng(seed) for seed in seeds], gates)
+        rng = np.random.default_rng()
+        states = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+        chunk = q.draw(rng, states, gates)
         assert chunk.dtype == expected[0].dtype
         assert np.array_equal(chunk, np.stack(expected))
-        # the same generators drawn a segment at a time give the same table
-        rngs = [np.random.default_rng(seed) for seed in seeds]
+        # the same streams drawn a segment at a time give the same table
         cut = data.draw(st.integers(0, gates))
-        pieces = np.hstack([q.draw(rngs, cut), q.draw(rngs, gates - cut)])
+        pieces = np.hstack([q.draw(rng, states, cut), q.draw(rng, states, gates - cut, cut)])
         assert np.array_equal(pieces, np.stack(expected))
+
+
+class TestSeedStreams:
+    """Trial streams are seeded in bulk, with no SeedSequence or bit
+    generator per trial, and each is NumPy's spawned child bit for bit:
+    the same PCG64 state, the same uniforms whole or in segments."""
+
+    ENTROPIES = st.one_of(st.integers(0, 2**130 - 1),
+                          st.tuples(st.integers(0, 2**64 + 5), st.integers(1, 10**6)))
+
+    @staticmethod
+    def root(entropy):
+        return dynamics._SpawnRoot(dynamics._entropy_words(entropy))
+
+    @settings(max_examples=40, deadline=None)
+    @given(entropy=ENTROPIES, start=st.integers(0, 300), count=st.integers(0, 40),
+           data=st.data())
+    def test_children_are_spawned_children(self, entropy, start, count, data):
+        states = self.root(entropy).states(start, count)
+        children = np.random.SeedSequence(entropy).spawn(start + count)[start:]
+        assert len(states) == count
+        gen = np.random.Generator(np.random.PCG64(0))
+        size = data.draw(st.integers(1, 50))
+        cut = data.draw(st.integers(0, size))
+        for state, child in zip(states, children):
+            assert state == np.random.PCG64(child).state
+            want = np.random.Generator(np.random.PCG64(child)).random(size)
+            gen.bit_generator.state = state
+            assert np.array_equal(gen.random(size), want)
+            gen.bit_generator.state = state
+            gen.bit_generator.advance(cut)
+            assert np.array_equal(gen.random(size - cut), want[cut:])
+
+    @settings(max_examples=20, deadline=None)
+    @given(entropy=ENTROPIES, data=st.data(), count=st.integers(1, 6),
+           start=st.one_of(st.integers(2**32 - 7, 2**32 + 7), st.integers(2**32, 2**64 - 7),
+                           st.integers(2**64 - 7, 2**64 - 1)))
+    def test_spawn_keys_past_one_word(self, entropy, data, count, start):
+        # spawn() builds child i as SeedSequence(entropy, spawn_key=(i,)),
+        # and a key past 2**32 - 1 hashes as two words
+        count = min(count, 2**64 - start)
+        states = self.root(entropy).states(start, count)
+        assert len(states) == count
+        for i, state in zip(range(start, start + count), states):
+            child = np.random.SeedSequence(entropy, spawn_key=(i,))
+            assert state == np.random.PCG64(child).state
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (2**64 - 1, 2), (2**64, 1), (3, -4)])
+    def test_children_outside_the_key_range_refused(self, start, count):
+        with pytest.raises(ValueError, match="not within"):
+            self.root(7).states(start, count)
+
+    def test_one_generator_per_run(self, capsys, monkeypatch):
+        made, pcg64 = [], np.random.PCG64
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return pcg64(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        gates = [10, 40, 160, 640]
+        assert cli.main(["qdrift", "--ham", "ising-neighbor:2", "--time", "0.5", "--gates",
+                         ",".join(map(str, gates)), "--trials", "50", "--seed", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]["rows"]) == len(gates)
+        # one per state run and one per channel run; a generator per trial
+        # would make 2 * 50 per G
+        assert len(made) <= 2 * len(gates)
+
+    # Seeds SeedSequence refuses, bare and as (seed, G): the state run's
+    # root is SeedSequence(seed), the channel run's SeedSequence((seed, G)).
+    REFUSED = [-1, -(2**70), 1.5, np.float64(2.0), 1j, [3, -1], (2, 1.5), "x"]
+
+    @pytest.mark.parametrize("seed", REFUSED, ids=repr)
+    @pytest.mark.parametrize("run, entropy", [(qdrift_error, lambda s: s),
+                                              (qdrift_channel_error, lambda s: (s, 10))],
+                             ids=["state", "channel"])
+    def test_refused_as_seed_sequence_refuses(self, seed, run, entropy):
+        with pytest.raises(Exception) as numpy_refusal:
+            np.random.SeedSequence(entropy(seed))
+        with pytest.raises(numpy_refusal.type):
+            run(Hamiltonian(2, GOLDEN_2Q), 0.5, 10, trials=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [True, np.uint64(5), np.int8(3), 2**64 + 1], ids=repr)
+    def test_odd_accepted_seeds_keep_their_streams(self, seed):
+        h = Hamiltonian(2, GOLDEN_2Q)
+        assert (qdrift_error(h, 0.5, 30, trials=5, seed=seed)
+                == qdrift_error_reference(h, 0.5, 30, trials=5, seed=seed))
+        assert (qdrift_channel_error(h, 0.5, 30, trials=5, seed=seed)
+                == qdrift_channel_error_reference(h, 0.5, 30, trials=5, seed=seed))
+        assert np.array_equal(qdrift_sample(h, 0.5, 30, seed=seed).indices,
+                              qdrift_sample_reference(h, 0.5, 30, seed=seed).indices)
+
+    @pytest.mark.parametrize("seed", [[1, 2**40], np.array([3, 4], dtype=np.uint32),
+                                      np.array([5, 2**33]), "0x1f", "017", "1_000"], ids=repr)
+    def test_sequence_and_text_entropy_keep_their_streams(self, seed):
+        # SeedSequence takes text only inside a sequence, so the state run
+        # refuses "0x1f" where the channel run, seeded by (seed, G), takes it
+        h = Hamiltonian(2, GOLDEN_2Q)
+        if not isinstance(seed, str):
+            assert (qdrift_error(h, 0.5, 30, trials=5, seed=seed)
+                    == qdrift_error_reference(h, 0.5, 30, trials=5, seed=seed))
+        assert (qdrift_channel_error(h, 0.5, 30, trials=5, seed=seed)
+                == qdrift_channel_error_reference(h, 0.5, 30, trials=5, seed=seed))
+
+
+class TestCountsRefused:
+    """A gate count or trial count that is a bool or not an integer is
+    refused with a ValueError before any work; NumPy integers pass."""
+
+    H = Hamiltonian(2, GOLDEN_2Q)
+    CALLS = {
+        "error gates": lambda v: qdrift_error(TestCountsRefused.H, 0.5, v, trials=5),
+        "error trials": lambda v: qdrift_error(TestCountsRefused.H, 0.5, 10, trials=v),
+        "channel gates": lambda v: qdrift_channel_error(TestCountsRefused.H, 0.5, v, trials=5),
+        "channel trials": lambda v: qdrift_channel_error(TestCountsRefused.H, 0.5, 10, trials=v),
+        "sample gates": lambda v: qdrift_sample(TestCountsRefused.H, 0.5, v),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, np.bool_(True), "3", None,
+                                       np.float64(4.0)], ids=repr)
+    @pytest.mark.parametrize("call", CALLS, ids=str)
+    def test_refused_before_any_work(self, monkeypatch, call, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(dynamics, "_QDrift", no_work)
+        monkeypatch.setattr(dynamics, "_entropy_words", no_work)
+        with pytest.raises(ValueError, match="must be an integer"):
+            self.CALLS[call](value)
+
+    @pytest.mark.parametrize("call", CALLS, ids=str)
+    def test_numpy_integers_accepted(self, call):
+        def result(v):
+            out = self.CALLS[call](v)
+            return out.indices.tolist() if isinstance(out, QDriftPlan) else out
+
+        assert result(np.int64(5)) == result(np.int32(5)) == result(5)
+
+
+class TestChannelMemory:
+    """The channel run forms only the lower triangle of rho, a block of
+    rows per einsum, so no call forms more than one block's products for
+    a batch of trials, and rho and one trial's square never coexist."""
+
+    @pytest.mark.parametrize("n, trials", [(6, 12), (8, 6)])
+    def test_einsum_products_bounded(self, monkeypatch, n, trials):
+        # a whole square per trial is 20 * 4**n products: 81 920 at n = 6
+        # and 1 310 720 at n = 8
+        sizes = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            out = einsum(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "einsum", spy)
+        qdrift_channel_error(ising_neighbor(n), 0.5, 4, trials=trials, seed=1)
+        assert sizes and max(sizes) <= max(_CHUNK_AMPLITUDES, _PANEL_SIZE << n)
+
+    def test_peak_memory_at_the_qubit_cap(self):
+        # the whole-square reduction peaked at 40.4 MiB here: rho and one
+        # trial's products are 20 MiB each; the lower-triangle sums are
+        # about 10 MiB
+        h = ising_neighbor(8)
+        tracemalloc.start()
+        try:
+            qdrift_channel_error(h, 0.5, 4, trials=6, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
 
 
 class TestQDriftAgainstReference:
@@ -539,7 +713,8 @@ class TestRunSetup:
 
     def test_benchmark_size_sweep_peak_memory(self):
         # the parent of the shared setup peaked at 2882 KiB in the G = 160
-        # channel run; one einsum product and the accumulator are 1.25 MiB each
+        # channel run, when one trial's einsum products and the whole rho were
+        # 1.25 MiB each; the lower-triangle sums are about 0.75 MiB
         h = ising_neighbor(6)
         tracemalloc.start()
         try:
