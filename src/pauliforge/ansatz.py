@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import PRUNE_TOL, Hamiltonian
-from .paulis import MAX_QUBITS, digits_from_labels, keys_from_digits
+from .paulis import MAX_QUBITS, _checked_int, digits_from_labels, keys_from_digits
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,19 @@ class AnsatzLayout:
     parameter_count: int
 
     def __post_init__(self):
-        if type(self.n) is not int or not 1 <= self.n <= MAX_QUBITS:  # bool is refused too
-            raise ValueError(f"n must be an int in 1..{MAX_QUBITS}, got {self.n!r}")
-        if type(self.depth) is not int or self.depth < 0:  # bool is refused too
-            raise ValueError(f"depth must be an int >= 0, got {self.depth!r}")
-        if type(self.parameter_count) is not int or self.parameter_count < 0:  # bool too
-            raise ValueError(
-                f"parameter_count must be an int >= 0, got {self.parameter_count!r}")
+        for name, low, high in (("n", 1, MAX_QUBITS), ("depth", 0, None),
+                                ("parameter_count", 0, None)):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, low, high))
         seen = set()
         for g in self.gates:
             if gate_axis(g, self.n) is None:
                 if g.param is not None:
                     raise ValueError(f"CZ takes no parameter: {g}")
-            elif type(g.param) is not int or g.param in seen:  # bool is refused too
+                continue
+            slot = _checked_int(g.param, f"parameter slot of {g}")
+            if slot in seen:
                 raise ValueError(f"rotation needs an int parameter slot of its own: {g}")
-            else:
-                seen.add(g.param)
+            seen.add(slot)
         if seen != set(range(self.parameter_count)):
             raise ValueError(
                 f"parameter slots must be 0..{self.parameter_count - 1}, each once"
@@ -100,8 +97,8 @@ def gate_axis(gate: Gate, n: int) -> str | None:
     0..n-1.  Anything else raises a ValueError that names the gate.
     """
     qubits = gate.qubits
-    if not all(type(q) is int and 0 <= q < n for q in qubits):
-        raise ValueError(f"qubits must be ints in 0..{n - 1}: {gate}")
+    for q in qubits:
+        _checked_int(q, f"qubit of {gate}", 0, n - 1)
     if gate.kind == "CZ":
         if len(qubits) != 2 or qubits[0] == qubits[1]:
             raise ValueError(f"CZ needs two distinct qubits: {gate}")

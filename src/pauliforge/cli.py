@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, pauli_norm, vectorize
+from .hamiltonian import Hamiltonian, l2_norm, pauli_norm, vectorize
 from .model_io import (
     PauliSumParseError,
     ising_all_to_all,
@@ -58,6 +58,7 @@ _LAZY = {
     "_RunSetup": "dynamics",
     "qdrift_channel_error": "dynamics",
     "qdrift_error": "dynamics",
+    "_check_register": "qestimate",
     "q_analytic": "qestimate",
     "q_full_circuit": "qestimate",
 }
@@ -124,6 +125,11 @@ def _load_input(args) -> tuple[Hamiltonian, str]:
     h = parse_pauli_sum(text)
     if len(h) == 0:
         raise _InputError(f"{args.input}: all terms cancel; zero Hamiltonian")
+    # sum c^2 >= (sum |c|)^2 / m, so a Pauli norm past the float range
+    # overflows the sum of squares as well: one test refuses both
+    if not np.isfinite(l2_norm(h)):
+        raise _InputError(f"{args.input}: coefficients too large; the Pauli norm or the "
+                          "sum of their squares overflows")
     return h, digest
 
 
@@ -217,6 +223,8 @@ def cmd_qdrift(args) -> str:
 def cmd_estimate_q(args) -> str:
     if args.ham or args.input:
         h, digest = _load_input(args)
+        # the 2n-qubit register is refused before its 4**n amplitudes are built
+        _lib("_check_register")(2 * h.n, circuit=args.shots > 0)
         psi = vectorize(h).to_dense()
     else:
         psi, digest = _load_state(args.state)

@@ -55,7 +55,6 @@ is ``SeedSequence(seed)`` for every G, hashes them once per command.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -65,6 +64,7 @@ import numpy as np
 # pauli_matrix stays bound here: perfbench/tracing.py wraps it by name.
 from .dense import _pauli_rows, haar_state, hamiltonian_matrix, pauli_matrix
 from .hamiltonian import Hamiltonian
+from .paulis import _checked_int
 
 if TYPE_CHECKING:  # the record type, for annotations only
     from .optimize import EngineeredResult
@@ -101,9 +101,9 @@ class QDriftPlan:
     """One sampled gate sequence; indices refer to terms_by_index() order.
 
     ``indices`` is held as a read-only intp copy, so plans compare and
-    hash by value over all fields.  Indices that are not integers, and a
-    gamma or tau that is not finite, are refused rather than truncated
-    or applied.
+    hash by value over all fields.  Indices that are not integers (bools
+    included), a gate count that is not an integer >= 1, and a gamma or
+    tau that is not finite, are refused rather than truncated or applied.
     """
 
     gamma: float
@@ -113,8 +113,9 @@ class QDriftPlan:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "gate_count", _checked_int(self.gate_count, "gate count", 1))
         given = np.asarray(self.indices)
-        whole = given.dtype.kind in "biu" or (
+        whole = given.dtype.kind in "iu" or (
             given.dtype.kind == "f" and np.all(np.isfinite(given) & (np.trunc(given) == given)))
         if not whole:
             raise ValueError(f"plan indices must be integers, got {given.dtype} values")
@@ -226,19 +227,6 @@ class _QDrift:
                 np.subtract(out, moved, out=out)
 
 
-def _check_count(value, name: str) -> None:
-    """Refuse a bool or a count that is not an integer (NumPy integers
-    pass) before it reaches an array shape."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_gate_count(gate_count: int) -> None:
-    _check_count(gate_count, "gate count")
-    if gate_count < 1:
-        raise ValueError(f"gate count must be >= 1, got {gate_count}")
-
-
 def _check_run_size(h: Hamiltonian) -> None:
     if h.n > QDRIFT_MAX_QUBITS:
         raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
@@ -246,7 +234,7 @@ def _check_run_size(h: Hamiltonian) -> None:
 
 def qdrift_sample(h: Hamiltonian, t: float, gate_count: int, seed: int = 0) -> QDriftPlan:
     """Draw a plan: G i.i.d. indices with p_j = |h_j|/gamma, tau = t*gamma/G."""
-    _check_gate_count(gate_count)
+    gate_count = _checked_int(gate_count, "gate count", 1)
     return _QDrift(h).sample(t, gate_count, np.random.default_rng(seed), seed)
 
 
@@ -259,7 +247,6 @@ def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.nda
     for another Hamiltonian (a different gamma, or an index past h's
     terms) is rejected, as is one whose indices are not one per gate.
     """
-    _check_gate_count(plan.gate_count)
     q = _QDrift(h)
     if plan.indices.shape != (plan.gate_count,):
         raise ValueError(f"plan has indices of shape {plan.indices.shape}, "
@@ -411,10 +398,8 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
     :func:`qdrift_error` then keeps one float per trial, its error.
     ``setup`` is built here when absent, and refused when it was built for
     another (h, t, seed)."""
-    _check_count(trials, "trials")
-    if trials < 2:
-        raise ValueError(f"need >= 2 trials, got {trials}")
-    _check_gate_count(gate_count)
+    trials = _checked_int(trials, "trials", 2)
+    gate_count = _checked_int(gate_count, "gate count", 1)
     words = _entropy_words(entropy)
     _check_run_size(h)
     if setup is None:
@@ -448,7 +433,7 @@ def qdrift_error(h: Hamiltonian, t: float, gate_count: int,
     exact, chunks = _error_runs(h, t, gate_count, trials, seed, seed, setup)
     errors = np.concatenate([np.linalg.norm(outs - exact, axis=1).mean(axis=1)
                              for outs in chunks])
-    return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(trials))
+    return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(errors.size))
 
 
 def qdrift_channel_error(h: Hamiltonian, t: float, gate_count: int,

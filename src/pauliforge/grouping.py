@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, _magnitude_order, _uint64_keys, pauli_norm
+from .hamiltonian import Hamiltonian, _checked_keys, _magnitude_order, pauli_norm
 # Both predicates stay bound here: perfbench/tracing.py wraps them by name.
 from .paulis import _checked_width, commutes, qubit_wise_commutes
 
@@ -98,8 +98,8 @@ class GroupingResult:
     starts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _checked_width(self.n)
-        keys = np.array(_uint64_keys(self.keys, self.n))
+        object.__setattr__(self, "n", _checked_width(self.n))
+        keys = np.array(_checked_keys(self.keys, self.n))
         coeffs = np.array(self.coeffs, dtype=np.float64)
         starts = np.array(self.starts, dtype=np.intp)
         if (keys.ndim != 1 or keys.shape != coeffs.shape or starts.ndim != 1
@@ -109,10 +109,6 @@ class GroupingResult:
         empty = np.flatnonzero(starts[1:] <= starts[:-1])
         if empty.size:
             raise ValueError(f"collection {int(empty[0])} is empty")
-        if 2 * self.n < 64:  # at 32 qubits every uint64 is a key
-            wide = np.flatnonzero(keys >> np.uint64(2 * self.n))
-            if wide.size:
-                raise ValueError(f"key {int(keys[wide[0]])} out of range for {self.n} qubits")
         for name, arr in (("keys", keys), ("coeffs", coeffs), ("starts", starts)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -20,6 +20,7 @@ from .paulis import (
     DENSE_MAX_QUBITS,
     MAX_QUBITS,
     PauliString,
+    _checked_int,
     _checked_width,
     digits_from_indices,
     digits_from_keys,
@@ -42,40 +43,31 @@ def _merge_raw(keys: np.ndarray, coeffs: np.ndarray):
     return uniq[keep], summed[keep]
 
 
-def _uint64_keys(keys, n: int) -> np.ndarray:
-    """Keys as uint64, refused first if one is not an integer or is
-    negative: the cast would truncate a float key and wrap a negative one."""
-    if isinstance(keys, np.ndarray):
-        if keys.size and keys.dtype.kind not in "iu":
-            raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
-        if keys.size and keys.dtype.kind == "i" and keys.min() < 0:
-            raise ValueError(f"key {int(keys.min())} out of range for {n} qubits")
-        return keys.astype(np.uint64, copy=False)
-    # key by key: NumPy reads a list that mixes ints past 2**63 with
-    # smaller ones as float64
-    keys = list(keys)
-    for k in keys:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"keys must be integers, got {k!r}")
-        if not 0 <= k < 1 << 64:
-            raise ValueError(f"key {k} out of range for {n} qubits")
-    return np.array(keys, dtype=np.uint64)
+def _checked_keys(keys, n: int) -> np.ndarray:
+    """Packed keys as uint64, each refused first unless it is an integer
+    in 0..4**n - 1 (n already checked): the cast would truncate a float
+    key and wrap a negative one.  A list is checked key by key, because
+    NumPy reads a list that mixes ints past 2**63 with smaller ones as
+    float64."""
+    if not isinstance(keys, np.ndarray):
+        keys = np.array([_checked_int(k, "key") for k in keys], dtype=object)
+    elif keys.size and keys.dtype.kind not in "iu":
+        raise ValueError(f"key must be an integer, got dtype {keys.dtype}")
+    wide = np.flatnonzero((keys < 0) | (keys >= 4**n))
+    if wide.size:
+        raise ValueError(f"key {keys[wide[0]]} out of range for {n} qubits")
+    return keys.astype(np.uint64, copy=False)
 
 
 def _validated_merge(n: int, keys, coeffs):
-    """The one validator behind both public constructors: a qubit count in
-    1..MAX_QUBITS, equal-length 1-D arrays, integer keys below 4**n and
+    """The one validator behind both public constructors, given a checked
+    qubit count: equal-length 1-D arrays, integer keys below 4**n and
     finite coefficients; then sort, merge and drop exact zeros."""
-    _checked_width(n)
-    keys = _uint64_keys(keys, n)
+    keys = _checked_keys(keys, n)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if keys.ndim != 1 or keys.shape != coeffs.shape:
         raise ValueError(f"keys {keys.shape} and coefficients {coeffs.shape} "
                          "must be 1-D arrays of equal length")
-    if 2 * n < 64:  # at 32 qubits every uint64 is a key
-        wide = np.flatnonzero(keys >> np.uint64(2 * n))
-        if wide.size:
-            raise ValueError(f"key {int(keys[wide[0]])} out of range for {n} qubits")
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
         label = PauliString.from_key(int(keys[bad[0]]), n).label
@@ -91,6 +83,7 @@ class Hamiltonian:
     def __init__(self, n: int, terms=None):
         """Build from a mapping of PauliString (or label str) to coefficient;
         the labels are encoded in one codec call."""
+        n = _checked_width(n)
         terms = terms or {}
         labels = [p for p in terms if isinstance(p, str)]
         label_keys = iter(keys_from_digits(digits_from_labels(labels, n)).tolist())
@@ -108,6 +101,7 @@ class Hamiltonian:
     @classmethod
     def from_arrays(cls, n: int, keys: np.ndarray, coeffs: np.ndarray) -> "Hamiltonian":
         """Build from raw key/coefficient arrays (merged here)."""
+        n = _checked_width(n)
         return cls._from_merged(n, *_validated_merge(n, keys, coeffs))
 
     @classmethod
@@ -232,6 +226,7 @@ class CoefficientVector:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _checked_width(self.n))
         if self.lam <= 0.0 or not np.isfinite(self.lam):
             raise ValueError(f"normalization factor must be positive, got {self.lam}")
         indices = np.array(self.indices, dtype=np.uint64)
@@ -278,8 +273,10 @@ def pauli_norm(h: Hamiltonian) -> float:
 
 
 def l2_norm(h: Hamiltonian) -> float:
-    """Root-sum-square of coefficients; the vectorization factor."""
-    return float(np.sqrt(np.dot(h.coeffs, h.coeffs)))
+    """Root-sum-square of coefficients; the vectorization factor.  A sum
+    of squares past the float range gives inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.dot(h.coeffs, h.coeffs)))
 
 
 def vectorize(h: Hamiltonian) -> CoefficientVector:
@@ -318,10 +315,12 @@ def tensor(a: Hamiltonian, b: Hamiltonian) -> Hamiltonian:
 
 def embed(h: Hamiltonian, qubits: tuple[int, ...], n: int) -> Hamiltonian:
     """Place ``h`` on the given qubits of an n-qubit register (identity elsewhere)."""
+    n = _checked_width(n)
     if len(qubits) != h.n:
         raise ValueError(f"need {h.n} target qubits, got {len(qubits)}")
-    if len(set(qubits)) != len(qubits) or any(not 0 <= q < n for q in qubits):
+    targets = [_checked_int(q, "qubit", 0, n - 1) for q in qubits]
+    if len(set(targets)) != len(targets):
         raise ValueError(f"invalid embedding target {qubits} for {n} qubits")
     digits = np.zeros((len(h), n), dtype=np.uint8)
-    digits[:, list(qubits)] = digits_from_keys(h.keys, h.n)
+    digits[:, targets] = digits_from_keys(h.keys, h.n)
     return Hamiltonian.from_arrays(n, keys_from_digits(digits), h.coeffs)

@@ -14,14 +14,20 @@ import math
 from typing import NoReturn
 
 from .hamiltonian import Hamiltonian
-from .paulis import MAX_QUBITS, LabelError, PauliString, digits_from_labels, keys_from_digits
+from .paulis import (
+    MAX_QUBITS,
+    LabelError,
+    PauliString,
+    _checked_int,
+    digits_from_labels,
+    keys_from_digits,
+)
 
 
 def ising_neighbor(n: int) -> Hamiltonian:
     """Open-chain transverse-field model: -sum Z_i Z_{i+1} + sum X_k,
     all couplings and fields set to 1.  Pauli norm is 2n - 1."""
-    if n < 2:
-        raise ValueError(f"chain needs at least 2 qubits, got {n}")
+    n = _checked_int(n, "chain qubit count", 2, MAX_QUBITS)
     terms = {}
     for i in range(n - 1):
         terms[PauliString(n, 0, 0b11 << i)] = -1.0
@@ -33,8 +39,7 @@ def ising_neighbor(n: int) -> Hamiltonian:
 def ising_all_to_all(n: int) -> Hamiltonian:
     """All-pair couplings: -sum_{i<j} Z_i Z_j + sum X_k, unit strengths.
     Pauli norm is n(n+1)/2."""
-    if n < 2:
-        raise ValueError(f"all-to-all model needs at least 2 qubits, got {n}")
+    n = _checked_int(n, "all-to-all qubit count", 2, MAX_QUBITS)
     terms = {}
     for i in range(n):
         for j in range(i + 1, n):

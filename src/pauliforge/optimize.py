@@ -51,6 +51,7 @@ import numpy as np
 
 from .ansatz import AnsatzLayout, CompiledAnsatz, _row_slices, as_parameter_vector
 from .hamiltonian import CoefficientVector, Hamiltonian, l2_norm, pauli_norm
+from .paulis import _checked_int
 
 COST_KINDS = ("l1", "q")
 GRADIENT_MODES = ("analytic", "central_difference")
@@ -110,11 +111,7 @@ class OptimizerConfig:
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            setattr(self, name, _checked_int(getattr(self, name), name, low))
         rate = self.learning_rate
         if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
             raise ValueError(f"learning_rate must be a real number, got {rate!r}")
@@ -226,6 +223,8 @@ def cost_gradient(h: Hamiltonian, layout: AnsatzLayout, theta,
     lam = l2_norm(h)
     if lam == 0.0:
         raise ValueError("zero Hamiltonian has no defined cost")
+    if not np.isfinite(lam):
+        raise ValueError("Hamiltonian's sum of squared coefficients overflows; no defined cost")
     return _value_and_grad(CompiledAnsatz(h, layout), theta[None], lam, config)[1][0]
 
 
@@ -318,6 +317,9 @@ def optimize(h: Hamiltonian, layout: AnsatzLayout,
     if len(h) == 0:
         raise ValueError("cannot optimize the zero Hamiltonian")
     lam = l2_norm(h)
+    if not np.isfinite(lam):
+        raise ValueError("cannot optimize a Hamiltonian whose sum of squared coefficients "
+                         "overflows")
     engine = CompiledAnsatz(h, layout)
 
     theta0 = np.array([

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .hamiltonian import Hamiltonian
 from .optimize import OptimizerConfig, optimize
-from .paulis import PauliString
+from .paulis import PauliString, _checked_int
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ def partition(h: Hamiltonian, parts) -> list[tuple[PauliString, Hamiltonian]]:
         if part.factor.n != len(qubits):
             raise ValueError("factor length does not match its qubit subset")
         for i in part.term_indices:
-            if not (0 <= i < len(terms)):
-                raise ValueError(f"term index {i} out of range")
+            i = _checked_int(i, "term index", 0, len(terms) - 1)
             if i in covered:
                 raise ValueError(f"term index {i} appears in two parts")
             covered.add(i)

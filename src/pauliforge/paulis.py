@@ -10,6 +10,8 @@ convention is part of the public file-format contract.
 The array codec below holds that convention once.  Its pivot is an
 (m, n) uint8 digit array, qubit 0 in column 0, with converters each way
 to packed keys ``(x << n) | z``, labels and base-4 indices (uint64).
+
+Every integer argument of the package is checked by :func:`_checked_int`.
 """
 
 from __future__ import annotations
@@ -36,11 +38,20 @@ class LabelError(ValueError):
         self.position = position
 
 
-def _checked_width(n: int) -> int:
+def _checked_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a Python int if it is a Python or NumPy integer, not a
+    bool, in ``low..high`` (``high`` is only given with ``low``); anything
+    else raises a ValueError that names the argument and its bounds."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and (low is None or value >= low) and (high is None or value <= high):
+        return int(value)
+    bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+    raise ValueError(f"{name} must be an integer{bounds}, got {value if integer else repr(value)}")
+
+
+def _checked_width(n) -> int:
     """The qubit count n, refused outside 1..MAX_QUBITS, where uint64 would wrap."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    return n
+    return _checked_int(n, "qubit count", 1, MAX_QUBITS)
 
 
 def digits_from_keys(keys, n: int) -> np.ndarray:
@@ -97,13 +108,10 @@ class PauliString:
     __slots__ = ("n", "x", "z")
 
     def __init__(self, n: int, x: int, z: int):
-        _checked_width(n)
-        mask = (1 << n) - 1
-        if not (0 <= x <= mask) or not (0 <= z <= mask):
-            raise ValueError(f"bit masks out of range for {n} qubits")
-        self.n = n
-        self.x = x
-        self.z = z
+        self.n = _checked_width(n)
+        mask = (1 << self.n) - 1
+        self.x = _checked_int(x, "x mask", 0, mask)
+        self.z = _checked_int(z, "z mask", 0, mask)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -118,6 +126,7 @@ class PauliString:
     @classmethod
     def from_index(cls, index: int, n: int) -> "PauliString":
         """Build from the base-4 index (qubit 0 = most significant digit)."""
+        n, index = _checked_width(n), _checked_int(index, "index")
         if not (0 <= index < 4**n):
             raise ValueError(f"index {index} out of range for {n} qubits")
         return cls.from_key(int(keys_from_digits(digits_from_indices(index, n))[0]), n)
@@ -126,7 +135,8 @@ class PauliString:
     def from_key(cls, key: int, n: int) -> "PauliString":
         """Build from the packed integer key ``(x << n) | z``, one of
         0..4**n - 1; any other key raises a ValueError."""
-        mask = (1 << _checked_width(n)) - 1
+        n, key = _checked_width(n), _checked_int(key, "key")
+        mask = (1 << n) - 1
         if not 0 <= key >> n <= mask:
             raise ValueError(f"key {key} out of range for {n} qubits")
         return cls(n, key >> n, key & mask)
@@ -147,8 +157,7 @@ class PauliString:
 
     def digit(self, qubit: int) -> int:
         """Base-4 digit of the factor on ``qubit``."""
-        if not 0 <= qubit < self.n:
-            raise ValueError(f"qubit {qubit} out of range for {self.n} qubits")
+        qubit = _checked_int(qubit, "qubit", 0, self.n - 1)
         return int(digits_from_keys(self.key(), self.n)[0, qubit])
 
     @property
@@ -174,8 +183,7 @@ class PauliString:
         """The factor on a subset of qubits, reindexed to 0..len-1."""
         x = z = 0
         for k, q in enumerate(qubits):
-            if not (0 <= q < self.n):
-                raise ValueError(f"qubit {q} out of range for {self.n} qubits")
+            q = _checked_int(q, "qubit", 0, self.n - 1)
             x |= ((self.x >> q) & 1) << k
             z |= ((self.z >> q) & 1) << k
         return PauliString(len(qubits), x, z)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .paulis import _checked_int
+
 ANALYTIC_MAX_QUBITS = 7
 CIRCUIT_MAX_QUBITS = 4
 
@@ -32,14 +34,21 @@ class QEstimate:
     stderr: float
 
 
-def _check_state(psi: np.ndarray, max_qubits: int) -> tuple[np.ndarray, int]:
+def _check_register(n: int, circuit: bool) -> None:
+    """Refuse an n-qubit state register past the cap of the circuit
+    emulation or, with ``circuit`` false, of the analytic value."""
+    cap = CIRCUIT_MAX_QUBITS if circuit else ANALYTIC_MAX_QUBITS
+    if n > cap:
+        raise ValueError(f"state register capped at {cap} qubits, got {n}")
+
+
+def _check_state(psi: np.ndarray, circuit: bool) -> tuple[np.ndarray, int]:
     psi = np.asarray(psi, dtype=complex).ravel()
     dim = psi.size
     n = dim.bit_length() - 1
     if dim != 1 << n or n < 1:
         raise ValueError(f"state dimension {dim} is not a power of two >= 2")
-    if n > max_qubits:
-        raise ValueError(f"state register capped at {max_qubits} qubits, got {n}")
+    _check_register(n, circuit)
     if not np.all(np.isfinite(psi)):
         raise ValueError("state has non-finite amplitudes")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
@@ -50,14 +59,14 @@ def _check_state(psi: np.ndarray, max_qubits: int) -> tuple[np.ndarray, int]:
 def q_analytic(psi: np.ndarray) -> QEstimate:
     """Exact P(+1) with Q = tr[rho |psi><psi|] = sum_i |psi_i|^4 for the
     dephased post-CNOT state rho (no sampling)."""
-    psi, _n = _check_state(psi, ANALYTIC_MAX_QUBITS)
+    psi, _n = _check_state(psi, circuit=False)
     q = float(np.sum(np.abs(psi) ** 4))
     return QEstimate(p_plus=0.5 + q / 2.0, q_value=q, shots=0, stderr=0.0)
 
 
 def q_circuit_marginal(psi: np.ndarray) -> float:
     """Exact ancilla P(+1) from the full four-register statevector."""
-    psi, n = _check_state(psi, CIRCUIT_MAX_QUBITS)
+    psi, n = _check_state(psi, circuit=True)
     dim = 1 << n
 
     state = np.zeros((2, dim, dim, dim), dtype=complex)
@@ -90,12 +99,8 @@ def q_circuit_marginal(psi: np.ndarray) -> float:
 
 def q_full_circuit(psi: np.ndarray, shots: int, seed: int = 0) -> QEstimate:
     """Sample the circuit's ancilla ``shots`` times and estimate Q."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an int, got {shots!r}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1; use q_analytic for the exact value")
-    if shots >= 2**63:  # NumPy samples int64 counts
-        raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
+    # NumPy samples int64 counts; shots = 0 is q_analytic's exact value
+    shots = _checked_int(shots, "shots", 1, 2**63 - 1)
     p_plus = q_circuit_marginal(psi)
     rng = np.random.default_rng(seed)
     hits = int(rng.binomial(shots, min(max(p_plus, 0.0), 1.0)))

@@ -44,7 +44,7 @@ from .dense import _check_capacity, _pauli_rows, _term_rows, haar_state, pauli_m
 from .dynamics import exact_evolution
 from .grouping import GroupingResult
 from .hamiltonian import Hamiltonian, _terms_by_magnitude
-from .paulis import DENSE_MAX_QUBITS, PauliString, commutes, pauli_product
+from .paulis import DENSE_MAX_QUBITS, PauliString, _checked_int, commutes, pauli_product
 
 SANDWICH_MAX_QUBITS = 6
 
@@ -129,8 +129,7 @@ def trotter_first_order(h: Hamiltonian, t: float, r: int) -> np.ndarray:
     """(prod_j exp(-i t h_j P_j / r))^r, terms by descending |h_j| then label."""
     if h.n > DENSE_MAX_QUBITS:
         raise ValueError(f"product formula capped at {DENSE_MAX_QUBITS} qubits, got {h.n}")
-    if r < 1:
-        raise ValueError(f"segment count must be >= 1, got {r}")
+    r = _checked_int(r, "segment count", 1)
     segment = eye = np.eye(1 << h.n, dtype=complex)
     for p, c in _terms_by_magnitude(h):
         alpha = t * c / r
@@ -184,8 +183,7 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
     total only up to 2**53 // (m + 1) shots, so more are refused, as are
     finite weights whose sum overflows to inf.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an int, got {shots!r}")
+    shots = _checked_int(shots, "shots")
     weights = np.asarray(weights, dtype=np.float64)
     m = weights.size
     if not np.all(np.isfinite(weights)):
@@ -212,14 +210,15 @@ def allocate_shots(weights, shots: int) -> np.ndarray:
 
 
 def _counts_per_term(counts, m: int) -> np.ndarray:
-    """Explicit shot counts as int64, refused unless they are one int >= 1
-    for each of the m terms.  NumPy reads a list mixing bools with ints
-    as int64, so bool elements are refused one by one."""
-    arr = np.asarray(counts)
-    if (arr.shape != (m,) or (m and arr.dtype.kind not in "iu") or np.any(arr < 1)
-            or any(isinstance(c, (bool, np.bool_)) for c in counts)):
-        raise ValueError(f"need one int shot count >= 1 per term ({m} terms)")
-    return arr.astype(np.int64)
+    """Explicit shot counts as int64, refused unless they are one int64
+    integer >= 1 for each of the m terms.  The counts are checked one by
+    one, because NumPy reads a list mixing bools with ints as int64."""
+    try:
+        if np.shape(counts) != (m,):
+            raise ValueError(f"got shape {np.shape(counts)}")
+        return np.array([_checked_int(c, "shot count", 1, 2**63 - 1) for c in counts], np.int64)
+    except ValueError as err:
+        raise ValueError(f"need one int shot count >= 1 per term ({m} terms)") from err
 
 
 def _check_grouping(h: Hamiltonian, g: GroupingResult) -> None:
@@ -330,10 +329,7 @@ def covariance_zero_check(p1: PauliString, p2: PauliString,
     For commuting, non-identical Pauli strings the expectation over the
     uniform state distribution vanishes; returns (mean, standard error).
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an int, got {samples!r}")
-    if samples < 2:
-        raise ValueError(f"need >= 2 samples, got {samples}")
+    samples = _checked_int(samples, "samples", 2)
     if p1 == p2:
         raise ValueError("strings must be non-identical")
     if not commutes(p1, p2):

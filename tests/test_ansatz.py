@@ -187,6 +187,10 @@ class TestLayout:
         {"kind": "CZ", "qubits": [0, 1.0], "param": None},
         {"kind": "RX", "qubits": [0], "param": True},
         {"kind": "RX", "qubits": [0], "param": 0.0},
+        {"kind": "RX", "qubits": [2.5], "param": 0},
+        {"kind": "RX", "qubits": ["1"], "param": 0},
+        {"kind": "RX", "qubits": [0], "param": 2.5},
+        {"kind": "RX", "qubits": [0], "param": "0"},
     ])
     def test_non_int_qubit_or_slot_rejected(self, gate):
         """A float or bool qubit or slot in layout JSON is refused up front,
@@ -208,7 +212,9 @@ class TestLayout:
         lambda: layout_from_dict({"n": 2, "depth": -1, "parameter_count": 0, "gates": []}),
         lambda: layout_from_dict({"n": 2, "depth": 1.0, "parameter_count": 0, "gates": []}),
         lambda: layout_from_dict({"n": 2, "depth": True, "parameter_count": 0, "gates": []}),
-    ], ids=["hardware_efficient", "from_gates", "from_dict", "float", "bool"])
+        lambda: layout_from_dict({"n": 2, "depth": 2.5, "parameter_count": 0, "gates": []}),
+        lambda: layout_from_dict({"n": 2, "depth": "3", "parameter_count": 0, "gates": []}),
+    ], ids=["hardware_efficient", "from_gates", "from_dict", "float", "bool", "fraction", "str"])
     def test_bad_depth_rejected(self, build):
         """A depth that is not an int >= 0 is refused instead of yielding a
         layout that reports it."""
@@ -220,11 +226,14 @@ class TestLayout:
         lambda: hardware_efficient_layout(0, 2),
         lambda: layout_from_dict({"n": 33, "depth": 0, "parameter_count": 0, "gates": []}),
         lambda: AnsatzLayout(True, 0, (), 0),
-    ], ids=["negative", "zero", "above_max", "bool"])
+        lambda: AnsatzLayout(2.0, 0, (), 0),
+        lambda: AnsatzLayout(2.5, 0, (), 0),
+        lambda: AnsatzLayout("3", 0, (), 0),
+    ], ids=["negative", "zero", "above_max", "bool", "float", "fraction", "str"])
     def test_bad_qubit_count_rejected(self, build):
         """A qubit count that is not an int in 1..MAX_QUBITS is refused
         instead of yielding a layout that reports it."""
-        with pytest.raises(ValueError, match="n must be an int in 1..32"):
+        with pytest.raises(ValueError, match="n must be an integer in 1..32"):
             build()
 
     @pytest.mark.parametrize("build", [
@@ -232,12 +241,24 @@ class TestLayout:
         lambda: AnsatzLayout(2, 0, (), True),
         lambda: layout_from_dict({"n": 2, "depth": 0, "parameter_count": 0.0, "gates": []}),
         lambda: layout_from_dict({"n": 2, "depth": 0, "parameter_count": "1", "gates": []}),
-    ], ids=["negative", "bool", "float", "str"])
+        lambda: AnsatzLayout(2, 0, (), 2.5),
+    ], ids=["negative", "bool", "float", "str", "fraction"])
     def test_bad_parameter_count_rejected(self, build):
         """A parameter count that is not an int >= 0 is refused, naming the
         field, instead of yielding a layout that reports it."""
-        with pytest.raises(ValueError, match="parameter_count must be an int >= 0"):
+        with pytest.raises(ValueError, match="parameter_count must be an integer >= 0"):
             build()
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint8])
+    def test_numpy_integers_give_the_python_int_layout(self, cast):
+        gates = (Gate("RX", (cast(1),), cast(0)), Gate("CZ", (cast(0), cast(1))))
+        layout = AnsatzLayout(cast(2), cast(1), gates, cast(1))
+        same = AnsatzLayout(2, 1, (Gate("RX", (1,), 0), Gate("CZ", (0, 1))), 1)
+        assert layout == same
+        assert all(type(v) is int for v in (layout.n, layout.depth, layout.parameter_count))
+        h = Hamiltonian(2, {"XY": 1.0, "ZI": 0.5, "IZ": -0.25})
+        assert apply_ansatz(h, layout, [0.3]) == apply_ansatz(h, same, [0.3])
+        assert hardware_efficient_layout(cast(3), cast(2)) == hardware_efficient_layout(3, 2)
 
 
 class TestApplyAnsatz:

@@ -308,6 +308,13 @@ class TestExitCodes:
          "sizes range '3..2' is empty; need a..b with a <= b"),
         (("compare", "--family", "ising-neighbor", "--sizes", "2..1000000000000"), 2,
          "sizes must be in 2..32, got '2..1000000000000'"),
+        # refused before the 4**n-entry coefficient vector is built, whatever n
+        (("estimate-q", "--ham", "ising-neighbor:10"), 1,
+         "state register capped at 7 qubits, got 20"),
+        (("estimate-q", "--ham", "ising-neighbor:11"), 1,
+         "state register capped at 7 qubits, got 22"),
+        (("estimate-q", "--ham", "ising-neighbor:3", "--shots", "10"), 1,
+         "state register capped at 4 qubits, got 6"),
     ])
     def test_code_and_message(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, *argv)
@@ -324,6 +331,31 @@ class TestExitCodes:
         assert out == ""
         assert err == (f"error: {state}: {amplitudes} amplitudes; "
                        "need a power of two >= 2\n")
+
+    @pytest.mark.parametrize("argv", [("estimate-q", "--ham", "ising-neighbor:10"),
+                                      ("estimate-q", "--ham", "ising-neighbor:11", "--shots", "5")])
+    def test_state_register_capped_before_the_dense_vector(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "vectorize", lambda h: pytest.fail("vector built"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: state register capped at")
+
+    @pytest.mark.parametrize("command", [("engineer", "--restarts", "1"), ("group",),
+                                         ("qdrift",), ("estimate-q",)], ids=lambda c: c[0])
+    @pytest.mark.parametrize("text", ["1e200 XX\n1e200 ZZ\n1e200 YY\n", "1e308 X\n1e308 Z\n"],
+                             ids=["squares", "norm"])
+    def test_coefficients_whose_norms_overflow_refused_at_load(self, capsys, monkeypatch,
+                                                               tmp_path, command, text):
+        """Finite coefficients whose Pauli norm or sum of squares overflows
+        exit 2 with one message, before any work and without a warning."""
+        for name in ("optimize", "sorted_insertion", "_RunSetup", "q_analytic"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work started"))
+        src = tmp_path / "big.txt"
+        src.write_text(text)
+        code, out, err = run_cli(capsys, command[0], "--input", str(src), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {src}: coefficients too large; the Pauli norm or the sum "
+                       "of their squares overflows\n")
 
     def test_file_not_utf8(self, capsys, tmp_path):
         src = tmp_path / "binary.txt"
@@ -521,6 +553,7 @@ _CALL_CASES = [
     ("_RunSetup", _QDRIFT),
     ("engineered_qdrift_cost", ("compare", "--family", "ising-neighbor", "--sizes", "2",
                                 "--restarts", "1", "--iterations", "1")),
+    ("_check_register", ("estimate-q", "--ham", "ising-neighbor:2")),
     ("q_analytic", ("estimate-q", "--ham", "ising-neighbor:2")),
     ("q_full_circuit", ("estimate-q", "--ham", "ising-neighbor:2", "--shots", "10")),
 ]

@@ -168,7 +168,8 @@ class TestQDriftSample:
         assert not a.indices.flags.writeable
 
     @pytest.mark.parametrize("indices", [[0.7, 1.9], [0.0, np.nan], [0.0, np.inf], [0j, 1j],
-                                         ["0", "1"]], ids=repr)
+                                         ["0", "1"], [True, False],
+                                         np.array([1, 0], dtype=bool)], ids=repr)
     def test_plan_indices_that_are_not_integers_refused(self, indices):
         """Indices are refused, not truncated to [0, 1]."""
         with pytest.raises(ValueError, match="indices must be integers"):
@@ -466,9 +467,11 @@ class TestCountsRefused:
         "channel gates": lambda v: qdrift_channel_error(TestCountsRefused.H, 0.5, v, trials=5),
         "channel trials": lambda v: qdrift_channel_error(TestCountsRefused.H, 0.5, 10, trials=v),
         "sample gates": lambda v: qdrift_sample(TestCountsRefused.H, 0.5, v),
+        "plan gates": lambda v: QDriftPlan(gamma=6.0, tau=0.1, gate_count=v, indices=[0] * 5,
+                                           seed=0),
     }
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, np.bool_(True), "3", None,
+    @pytest.mark.parametrize("value", [2.5, 2.0, 3.0, True, False, np.bool_(True), "3", None,
                                        np.float64(4.0)], ids=repr)
     @pytest.mark.parametrize("call", CALLS, ids=str)
     def test_refused_before_any_work(self, monkeypatch, call, value):
@@ -484,9 +487,11 @@ class TestCountsRefused:
     def test_numpy_integers_accepted(self, call):
         def result(v):
             out = self.CALLS[call](v)
-            return out.indices.tolist() if isinstance(out, QDriftPlan) else out
+            if isinstance(out, QDriftPlan):  # plans compare by value over all fields
+                assert type(out.gate_count) is int
+            return out
 
-        assert result(np.int64(5)) == result(np.int32(5)) == result(5)
+        assert result(np.int64(5)) == result(np.int32(5)) == result(np.uint8(5)) == result(5)
 
 
 class TestChannelMemory:

@@ -369,18 +369,21 @@ class TestGroupingResult:
         with pytest.raises(ValueError, match="collection 1 holds a string not on 2 qubits"):
             grouping_from_collections("s", (two, one))
 
-    @pytest.mark.parametrize("n", [0, -1, 33])
+    @pytest.mark.parametrize("n", [0, -1, 33, True, 2.0, 2.5, "3"], ids=repr)
     def test_qubit_count_outside_range_refused(self, n):
-        with pytest.raises(ValueError, match=re.escape(f"qubit count must be in 1..32, got {n}")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"qubit count must be an integer in 1..32, got {n!r}")):
             GroupingResult("s", n, [0], [1.0], [0, 1])
 
     @pytest.mark.parametrize("keys, message", [
         # the view built a 2-qubit string with x = 250, which the document labelled "IX"
         ([1000], "key 1000 out of range for 2 qubits"),
         ([15, 16, 17], "key 16 out of range for 2 qubits"),
-        ([1.5], "keys must be integers, got 1.5"),  # was truncated to 1
-        (["3"], "keys must be integers, got '3'"),
-        (np.array([1.0]), "keys must be integers, got dtype float64"),
+        ([1.5], "key must be an integer, got 1.5"),  # was truncated to 1
+        ([2.0], "key must be an integer, got 2.0"),
+        ([True], "key must be an integer, got True"),
+        (["3"], "key must be an integer, got '3'"),
+        (np.array([1.0]), "key must be an integer, got dtype float64"),
         ([-1], "key -1 out of range for 2 qubits"),
         (np.array([-1]), "key -1 out of range for 2 qubits"),
     ], ids=repr)
@@ -669,7 +672,7 @@ class TestCovarianceZero:
 
     @pytest.mark.parametrize("samples", [-1, 0, 1])
     def test_fewer_than_two_samples_rejected(self, samples):
-        with pytest.raises(ValueError, match=f"need >= 2 samples, got {samples}"):
+        with pytest.raises(ValueError, match=f"samples must be an integer >= 2, got {samples}"):
             covariance_zero_check(PauliString.from_label("ZI"), PauliString.from_label("IZ"),
                                   samples=samples, seed=0)
 

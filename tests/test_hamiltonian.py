@@ -48,7 +48,7 @@ class TestContainer:
         with pytest.raises(ValueError, match="non-finite"):
             bad * Hamiltonian(2, {"XI": 1.0})
 
-    @pytest.mark.parametrize("n", [0, 33])
+    @pytest.mark.parametrize("n", [0, 33, True, 2.0, 2.5, "3"], ids=repr)
     def test_from_arrays_rejects_qubit_count(self, n):
         with pytest.raises(ValueError, match="qubit count"):
             Hamiltonian.from_arrays(n, [], [])
@@ -68,7 +68,7 @@ class TestContainer:
                              ids=["float_list", "float_array", "mixed_list", "bool_array",
                                   "bool_list", "str_list"])
     def test_from_arrays_rejects_keys_that_are_not_ints(self, keys):
-        with pytest.raises(ValueError, match="keys must be integers"):
+        with pytest.raises(ValueError, match="key must be an integer"):
             Hamiltonian.from_arrays(3, keys, [1.0] * len(keys))
 
     @pytest.mark.parametrize("n", [3, 32])

@@ -167,6 +167,30 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(Hamiltonian(1, {}), hardware_efficient_layout(1, 1))
 
+    @pytest.mark.parametrize("run", [
+        lambda h, layout: optimize(h, layout, OptimizerConfig(restarts=1, max_iterations=2)),
+        lambda h, layout: cost_gradient(h, layout, np.zeros(layout.parameter_count),
+                                        OptimizerConfig()),
+    ], ids=["optimize", "cost_gradient"])
+    @pytest.mark.parametrize("terms", [{"XX": 1e200, "ZZ": 1e200, "YY": 1e200},
+                                       {"XI": 1e308, "ZI": 1e308}], ids=["squares", "norm"])
+    def test_overflowing_sum_of_squares_rejected(self, run, terms):
+        """Finite coefficients whose sum of squares overflows have no cost;
+        they are refused, without a warning, instead of engineered to an
+        l2 norm of inf."""
+        h = Hamiltonian(2, terms)
+        with pytest.raises(ValueError, match="sum of squared coefficients overflows"):
+            run(h, hardware_efficient_layout(2, 1))
+
+    def test_numpy_qubit_count_engineers_as_the_python_int(self):
+        h = ising_neighbor(3)
+        twin = Hamiltonian.from_arrays(np.int64(3), h.keys, h.coeffs)
+        got = optimize(twin, hardware_efficient_layout(twin.n, 1))
+        want = optimize(h, hardware_efficient_layout(3, 1))
+        assert got.engineered == want.engineered
+        assert np.array_equal(got.theta_star, want.theta_star)
+        assert (got.cost_trace, got.restart_index) == (want.cost_trace, want.restart_index)
+
 
 class TestZeroAngleCandidate:
     """The zero-angle circuit, where only the CZs act, is priced with the
@@ -349,9 +373,15 @@ class TestConfig:
         ("restarts", 0),
         ("restarts", 1.5),
         ("restarts", "3"),
+        ("restarts", True),
+        ("restarts", 2.0),
+        ("max_iterations", "3"),
         ("seed", -1),
         ("seed", 1.5),
         ("seed", None),
+        ("seed", True),
+        ("seed", 2.0),
+        ("seed", "3"),
         ("learning_rate", 0.0),
         ("learning_rate", np.nan),
         ("learning_rate", np.inf),
@@ -368,6 +398,7 @@ class TestConfig:
         config = OptimizerConfig(restarts=np.int64(2), max_iterations=np.int32(3),
                                  seed=np.uint8(7))
         assert (config.restarts, config.max_iterations, config.seed) == (2, 3, 7)
+        assert all(type(v) is int for v in (config.restarts, config.max_iterations, config.seed))
 
 
 def test_optimize_module_is_its_own_import_path():
@@ -494,7 +525,9 @@ class TestPartition:
     @pytest.mark.parametrize("parts, message", [
         ((PartitionPart((0,), PauliString.from_label("X"), (0,)),),
          "partition does not cover every term"),
-        ((PartitionPart((0,), PauliString.from_label("X"), (0, 2)),), "term index 2 out of range"),
+        ((PartitionPart((0,), PauliString.from_label("X"), (0, 2)),), "term index must be an integer in 0..1, got 2"),
+        ((PartitionPart((0,), PauliString.from_label("X"), (0, True)),),
+         "term index must be an integer in 0..1, got True"),
         ((PartitionPart((0, 1), PauliString.from_label("XI"), (0,)),
           PartitionPart((0, 1), PauliString.from_label("XZ"), (1,))),
          "a part must leave at least one residual qubit"),
@@ -506,7 +539,7 @@ class TestPartition:
          "term index 0 appears in two parts"),
         ((PartitionPart((0, 1), PauliString.from_label("XI"), (0,)),),
          "partition does not cover every term"),
-    ], ids=["missing_cover", "index_out_of_range", "no_residual_qubit", "factor_length",
+    ], ids=["missing_cover", "index_out_of_range", "bool_index", "no_residual_qubit", "factor_length",
             "overlap_before_residual", "cover_before_residual"])
     def test_malformed_parts_rejected(self, parts, message):
         h = Hamiltonian(2, {"XI": 1.0, "XZ": 2.0})

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,56 @@ def test_library_imports_sit_at_the_top(path):
     found = [(name, line) for name, line in _function_imports(path)
              if (path.stem, name) not in _LOCAL_IMPORTS]
     assert found == []
+
+
+# The tests for bool or an integer type outside paulis, as the number of
+# them in each (module, function), with the reason they are not an integer
+# check on an argument; every integer argument goes to paulis._checked_int.
+_TYPE_DISPATCHES = {
+    ("results", "_format_value"): (2, "formats a document value by its type"),
+    ("dynamics", "_entropy_words.words"): (1, "reads a seed's words as SeedSequence does"),
+    ("optimize", "OptimizerConfig.__post_init__"): (1, "refuses a bool as the real learning rate"),
+}
+_INTEGER_TYPES = {"bool", "int", "integer", "Integral"}  # np.integer, numbers.Integral
+
+
+def _names(node) -> set[str]:
+    """The names and attribute names a type expression mentions."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _integer_tests(path: Path):
+    """The dotted function name of every ``type(...) is int`` and every
+    isinstance test against bool or an integer type in the module at
+    ``path``, once per test."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                if len(child.args) == 2 and _names(child.args[1]) & _INTEGER_TYPES:
+                    yield scope
+            if (isinstance(child, ast.Compare) and isinstance(child.left, ast.Call)
+                    and getattr(child.left.func, "id", None) == "type"
+                    and any(_names(c) & _INTEGER_TYPES for c in child.comparators)):
+                yield scope
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), "")
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "paulis"),
+                         ids=lambda p: p.stem)
+def test_integer_checks_live_in_paulis(path):
+    found = Counter(_integer_tests(path))
+    assert found == {name: count for (module, name), (count, _) in _TYPE_DISPATCHES.items()
+                     if module == path.stem}
+
+
+def test_paulis_holds_the_integer_check():
+    assert Counter(_integer_tests(SRC / "paulis.py")) == {"_checked_int": 2}
 
 
 def test_dense_paths_load_neither_engine_nor_verification():

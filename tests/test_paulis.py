@@ -1,5 +1,6 @@
 """Pauli-string representation, products, and commutation."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from pauliforge import dense
 from pauliforge.dense import _pauli_rows, hamiltonian_matrix, pauli_matrix
-from pauliforge.hamiltonian import Hamiltonian
+from pauliforge.grouping import GroupingResult
+from pauliforge.hamiltonian import CoefficientVector, Hamiltonian, embed
+from pauliforge.model_io import ising_all_to_all, ising_neighbor
 from pauliforge.paulis import (
     LabelError,
     PauliString,
+    _checked_int,
     commutes,
     digits_from_indices,
     digits_from_keys,
@@ -80,7 +84,7 @@ class TestRepresentation:
 
     def test_from_key_checks_the_width_first(self):
         for n in (0, 33):
-            with pytest.raises(ValueError, match="qubit count must be in"):
+            with pytest.raises(ValueError, match="qubit count must be an integer in"):
                 PauliString.from_key(0, n)
 
     def test_restrict(self):
@@ -157,7 +161,7 @@ class TestCodec:
                       lambda: digits_from_indices([1], 33),
                       lambda: keys_from_digits(np.zeros((1, 33), dtype=np.uint8)),
                       lambda: indices_from_digits(np.zeros((1, 33), dtype=np.uint8))):
-            with pytest.raises(ValueError, match="qubit count must be in 1..32, got 33"):
+            with pytest.raises(ValueError, match="qubit count must be an integer in 1..32, got 33"):
                 build()
 
 
@@ -362,3 +366,85 @@ class TestHamiltonianMatrix:
         assert np.array_equal(got.view(np.uint64), dense_hamiltonian(h).view(np.uint64))
         assert np.array_equal(got, label_matrix("XZ") - label_matrix("XI")
                               + 0.5 * label_matrix("YY") - 0.5 * label_matrix("XX"))
+
+
+# Each integer argument, as (argument named in the refusal, call with the
+# argument set to v); every call takes v = 2.
+_INTEGER_ARGUMENTS = {
+    "Hamiltonian terms n": ("qubit count", lambda v: Hamiltonian(v, {"XZ": 1.0})),
+    "PauliString n": ("qubit count", lambda v: PauliString(v, 1, 0)),
+    "PauliString x": ("x mask", lambda v: PauliString(2, v, 0)),
+    "PauliString z": ("z mask", lambda v: PauliString(2, 0, v)),
+    "from_key key": ("key", lambda v: PauliString.from_key(v, 2)),
+    "from_key n": ("qubit count", lambda v: PauliString.from_key(1, v)),
+    "from_index index": ("index", lambda v: PauliString.from_index(v, 2)),
+    "from_index n": ("qubit count", lambda v: PauliString.from_index(1, v)),
+    "digit": ("qubit", lambda v: PauliString.from_label("XYZ").digit(v)),
+    "restrict": ("qubit", lambda v: PauliString.from_label("XYZ").restrict((v,))),
+    "codec n": ("qubit count", lambda v: digits_from_keys([1], v)),
+    "CoefficientVector n": ("qubit count",
+                            lambda v: CoefficientVector(v, 1.0, [1], [1.0])),
+    "ising_neighbor": ("qubit count", ising_neighbor),
+    "ising_all_to_all": ("qubit count", ising_all_to_all),
+    "embed qubit": ("qubit", lambda v: embed(Hamiltonian(1, {"X": 1.0}), (v,), 3)),
+    "embed n": ("qubit count", lambda v: embed(Hamiltonian(1, {"X": 1.0}), (0,), v)),
+}
+# Integer arguments whose refusals are inputs of parametrized tests in
+# test_hamiltonian and test_grouping.
+_REFUSED_ELSEWHERE = {
+    "Hamiltonian n": ("qubit count", lambda v: Hamiltonian.from_arrays(v, [1], [1.0])),
+    "Hamiltonian key": ("key", lambda v: Hamiltonian.from_arrays(2, [v], [1.0])),
+    "GroupingResult n": ("qubit count", lambda v: GroupingResult("s", v, [1], [1.0], [0, 1])),
+    "GroupingResult key": ("key", lambda v: GroupingResult("s", 2, [v], [1.0], [0, 1])),
+}
+
+
+def _value(out):
+    """What a call returns, as comparable fields; a stored qubit count must
+    be a Python int."""
+    if hasattr(out, "n"):
+        assert type(out.n) is int
+    if isinstance(out, PauliString):
+        return out.n, out.x, out.z
+    if isinstance(out, CoefficientVector):
+        return out.n, out.lam, out.indices.tolist(), out.entries.tolist()
+    if isinstance(out, np.ndarray):
+        return out.dtype, out.tolist()
+    return out
+
+
+class TestIntegerRule:
+    """One rule for every integer argument: a Python or NumPy integer,
+    never a bool, within its bounds; anything else is a ValueError that
+    names the argument."""
+
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "3"], ids=repr)
+    @pytest.mark.parametrize("call", _INTEGER_ARGUMENTS)
+    def test_non_integer_refused_naming_the_argument(self, call, value):
+        name, build = _INTEGER_ARGUMENTS[call]
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build(value)
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.uint8(2)], ids=repr)
+    @pytest.mark.parametrize("call", {**_INTEGER_ARGUMENTS, **_REFUSED_ELSEWHERE})
+    def test_numpy_integer_gives_the_python_int_result(self, call, value):
+        _, build = {**_INTEGER_ARGUMENTS, **_REFUSED_ELSEWHERE}[call]
+        assert _value(build(value)) == _value(build(2))
+
+    @pytest.mark.parametrize("value, low, high, message", [
+        (True, None, None, "n must be an integer, got True"),
+        (np.bool_(True), 0, None, "n must be an integer >= 0, got np.True_"),
+        (-1, 0, None, "n must be an integer >= 0, got -1"),
+        (np.uint64(2**63), 1, 2**63 - 1,
+         f"n must be an integer in 1..{2**63 - 1}, got {2**63}"),
+        ("3", 1, 2, "n must be an integer in 1..2, got '3'"),
+    ], ids=repr)
+    def test_checker_message(self, value, low, high, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _checked_int(value, "n", low, high)
+
+    @pytest.mark.parametrize("value", [0, 2**63 - 1, np.int8(5), np.uint64(2**64 - 1)],
+                             ids=repr)
+    def test_checker_returns_a_python_int(self, value):
+        out = _checked_int(value, "n", 0)
+        assert type(out) is int and out == int(value)

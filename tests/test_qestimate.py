@@ -123,12 +123,13 @@ class TestFullCircuit:
 
     def test_numpy_int_shots_accepted(self):
         psi = np.array([0.6, 0.8])
-        assert q_full_circuit(psi, np.int64(50), seed=3) == q_full_circuit(psi, 50, seed=3)
+        for shots in (np.int64(50), np.uint8(50)):
+            assert q_full_circuit(psi, shots, seed=3) == q_full_circuit(psi, 50, seed=3)
 
     @pytest.mark.parametrize("shots", [2**63, np.uint64(2**63), 10**23], ids=repr)
     def test_shots_past_int64_refused(self, shots):
         # NumPy's binomial raised OverflowError on these
-        message = f"shots must be at most 2**63 - 1, got {shots}"
+        message = f"shots must be an integer in 1..{2**63 - 1}, got {shots}"
         with pytest.raises(ValueError, match=re.escape(message)):
             q_full_circuit(np.array([1.0, 0.0]), shots=shots)
 
