@@ -119,6 +119,7 @@ def hardware_efficient_layout(n: int, depth: int,
                               entangler: str = "chain") -> AnsatzLayout:
     """Layered ansatz: per layer, the given one-qubit rotations on every
     qubit, then CZ on neighboring pairs ("chain") or all pairs ("all")."""
+    n, depth = _checked_int(n, "n", 1, MAX_QUBITS), _checked_int(depth, "depth", 0)
     for kind in rotations:
         gate_axis(Gate(kind, (0,), 0), 1)  # a one-qubit rotation, or ValueError
     if entangler == "chain":

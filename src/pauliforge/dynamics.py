@@ -9,12 +9,13 @@ coefficient is folded into the rotation direction.  Errors are measured
 as the mean 2-norm state deviation over a fixed panel of Haar-random
 test states, averaged over independently sampled plans.
 
-Plans are applied matrix-free: a Pauli string sends basis row i to one
-source row with a phase in {+-1, +-i}, so a step is a row gather and one
-multiply, and no term matrix is built.  Each apply call folds the
-rotation into the phases once, rot_j * phase_j per term and row, as a
-table as wide as the panel; a table that would hold more than
-``_CHUNK_AMPLITUDES`` entries is built one column wide and broadcast.
+Plans are applied matrix-free by :func:`qdrift_apply`, the one step
+kernel: a Pauli string sends basis row i to one source row with a phase
+in {+-1, +-i}, so a step is a row gather and one multiply, and no term
+matrix is built.  Each kernel call folds the rotation into the phases
+once, rot_j * phase_j per term and row, as a table as wide as the panel;
+a table that would hold more than ``_CHUNK_AMPLITUDES`` entries is built
+one column wide and broadcast.
 What an error run needs apart from G (the seeded Haar panel, its exact
 outputs, the cdf and the row tables) is one setup per (h, t, seed): the
 ``qdrift`` command builds it once and passes it to each run of its sweep
@@ -40,9 +41,9 @@ their reductions are those of one dense product per trial bit for bit,
 with or without a shared setup.
 
 Seed streams (the reproducibility contract, unchanged by the shared
-setup): ``qdrift_sample`` uses ``default_rng(seed)``; trial k of
-``qdrift_error`` uses the k-th child of ``SeedSequence(seed).spawn(trials)``,
-and of ``qdrift_channel_error`` that of ``SeedSequence((seed, G)).spawn(trials)``.
+setup): trial k of ``qdrift_error`` uses the k-th child of
+``SeedSequence(seed).spawn(trials)``, and of ``qdrift_channel_error`` that
+of ``SeedSequence((seed, G)).spawn(trials)``.
 No NumPy SeedSequence or bit generator is built per trial: NumPy builds
 the root, and so refuses a seed it would refuse; the SeedSequence hash of
 a chunk's children then runs as uint32 array arithmetic, Python ints
@@ -96,55 +97,13 @@ def exact_evolution(h: Hamiltonian, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class QDriftPlan:
-    """One sampled gate sequence; indices refer to terms_by_index() order.
-
-    ``indices`` is held as a read-only intp copy, so plans compare and
-    hash by value over all fields.  Indices that are not integers (bools
-    included), a gate count that is not an integer >= 1, and a gamma or
-    tau that is not finite, are refused rather than truncated or applied.
-    """
-
-    gamma: float
-    tau: float
-    gate_count: int
-    indices: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "gate_count", _checked_int(self.gate_count, "gate count", 1))
-        given = np.asarray(self.indices)
-        whole = given.dtype.kind in "iu" or (
-            given.dtype.kind == "f" and np.all(np.isfinite(given) & (np.trunc(given) == given)))
-        if not whole:
-            raise ValueError(f"plan indices must be integers, got {given.dtype} values")
-        if not (math.isfinite(self.gamma) and math.isfinite(self.tau)):
-            raise ValueError(f"plan gamma and tau must be finite, got {self.gamma} and {self.tau}")
-        indices = np.array(given, dtype=np.intp)
-        indices.flags.writeable = False
-        object.__setattr__(self, "indices", indices)
-
-    def _fields(self) -> tuple:
-        return (self.gamma, self.tau, self.gate_count, self.seed,
-                self.indices.shape, self.indices.tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QDriftPlan):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
 class _QDrift:
-    """The one qDrift path for a Hamiltonian: p_j over terms_by_index(),
-    plans drawn through one Generator from the caller's stream states,
-    and plans applied matrix-free to a stack of trials.  Nothing here
-    depends on the gate count, so one instance serves every G.  Each term
-    is a source-row table and a phase table (built on first use only), so
-    one step of every trial is one row gather and one multiply."""
+    """The one qDrift sampler for a Hamiltonian: p_j over
+    terms_by_index(), and plans drawn through one Generator from the
+    caller's stream states.  Nothing here depends on the gate count, so
+    one instance serves every G.  Each term is a source-row table and a
+    phase table (built on first use only), so one step of every trial is
+    one row gather and one multiply in :func:`qdrift_apply`."""
 
     def __init__(self, h: Hamiltonian):
         if len(h) == 0:
@@ -163,6 +122,7 @@ class _QDrift:
         return _pauli_rows(self._keys, self._n)
 
     def tau(self, t: float, gate_count: int) -> float:
+        gate_count = _checked_int(gate_count, "gate count", 1)
         tau = float(t) * self.gamma / gate_count  # a float overflows to inf, unwarned
         if not np.isfinite(tau):
             raise ValueError(f"qdrift step t*gamma/G = {tau} is not finite for t = {t}")
@@ -174,8 +134,9 @@ class _QDrift:
         rng.choice(terms, size=size, p=p) would return with rng's bit
         generator put in states[r] and advanced past ``done`` uniforms, so
         a plan drawn a segment at a time is the plan drawn whole.  One
-        generator serves every row."""
-        uniforms = np.empty((len(states), size))
+        generator serves every row.  A ``size`` that is a bool or not an
+        integer is refused before any draw; an empty segment is drawn."""
+        uniforms = np.empty((len(states), _checked_int(size, "gate count", 0)))
         bit_generator = rng.bit_generator
         for state, row in zip(states, uniforms):
             bit_generator.state = state
@@ -184,84 +145,48 @@ class _QDrift:
             rng.random(out=row)
         return self._cdf.searchsorted(uniforms, side="right")
 
-    def sample(self, t: float, gate_count: int, rng: np.random.Generator,
-               seed: int) -> QDriftPlan:
-        indices = self.draw(rng, [rng.bit_generator.state], gate_count)[0]
-        return QDriftPlan(gamma=self.gamma, tau=self.tau(t, gate_count), gate_count=gate_count,
-                          indices=indices, seed=seed)
-
-    def apply(self, tau: float, indices: np.ndarray, out: np.ndarray) -> None:
-        """Apply row r of ``indices`` (trials x steps) to the (2^n, k)
-        panel out[r], in place; ``out`` is a C-contiguous complex
-        (trials, 2^n, k) stack.
-
-        Step by step this is the dense update c*out - rot_j*(P_j @ out).
-        rot_j = i*sign(h_j)*sin(tau) and the phases are +-1 or +-i, so
-        their product coef_j is exact, and coef_j * psi rounds as
-        rot_j * (phase_j * psi) does: the outputs are the dense path's
-        bit for bit.  The coef table is (terms, 2^n, k), so each step's
-        multiply runs over contiguous operands, unless that would exceed
-        _CHUNK_AMPLITUDES entries; then it is (terms, 2^n, 1) and
-        broadcasts.  The source-row indices of a block of steps, at most
-        _CHUNK_AMPLITUDES of them, are gathered by one take; a step is
-        then one gather of the moved rows, one multiply by the gathered
-        coefficients, c*out and the subtract.
-        """
-        c, s = np.cos(tau), np.sin(tau)
-        rot = np.array([1j * sign * s for sign in self._signs])
-        src, phase = self._rows
-        trials, dim, k = out.shape
-        width = k if rot.size * dim * k <= _CHUNK_AMPLITUDES else 1
-        coef = np.repeat((rot[:, None] * phase)[:, :, None], width, axis=2)
-        flat = out.reshape(trials * dim, k)
-        first_row = np.arange(0, trials * dim, dim)[:, None]
-        block = max(1, _CHUNK_AMPLITUDES // (trials * dim))
-        for b0 in range(0, indices.shape[1], block):
-            steps = indices[:, b0:b0 + block].T
-            rows = src.take(steps, axis=0)  # (steps, trials, 2^n)
-            rows += first_row
-            for js, moved_rows in zip(steps, rows):
-                moved = flat.take(moved_rows, axis=0)
-                np.multiply(coef.take(js, axis=0), moved, out=moved)
-                np.multiply(c, out, out=out)
-                np.subtract(out, moved, out=out)
-
 
 def _check_run_size(h: Hamiltonian) -> None:
     if h.n > QDRIFT_MAX_QUBITS:
         raise ValueError(f"qdrift error runs capped at {QDRIFT_MAX_QUBITS} qubits, got {h.n}")
 
 
-def qdrift_sample(h: Hamiltonian, t: float, gate_count: int, seed: int = 0) -> QDriftPlan:
-    """Draw a plan: G i.i.d. indices with p_j = |h_j|/gamma, tau = t*gamma/G."""
-    gate_count = _checked_int(gate_count, "gate count", 1)
-    return _QDrift(h).sample(t, gate_count, np.random.default_rng(seed), seed)
+def qdrift_apply(q: _QDrift, tau: float, indices: np.ndarray, out: np.ndarray) -> None:
+    """Apply row r of ``indices`` (trials x steps, q's term indices) as
+    rotations of step ``tau`` to the (2^n, k) panel out[r], in place;
+    ``out`` is a C-contiguous complex (trials, 2^n, k) stack.  This is
+    the error runs' one step kernel, and it checks nothing.
 
-
-def qdrift_apply(h: Hamiltonian, plan: QDriftPlan, states: np.ndarray) -> np.ndarray:
-    """Apply the plan's product of Pauli rotations to a state or to the
-    columns of a (2^n, k) panel.
-
-    Each sampled step is exp(-i*tau*sign(h_j)*P_j) = cos(tau) I
-    - i*sign(h_j)*sin(tau) P_j, a unitary applied exactly.  A plan drawn
-    for another Hamiltonian (a different gamma, or an index past h's
-    terms) is rejected, as is one whose indices are not one per gate.
+    Step by step this is the dense update c*out - rot_j*(P_j @ out).
+    rot_j = i*sign(h_j)*sin(tau) and the phases are +-1 or +-i, so
+    their product coef_j is exact, and coef_j * psi rounds as
+    rot_j * (phase_j * psi) does: the outputs are the dense path's
+    bit for bit.  The coef table is (terms, 2^n, k), so each step's
+    multiply runs over contiguous operands, unless that would exceed
+    _CHUNK_AMPLITUDES entries; then it is (terms, 2^n, 1) and
+    broadcasts.  The source-row indices of a block of steps, at most
+    _CHUNK_AMPLITUDES of them, are gathered by one take; a step is
+    then one gather of the moved rows, one multiply by the gathered
+    coefficients, c*out and the subtract.
     """
-    q = _QDrift(h)
-    if plan.indices.shape != (plan.gate_count,):
-        raise ValueError(f"plan has indices of shape {plan.indices.shape}, "
-                         f"expected ({plan.gate_count},) for its gate count")
-    if plan.gamma != q.gamma:
-        raise ValueError(f"plan was drawn for gamma={plan.gamma}, Hamiltonian has {q.gamma}")
-    if np.any((plan.indices < 0) | (plan.indices >= len(h))):
-        raise ValueError(f"plan indexes a term outside the Hamiltonian's {len(h)} terms")
-    states = np.asarray(states)
-    dim = 1 << h.n
-    if states.ndim not in (1, 2) or states.shape[0] != dim:
-        raise ValueError(f"states must have shape ({dim},) or ({dim}, k), got {states.shape}")
-    out = np.array(states.reshape(1, dim, -1), dtype=complex, order="C")
-    q.apply(plan.tau, plan.indices[None], out)
-    return out.reshape(states.shape)
+    c, s = np.cos(tau), np.sin(tau)
+    rot = np.array([1j * sign * s for sign in q._signs])
+    src, phase = q._rows
+    trials, dim, k = out.shape
+    width = k if rot.size * dim * k <= _CHUNK_AMPLITUDES else 1
+    coef = np.repeat((rot[:, None] * phase)[:, :, None], width, axis=2)
+    flat = out.reshape(trials * dim, k)
+    first_row = np.arange(0, trials * dim, dim)[:, None]
+    block = max(1, _CHUNK_AMPLITUDES // (trials * dim))
+    for b0 in range(0, indices.shape[1], block):
+        steps = indices[:, b0:b0 + block].T
+        rows = src.take(steps, axis=0)  # (steps, trials, 2^n)
+        rows += first_row
+        for js, moved_rows in zip(steps, rows):
+            moved = flat.take(moved_rows, axis=0)
+            np.multiply(coef.take(js, axis=0), moved, out=moved)
+            np.multiply(c, out, out=out)
+            np.subtract(out, moved, out=out)
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -416,7 +341,8 @@ def _error_runs(h: Hamiltonian, t: float, gate_count: int, trials: int,
         states = root.states(first, size)
         out = np.repeat(panel[None], size, axis=0)
         for done in range(0, gate_count, steps):
-            q.apply(tau, q.draw(rng, states, min(steps, gate_count - done), done), out)
+            # a module global, looked up per call: perfbench/tracing.py wraps it by name
+            qdrift_apply(q, tau, q.draw(rng, states, min(steps, gate_count - done), done), out)
         return out
 
     return setup.exact, (outputs(i, min(chunk, trials - i)) for i in range(0, trials, chunk))

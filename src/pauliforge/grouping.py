@@ -88,8 +88,9 @@ class GroupingResult:
     terms in collection order, and within a collection in candidate order,
     with ``starts`` the CSR offsets of the collections (collection j holds
     entries starts[j]:starts[j + 1]).  The qubit count is refused outside
-    1..MAX_QUBITS, and a key that is not an integer below 4**n.  The arrays
-    are read-only copies; results compare and hash by value over all fields."""
+    1..MAX_QUBITS, a key that is not an integer below 4**n, offsets that
+    are not integers and a coefficient that is not finite.  The arrays are
+    read-only copies; results compare and hash by value over all fields."""
 
     strategy: str
     n: int
@@ -101,11 +102,17 @@ class GroupingResult:
         object.__setattr__(self, "n", _checked_width(self.n))
         keys = np.array(_checked_keys(self.keys, self.n))
         coeffs = np.array(self.coeffs, dtype=np.float64)
-        starts = np.array(self.starts, dtype=np.intp)
+        starts = np.array(self.starts)
+        if starts.size and starts.dtype.kind not in "iu":  # the cast would truncate
+            raise ValueError(f"offsets must be integers, got dtype {starts.dtype}")
+        starts = starts.astype(np.intp, copy=False)
         if (keys.ndim != 1 or keys.shape != coeffs.shape or starts.ndim != 1
                 or starts.size < 2 or starts[0] != 0 or starts[-1] != keys.size):
             raise ValueError("need 1-D keys and coefficients of equal length, and "
                              "offsets from 0 to their length over at least one collection")
+        if not np.isfinite(coeffs).all():
+            bad = int(np.flatnonzero(~np.isfinite(coeffs))[0])
+            raise ValueError(f"non-finite coefficient {coeffs[bad]} at entry {bad}")
         empty = np.flatnonzero(starts[1:] <= starts[:-1])
         if empty.size:
             raise ValueError(f"collection {int(empty[0])} is empty")

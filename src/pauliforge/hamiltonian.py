@@ -43,19 +43,19 @@ def _merge_raw(keys: np.ndarray, coeffs: np.ndarray):
     return uniq[keep], summed[keep]
 
 
-def _checked_keys(keys, n: int) -> np.ndarray:
-    """Packed keys as uint64, each refused first unless it is an integer
-    in 0..4**n - 1 (n already checked): the cast would truncate a float
-    key and wrap a negative one.  A list is checked key by key, because
-    NumPy reads a list that mixes ints past 2**63 with smaller ones as
-    float64."""
+def _checked_keys(keys, n: int, name: str = "key") -> np.ndarray:
+    """Packed keys (or base-4 indices) as uint64, each refused first,
+    naming it ``name``, unless it is an integer in 0..4**n - 1 (n already
+    checked): the cast would truncate a float key and wrap a negative
+    one.  A list is checked key by key, because NumPy reads a list that
+    mixes ints past 2**63 with smaller ones as float64."""
     if not isinstance(keys, np.ndarray):
-        keys = np.array([_checked_int(k, "key") for k in keys], dtype=object)
+        keys = np.array([_checked_int(k, name) for k in keys], dtype=object)
     elif keys.size and keys.dtype.kind not in "iu":
-        raise ValueError(f"key must be an integer, got dtype {keys.dtype}")
+        raise ValueError(f"{name} must be an integer, got dtype {keys.dtype}")
     wide = np.flatnonzero((keys < 0) | (keys >= 4**n))
     if wide.size:
-        raise ValueError(f"key {keys[wide[0]]} out of range for {n} qubits")
+        raise ValueError(f"{name} {keys[wide[0]]} out of range for {n} qubits")
     return keys.astype(np.uint64, copy=False)
 
 
@@ -217,7 +217,8 @@ class CoefficientVector:
     ``entries`` their real amplitudes (float64), with unit l2 norm;
     ``lam`` is the l2 norm of the source coefficients, so the string of
     index indices[k] has coefficient lam * entries[k].  Both arrays are
-    read-only copies; vectors compare by identity, not by value.
+    read-only copies; vectors compare by identity, not by value.  An index
+    that is not an integer in 0..4**n - 1 is refused, not cast.
     """
 
     n: int
@@ -229,13 +230,13 @@ class CoefficientVector:
         object.__setattr__(self, "n", _checked_width(self.n))
         if self.lam <= 0.0 or not np.isfinite(self.lam):
             raise ValueError(f"normalization factor must be positive, got {self.lam}")
-        indices = np.array(self.indices, dtype=np.uint64)
+        indices = np.array(_checked_keys(self.indices, self.n, "index"))
         entries = np.array(self.entries, dtype=np.float64)
         if indices.ndim != 1 or indices.shape != entries.shape:
             raise ValueError(f"indices {indices.shape} and entries {entries.shape} "
                              "must be 1-D arrays of equal length")
-        if np.any(indices[1:] <= indices[:-1]) or indices.size and int(indices[-1]) >= 4**self.n:
-            raise ValueError(f"indices must be strictly increasing and below 4**{self.n}")
+        if np.any(indices[1:] <= indices[:-1]):
+            raise ValueError("indices must be strictly increasing")
         sq = float(np.dot(entries, entries))
         if abs(sq - 1.0) > 1e-9:
             raise ValueError(f"entries are not normalized: sum of squares {sq}")

@@ -26,8 +26,8 @@ class PartitionPart:
 
 
 def _checked_qubits(qubits, n: int) -> tuple[int, ...]:
-    qubits = tuple(qubits)
-    if not qubits or len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+    qubits = tuple(_checked_int(q, "factor qubit", 0, n - 1) for q in qubits)
+    if not qubits or len(set(qubits)) != len(qubits):
         raise ValueError(f"factor qubits must be distinct qubits in 0..{n - 1}, got {qubits}")
     return qubits
 

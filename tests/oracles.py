@@ -18,6 +18,7 @@ in lockstep.
 """
 
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -40,7 +41,7 @@ from pauliforge.paulis import (
     qubit_wise_commutes,
 )
 from pauliforge.dense import haar_state
-from pauliforge.dynamics import QDRIFT_MAX_QUBITS, QDriftPlan, exact_evolution
+from pauliforge.dynamics import QDRIFT_MAX_QUBITS, exact_evolution
 from pauliforge.optimize import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -371,6 +372,18 @@ def value_and_grad_reference(h, layout, theta, kind):
 # qDrift path must reproduce them exactly.
 
 _PANEL_SIZE = 20
+
+
+@dataclass(frozen=True)
+class QDriftPlan:
+    """One sampled gate sequence; indices refer to terms_by_index() order."""
+
+    gamma: float
+    tau: float
+    gate_count: int
+    indices: np.ndarray
+    seed: int
+
 
 def qdrift_sample_reference(h: Hamiltonian, t: float, gate_count: int, seed: int = 0) -> QDriftPlan:
     """Draw a plan: G i.i.d. indices with p_j = |h_j|/gamma, tau = t*gamma/G."""

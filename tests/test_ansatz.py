@@ -214,7 +214,9 @@ class TestLayout:
         lambda: layout_from_dict({"n": 2, "depth": True, "parameter_count": 0, "gates": []}),
         lambda: layout_from_dict({"n": 2, "depth": 2.5, "parameter_count": 0, "gates": []}),
         lambda: layout_from_dict({"n": 2, "depth": "3", "parameter_count": 0, "gates": []}),
-    ], ids=["hardware_efficient", "from_gates", "from_dict", "float", "bool", "fraction", "str"])
+        lambda: hardware_efficient_layout(3, 1.5),
+    ], ids=["hardware_efficient", "from_gates", "from_dict", "float", "bool", "fraction", "str",
+            "hardware_efficient_fraction"])
     def test_bad_depth_rejected(self, build):
         """A depth that is not an int >= 0 is refused instead of yielding a
         layout that reports it."""
@@ -229,7 +231,10 @@ class TestLayout:
         lambda: AnsatzLayout(2.0, 0, (), 0),
         lambda: AnsatzLayout(2.5, 0, (), 0),
         lambda: AnsatzLayout("3", 0, (), 0),
-    ], ids=["negative", "zero", "above_max", "bool", "float", "fraction", "str"])
+        lambda: hardware_efficient_layout(2.5, 1),
+        lambda: hardware_efficient_layout(np.uint8(0), 1),  # n - 1 would wrap
+    ], ids=["negative", "zero", "above_max", "bool", "float", "fraction", "str",
+            "hardware_efficient_fraction", "hardware_efficient_uint8_zero"])
     def test_bad_qubit_count_rejected(self, build):
         """A qubit count that is not an int in 1..MAX_QUBITS is refused
         instead of yielding a layout that reports it."""

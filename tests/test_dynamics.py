@@ -18,13 +18,11 @@ from pauliforge.dense import pauli_matrix
 from pauliforge.dynamics import (
     _CHUNK_AMPLITUDES,
     _PANEL_SIZE,
-    QDriftPlan,
     engineered_qdrift_cost,
     exact_evolution,
     qdrift_apply,
     qdrift_channel_error,
     qdrift_error,
-    qdrift_sample,
 )
 from pauliforge.hamiltonian import Hamiltonian, pauli_norm, vectorize
 from pauliforge.model_io import ising_neighbor
@@ -40,6 +38,7 @@ from pauliforge.verification import (
 )
 
 from oracles import (
+    QDriftPlan,
     dense_hamiltonian,
     qdrift_apply_reference,
     qdrift_channel_error_reference,
@@ -53,6 +52,24 @@ from oracles import (
 )
 
 GOLDEN_2Q = {"XI": 3.0, "YY": -1.0, "ZZ": 2.0}
+
+
+def _sample(h, t, gate_count, seed=0):
+    """The plan of G draws from default_rng(seed), drawn by the one
+    sampler from the generator's own state."""
+    q = dynamics._QDrift(h)
+    rng = np.random.default_rng(seed)
+    indices = q.draw(rng, [rng.bit_generator.state], gate_count)[0]
+    return QDriftPlan(q.gamma, q.tau(t, gate_count), gate_count, indices, seed)
+
+
+def _apply(h, plan, states):
+    """The plan applied by the step kernel to a state or to the columns
+    of a (2^n, k) panel."""
+    states = np.asarray(states)
+    out = np.array(states.reshape(1, 1 << h.n, -1), dtype=complex, order="C")
+    qdrift_apply(dynamics._QDrift(h), plan.tau, plan.indices[None], out)
+    return out.reshape(states.shape)
 
 
 class TestExactEvolution:
@@ -116,7 +133,7 @@ class TestTrotter:
 class TestQDriftSample:
     def test_sampling_probabilities(self):
         h = Hamiltonian(2, GOLDEN_2Q)
-        plan = qdrift_sample(h, 1.0, 100, seed=0)
+        plan = _sample(h, 1.0, 100, seed=0)
         assert plan.gamma == 6.0
         assert np.isclose(plan.tau, 0.06, atol=1e-15)
         # terms in index order: XI (3), YY (-1), ZZ (2) -> p = 1/2, 1/6, 1/3
@@ -126,7 +143,7 @@ class TestQDriftSample:
     def test_empirical_frequencies(self):
         h = Hamiltonian(2, GOLDEN_2Q)
         draws = 100_000
-        plan = qdrift_sample(h, 1.0, draws, seed=3)
+        plan = _sample(h, 1.0, draws, seed=3)
         probs = np.array([0.5, 1.0 / 6.0, 1.0 / 3.0])
         for j, p in enumerate(probs):
             freq = np.mean(plan.indices == j)
@@ -135,71 +152,22 @@ class TestQDriftSample:
 
     def test_per_step_unitary(self):
         h = Hamiltonian(2, GOLDEN_2Q)
-        plan = qdrift_sample(h, 0.7, 5, seed=4)
+        plan = _sample(h, 0.7, 5, seed=4)
         eye = np.eye(4, dtype=complex)
-        out = qdrift_apply(h, plan, eye)
+        out = _apply(h, plan, eye)
         assert np.linalg.norm(out.conj().T @ out - eye, 2) <= 1e-12
-
-    @pytest.mark.parametrize("shape", [(3,), (8,), (5, 2), (4, 2, 1), ()])
-    def test_bad_state_shape_rejected(self, shape):
-        h = Hamiltonian(2, GOLDEN_2Q)
-        plan = qdrift_sample(h, 0.7, 5, seed=4)
-        with pytest.raises(ValueError, match=r"shape \(4,\) or \(4, k\)"):
-            qdrift_apply(h, plan, np.ones(shape, dtype=complex))
 
     def test_state_equals_its_panel_column(self):
         h = ising_neighbor(3)
-        plan = qdrift_sample(h, 0.9, 30, seed=2)
+        plan = _sample(h, 0.9, 30, seed=2)
         panel = np.random.default_rng(2).normal(size=(8, 4)) + 0j
-        out = qdrift_apply(h, plan, panel)
+        out = _apply(h, plan, panel)
         for k in range(4):
-            assert np.array_equal(qdrift_apply(h, plan, panel[:, k]), out[:, k])
+            assert np.array_equal(_apply(h, plan, panel[:, k]), out[:, k])
 
     def test_zero_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
-            qdrift_sample(Hamiltonian(1, {}), 1.0, 10)
-
-    def test_plans_compare_and_hash_by_value(self):
-        h = ising_neighbor(3)
-        a, b = qdrift_sample(h, 1.0, 5, 0), qdrift_sample(h, 1.0, 5, 0)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != qdrift_sample(h, 1.0, 5, 1)
-        assert not a.indices.flags.writeable
-
-    @pytest.mark.parametrize("indices", [[0.7, 1.9], [0.0, np.nan], [0.0, np.inf], [0j, 1j],
-                                         ["0", "1"], [True, False],
-                                         np.array([1, 0], dtype=bool)], ids=repr)
-    def test_plan_indices_that_are_not_integers_refused(self, indices):
-        """Indices are refused, not truncated to [0, 1]."""
-        with pytest.raises(ValueError, match="indices must be integers"):
-            QDriftPlan(gamma=6.0, tau=0.1, gate_count=2, indices=indices, seed=0)
-
-    def test_plan_indices_that_are_integers_kept(self):
-        for indices in ([0, 2], [0.0, 2.0], np.array([0, 2], dtype=np.uint8)):
-            plan = QDriftPlan(gamma=6.0, tau=0.1, gate_count=2, indices=indices, seed=0)
-            assert plan.indices.dtype == np.intp and plan.indices.tolist() == [0, 2]
-
-    @pytest.mark.parametrize("gamma, tau", [(6.0, np.nan), (6.0, np.inf), (np.nan, 0.1),
-                                            (-np.inf, 0.1)])
-    def test_plan_step_that_is_not_finite_refused(self, gamma, tau):
-        """A NaN tau would apply as all-NaN states."""
-        with pytest.raises(ValueError, match="must be finite"):
-            QDriftPlan(gamma=gamma, tau=tau, gate_count=2, indices=[0, 1], seed=0)
-
-    def test_plan_for_another_gamma_rejected(self):
-        h = Hamiltonian(2, GOLDEN_2Q)
-        plan = qdrift_sample(2.0 * h, 1.0, 5, seed=0)
-        with pytest.raises(ValueError, match="gamma"):
-            qdrift_apply(h, plan, np.eye(4, dtype=complex))
-
-    def test_plan_index_outside_terms_rejected(self):
-        plan = qdrift_sample(ising_neighbor(4), 1.0, 50, seed=0)
-        h = Hamiltonian(4, {"XIII": plan.gamma})
-        negative = QDriftPlan(plan.gamma, plan.tau, 1, np.array([-1]), 0)
-        for bad in (plan, negative):
-            with pytest.raises(ValueError, match="outside"):
-                qdrift_apply(h, bad, np.eye(16, dtype=complex))
+            dynamics._QDrift(Hamiltonian(1, {}))
 
     @pytest.mark.parametrize("t", [1e308, -1e308, np.float64(1e308)],
                              ids=["float", "negative", "float64"])
@@ -207,21 +175,11 @@ class TestQDriftSample:
         """t*gamma past the float range is refused, not sampled as an
         infinite step, and raises no overflow warning on the way."""
         h = Hamiltonian(2, GOLDEN_2Q)
-        for call in (lambda: qdrift_sample(h, t, 1),
+        for call in (lambda: dynamics._QDrift(h).tau(t, 1),
                      lambda: qdrift_error(h, t, 1, trials=2),
                      lambda: qdrift_channel_error(h, t, 1, trials=2)):
             with pytest.raises(ValueError, match="not finite"):
                 call()
-
-    def test_plan_indices_not_one_per_gate_rejected(self):
-        """A plan applies exactly gate_count steps: fewer indices, more,
-        or a 2-D array are refused instead of applied or broadcast."""
-        h = Hamiltonian(2, GOLDEN_2Q)
-        plan = qdrift_sample(h, 1.0, 5, seed=0)
-        for indices in ([0, 1], [0] * 6, [[0, 1, 2, 0, 1]], [[0], [1], [2], [0], [1]]):
-            bad = QDriftPlan(plan.gamma, plan.tau, 5, np.array(indices), 0)
-            with pytest.raises(ValueError, match=r"indices of shape .*expected \(5,\)"):
-                qdrift_apply(h, bad, np.eye(4, dtype=complex))
 
 
 class TestQDriftError:
@@ -440,7 +398,7 @@ class TestSeedStreams:
                 == qdrift_error_reference(h, 0.5, 30, trials=5, seed=seed))
         assert (qdrift_channel_error(h, 0.5, 30, trials=5, seed=seed)
                 == qdrift_channel_error_reference(h, 0.5, 30, trials=5, seed=seed))
-        assert np.array_equal(qdrift_sample(h, 0.5, 30, seed=seed).indices,
+        assert np.array_equal(_sample(h, 0.5, 30, seed=seed).indices,
                               qdrift_sample_reference(h, 0.5, 30, seed=seed).indices)
 
     @pytest.mark.parametrize("seed", [[1, 2**40], np.array([3, 4], dtype=np.uint32),
@@ -461,14 +419,15 @@ class TestCountsRefused:
     refused with a ValueError before any work; NumPy integers pass."""
 
     H = Hamiltonian(2, GOLDEN_2Q)
+    Q = dynamics._QDrift(H)  # the sampler, built before a test stubs the class out
     CALLS = {
         "error gates": lambda v: qdrift_error(TestCountsRefused.H, 0.5, v, trials=5),
         "error trials": lambda v: qdrift_error(TestCountsRefused.H, 0.5, 10, trials=v),
         "channel gates": lambda v: qdrift_channel_error(TestCountsRefused.H, 0.5, v, trials=5),
         "channel trials": lambda v: qdrift_channel_error(TestCountsRefused.H, 0.5, 10, trials=v),
-        "sample gates": lambda v: qdrift_sample(TestCountsRefused.H, 0.5, v),
-        "plan gates": lambda v: QDriftPlan(gamma=6.0, tau=0.1, gate_count=v, indices=[0] * 5,
-                                           seed=0),
+        "sample gates": lambda v: TestCountsRefused.Q.draw(
+            np.random.default_rng(0), [np.random.default_rng(0).bit_generator.state], v).tolist(),
+        "plan gates": lambda v: TestCountsRefused.Q.tau(0.5, v),
     }
 
     @pytest.mark.parametrize("value", [2.5, 2.0, 3.0, True, False, np.bool_(True), "3", None,
@@ -485,12 +444,7 @@ class TestCountsRefused:
 
     @pytest.mark.parametrize("call", CALLS, ids=str)
     def test_numpy_integers_accepted(self, call):
-        def result(v):
-            out = self.CALLS[call](v)
-            if isinstance(out, QDriftPlan):  # plans compare by value over all fields
-                assert type(out.gate_count) is int
-            return out
-
+        result = self.CALLS[call]
         assert result(np.int64(5)) == result(np.int32(5)) == result(np.uint8(5)) == result(5)
 
 
@@ -541,13 +495,13 @@ class TestQDriftAgainstReference:
 
     @pytest.mark.parametrize("t, gates, trials, seed", CASES)
     def test_plans_and_panels(self, h, t, gates, trials, seed):
-        plan = qdrift_sample(h, t, gates, seed=seed)
+        plan = _sample(h, t, gates, seed=seed)
         ref = qdrift_sample_reference(h, t, gates, seed=seed)
         assert np.array_equal(plan.indices, ref.indices)
         assert (plan.gamma, plan.tau, plan.gate_count, plan.seed) == (
             ref.gamma, ref.tau, ref.gate_count, ref.seed)
         states = np.random.default_rng(seed).normal(size=(1 << h.n, trials)) + 0j
-        assert np.array_equal(qdrift_apply(h, plan, states),
+        assert np.array_equal(_apply(h, plan, states),
                               qdrift_apply_reference(h, ref, states))
 
     @pytest.mark.parametrize("t, gates, trials, seed", CASES)
@@ -580,10 +534,10 @@ class TestBatchedAgainstReference:
            seed=st.integers(0, 2**16), vector=st.booleans())
     def test_matches_reference(self, h, t, gates, trials, chunk_trials, chunk_draws, seed,
                                vector):
-        plan = qdrift_sample(h, t, gates, seed=seed)
+        plan = _sample(h, t, gates, seed=seed)
         shape = (1 << h.n,) if vector else (1 << h.n, 3)
         states = np.random.default_rng(seed).normal(size=shape) + 0j
-        assert np.array_equal(qdrift_apply(h, plan, states),
+        assert np.array_equal(_apply(h, plan, states),
                               qdrift_apply_reference(h, plan, states))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_CHUNK_AMPLITUDES", chunk_trials * (_PANEL_SIZE << h.n))
@@ -834,10 +788,6 @@ def _state(h):
     return np.eye(1 << h.n, 1, dtype=complex)[:, 0]
 
 
-def _one_step_plan(h):
-    return QDriftPlan(pauli_norm(h), 0.1, 1, np.array([0]), 0)
-
-
 # The caps listed under "Numerical scope" in the README: dense operators
 # and states <= 10 qubits, repeated-trial qDrift runs <= 8, sandwich
 # checks <= 6.
@@ -847,7 +797,8 @@ def _one_step_plan(h):
     (10, lambda h: pauli_expectation(next(iter(h))[0], _state(h))),
     (10, lambda h: hamiltonian_expectation(h, _state(h))),
     (10, lambda h: hamiltonian_expectation(0 * h, _state(h))),
-    (10, lambda h: qdrift_apply(h, _one_step_plan(h), _state(h))),
+    (10, lambda h: qdrift_apply(dynamics._QDrift(h), 0.1, np.zeros((1, 1), dtype=np.intp),
+                                _state(h).reshape(1, -1, 1))),
     (10, lambda h: covariance_zero_check(*[p for p, _ in h.terms_by_index()[:2]])),
     (10, lambda h: exact_evolution(h, 1.0)),
     (10, lambda h: trotter_first_order(h, 1.0, 1)),

@@ -391,6 +391,19 @@ class TestGroupingResult:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GroupingResult("s", 2, keys, [1.0] * len(keys), [0, len(keys)])
 
+    @pytest.mark.parametrize("starts", [[0, 1.7, 2], [0.0, 2.0], np.array([0, 2], dtype=float),
+                                        [False, True]], ids=repr)
+    def test_offsets_that_are_not_integers_refused(self, starts):
+        """Offsets are refused, not truncated: [0, 1.7, 2] was read as [0, 1, 2]."""
+        with pytest.raises(ValueError, match="^offsets must be integers, got dtype "):
+            GroupingResult("s", 2, [1, 2], [1.0, 2.0], starts)
+
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_coefficient_that_is_not_finite_refused(self, coeff):
+        """A NaN coefficient gave a NaN grouped norm."""
+        with pytest.raises(ValueError, match=f"^non-finite coefficient {coeff} at entry 1$"):
+            GroupingResult("s", 2, [1, 2, 3], [1.0, coeff, 2.0], [0, 1, 3])
+
     def test_largest_key_accepted(self):
         assert GroupingResult("s", 2, [15], [1.0], [0, 1]).keys.tolist() == [15]
         # at 32 qubits every uint64 is a key

@@ -1,5 +1,7 @@
 """Hamiltonian container, vectorization, and norms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,10 +210,24 @@ class TestCoefficientVectorChecks:
         ([0, 1, 2], [0.6, 0.8]),  # unequal lengths
         ([[0, 1]], [[0.6, 0.8]]),  # not 1-D
         ([], []),  # empty: norm 0, not 1
+        ([0, 1.5], [0.6, 0.8]),  # not an integer: was truncated to 1
+        (np.array([0.0, 1.0]), [0.6, 0.8]),  # a float array
+        ([-1, 0], [0.6, 0.8]),  # negative: would wrap
     ])
     def test_rejected(self, indices, entries):
         with pytest.raises(ValueError):
             CoefficientVector(n=1, lam=1.0, indices=indices, entries=entries)
+
+    @pytest.mark.parametrize("indices, message", [
+        ([1.7], "index must be an integer, got 1.7"),
+        (np.array([1.0]), "index must be an integer, got dtype float64"),
+        ([16], "index 16 out of range for 2 qubits"),
+        (np.array([-1]), "index -1 out of range for 2 qubits"),
+    ], ids=repr)
+    def test_index_refused_as_keys_are(self, indices, message):
+        """Indices are checked by the Hamiltonian's key check, named."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoefficientVector(2, 1.0, indices, [1.0])
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_lambda_rejected(self, lam):

@@ -507,12 +507,19 @@ class TestSerializeResult:
             format_value_reference(grouping_result_to_dict_reference(g)["collections"]) + "\n"
 
     def test_nan_coefficient_raises_the_general_paths_error(self):
+        """A grouping refuses a NaN coefficient as it is built.  Term
+        records with one render as dicts, so the serializer refuses the
+        value as the general path does."""
         from pauliforge.grouping import GroupingResult
+        from pauliforge.results import _term_records
 
-        g = GroupingResult("sorted_insertion/general", 2, [1, 2, 3], [1.0, math.nan, 2.0],
+        with pytest.raises(ValueError, match="^non-finite coefficient nan at entry 1$"):
+            GroupingResult("sorted_insertion/general", 2, [1, 2, 3], [1.0, math.nan, 2.0],
                            [0, 1, 3])
+        records = _term_records(["IX", "IZ", "IY"], np.array([1.0, math.nan, 2.0]),
+                                np.array([0, 1, 3]))
         message = "^non-finite value nan cannot be serialized$"
-        for doc in (grouping_result_to_dict(g), grouping_result_to_dict(g)["collections"]):
+        for doc in ({"collections": records}, records):
             with pytest.raises(ValueError, match=message):
                 stable_json(doc)
             with pytest.raises(ValueError, match=message):

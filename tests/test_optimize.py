@@ -539,23 +539,33 @@ class TestPartition:
          "term index 0 appears in two parts"),
         ((PartitionPart((0, 1), PauliString.from_label("XI"), (0,)),),
          "partition does not cover every term"),
+        # a factor qubit is refused by its own check, not later by restrict's
+        ((PartitionPart(("0",), PauliString.from_label("X"), (0, 1)),),
+         "factor qubit must be an integer in 0..1, got '0'"),
+        ((PartitionPart((0.0,), PauliString.from_label("X"), (0, 1)),),
+         "factor qubit must be an integer in 0..1, got 0.0"),
+        ((PartitionPart((True,), PauliString.from_label("X"), (0, 1)),),
+         "factor qubit must be an integer in 0..1, got True"),
     ], ids=["missing_cover", "index_out_of_range", "bool_index", "no_residual_qubit", "factor_length",
-            "overlap_before_residual", "cover_before_residual"])
+            "overlap_before_residual", "cover_before_residual", "str_factor_qubit",
+            "float_factor_qubit", "bool_factor_qubit"])
     def test_malformed_parts_rejected(self, parts, message):
         h = Hamiltonian(2, {"XI": 1.0, "XZ": 2.0})
         with pytest.raises(ValueError, match=message):
             partition(h, parts)
 
-    @pytest.mark.parametrize("parts", [
-        (PartitionPart((0, 0), PauliString.from_label("XX"), (0, 1)),),
-        (PartitionPart((0, 1), PauliString.from_label("XX"), (0, 1)),
-         PartitionPart((0, 3), PauliString.from_label("XI"), ())),
+    @pytest.mark.parametrize("parts, message", [
+        ((PartitionPart((0, 0), PauliString.from_label("XX"), (0, 1)),),
+         "factor qubits must be distinct qubits in 0..2"),
+        ((PartitionPart((0, 1), PauliString.from_label("XX"), (0, 1)),
+          PartitionPart((0, 3), PauliString.from_label("XI"), ())),
+         "factor qubit must be an integer in 0..2, got 3"),
     ], ids=["repeated", "out_of_range"])
-    def test_bad_factor_qubits_rejected(self, parts):
+    def test_bad_factor_qubits_rejected(self, parts, message):
         """Both part lists carry every term's factor and cover every term, so
         only the factor qubits themselves can refuse them."""
         h = Hamiltonian(3, {"XXI": 1.0, "XXZ": 2.0})
-        with pytest.raises(ValueError, match="factor qubits must be distinct qubits in 0..2"):
+        with pytest.raises(ValueError, match=message):
             partition(h, parts)
 
     def test_wrong_factor_rejected(self):

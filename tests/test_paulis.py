@@ -384,6 +384,7 @@ _INTEGER_ARGUMENTS = {
     "codec n": ("qubit count", lambda v: digits_from_keys([1], v)),
     "CoefficientVector n": ("qubit count",
                             lambda v: CoefficientVector(v, 1.0, [1], [1.0])),
+    "CoefficientVector index": ("index", lambda v: CoefficientVector(2, 1.0, [v], [1.0])),
     "ising_neighbor": ("qubit count", ising_neighbor),
     "ising_all_to_all": ("qubit count", ising_all_to_all),
     "embed qubit": ("qubit", lambda v: embed(Hamiltonian(1, {"X": 1.0}), (v,), 3)),
